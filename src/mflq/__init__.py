@@ -16,7 +16,8 @@ from .model import (AffineFeedback, Dimensions, LqCost, LqDynamics, LqModel,
                     model_from_document, model_to_document, running_cost,
                     terminal_cost, validate_model)
 from .moments import (MomentTrajectory, cost_from_moments, dpp_check,
-                      moment_rhs, propagate_moments, trajectory_to_csv)
+                      f_hat_affine, moment_rhs, propagate_moments,
+                      trajectory_to_csv)
 from .particles import (CandidateResult, Dirac, FeedbackPerturbation,
                         GapReport, Gaussian, Particles, SimConfig, SimResult,
                         canonical_perturbations, optimality_gap,
@@ -33,6 +34,6 @@ from .riccati import (AuxiliaryMatrices, ConditionReport, RiccatiSolution,
                       solve_riccati, terminal_state, with_scaled_lambda)
 from .schedules import Schedule, as_schedule
 from .value import (apply_feedback, bellman_residual, control_objective,
-                    f_hat_affine, g_hat, g_inf, optimal_feedback, value)
+                    g_hat, g_inf, optimal_feedback, optimal_gains, value)
 
 __version__ = "0.1.0"

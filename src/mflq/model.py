@@ -32,7 +32,8 @@ COV_EIG_FLOOR = -1e-10
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (a + a.mT)
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,14 @@ class LqModel:
     def check_time(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:
             raise OutOfDomainError(f"t={t} outside [0, {self.horizon}]")
+
+    def table(self, times) -> dict:
+        """Every dynamics and running-cost schedule at ``times``: name ->
+        values stacked on a leading time axis (see Schedule.table)."""
+        return {name: getattr(block, name).table(times)
+                for block, fields in ((self.dynamics, _DYNAMICS_FIELDS),
+                                      (self.cost, _COST_SCHEDULE_FIELDS))
+                for name, _ in fields}
 
 
 def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
@@ -358,9 +367,11 @@ def ensemble_moments(e: ParticleEnsemble) -> MomentState:
 class AffineFeedback:
     """Control law a = K1(t)(x - mean_x) + K2(t) mean_x + k(t).
 
-    The three gains are time functions; use :meth:`constant` or
-    :meth:`from_schedules` for tabulated laws, or build one with closures
-    (the optimal law queries the Riccati solution directly).
+    ``table(times)`` returns the gains (K1, K2, k) stacked on a leading
+    time axis; the moment flow and the particle simulator read gains only
+    through it. ``k1``, ``k2``, ``k0`` are the pointwise gains and equal
+    the table rows bitwise. Build laws with :meth:`constant`,
+    :meth:`from_schedules` or :meth:`from_table`.
     """
 
     k1: Callable[[float], np.ndarray]
@@ -368,6 +379,7 @@ class AffineFeedback:
     k0: Callable[[float], np.ndarray]
     m: int
     d: int
+    table: Callable[[np.ndarray], tuple]
 
     @classmethod
     def constant(cls, k1, k2, k0) -> "AffineFeedback":
@@ -377,14 +389,26 @@ class AffineFeedback:
         m, d = k1.shape
         if k2.shape != (m, d) or k0.shape != (m,):
             raise ShapeError("inconsistent gain shapes")
-        return cls(k1=lambda t: k1, k2=lambda t: k2, k0=lambda t: k0, m=m, d=d)
+        return cls.from_schedules(Schedule.constant(k1), Schedule.constant(k2),
+                                  Schedule.constant(k0))
 
     @classmethod
     def from_schedules(cls, k1: Schedule, k2: Schedule, k0: Schedule) -> "AffineFeedback":
         m, d = k1.shape
         if tuple(k2.shape) != (m, d) or tuple(k0.shape) != (m,):
             raise ShapeError("inconsistent gain schedule shapes")
-        return cls(k1=k1, k2=k2, k0=k0, m=m, d=d)
+        return cls(k1=k1, k2=k2, k0=k0, m=m, d=d,
+                   table=lambda times: (k1.table(times), k2.table(times),
+                                        k0.table(times)))
+
+    @classmethod
+    def from_table(cls, table, m: int, d: int) -> "AffineFeedback":
+        """Law given by its gain table; the pointwise gains are its
+        one-row case."""
+        def row(i):
+            return lambda t: table(np.array([t], dtype=float))[i][0]
+
+        return cls(k1=row(0), k2=row(1), k0=row(2), m=m, d=d, table=table)
 
     def gains(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.k1(t), self.k2(t), self.k0(t)
@@ -399,13 +423,13 @@ class AffineFeedback:
                     k_scale: float = 1.0, k_shift=0.0) -> "AffineFeedback":
         """New law with scaled gains and a shifted offset."""
         shift = np.broadcast_to(np.asarray(k_shift, dtype=float), (self.m,))
-        base1, base2, base0 = self.k1, self.k2, self.k0
-        return AffineFeedback(
-            k1=lambda t: k1_scale * base1(t),
-            k2=lambda t: k2_scale * base2(t),
-            k0=lambda t: k_scale * base0(t) + shift,
-            m=self.m, d=self.d,
-        )
+        base = self.table
+
+        def table(times):
+            K1, K2, k0 = base(times)
+            return k1_scale * K1, k2_scale * K2, k_scale * k0 + shift
+
+        return AffineFeedback.from_table(table, self.m, self.d)
 
 
 # ---------------------------------------------------------------------------

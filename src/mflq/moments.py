@@ -15,6 +15,12 @@ contribution is E[sigma sigma'] = G Cov G' + (Gm+h)(Gm+h)'). The running
 cost integral rides the same RK4 as an augmented component, which keeps
 the quadrature at integrator order. This module is the noise-free oracle
 for the value identity and the dynamic-programming check.
+
+Every coefficient of this system depends on time alone once the gains are
+fixed, so propagate_moments tabulates the affine moment coefficients (the
+drift, diffusion and running-cost matrices under the gains, from one
+batched gain query) for each block of RK4 stages and steps the flat state
+(mean, Cov, running cost) with the RK4 core shared with the Riccati solve.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 
 from .errors import CovarianceInstabilityError, OutOfDomainError
 from .model import AffineFeedback, LqModel, MomentState, sym
-from .riccati import RiccatiSolution
-from .value import _f_hat_raw, g_hat, optimal_feedback
+from .riccati import RiccatiSolution, _rk4, _stage_table
+from .value import g_hat, optimal_feedback
 from .value import value as value_at
 
 CLIP_FLOOR = -1e-9
@@ -53,30 +59,78 @@ class MomentTrajectory:
         return float(self.running[-1])
 
 
+def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
+    """Affine moment coefficients under ``fb`` at ``times``, one row per
+    stage. With abar = K2 m + k, the flow and its running cost are
+
+        m'   = Mm m + mc
+        Cov' = A Cov + Cov A' + G Cov G' + (Hm m + hc)(Hm m + hc)'
+        f    = tr(W Cov) + m'P m + p.m + p0
+
+    where Hm m + hc = G m + h collects the mean part of the diffusion.
+    """
+    c = _stage_table(model, times)
+    K1, K2, k0 = fb.table(c["t"])
+    k0 = k0[..., None]
+    F, K2t = c["F"], K2.mT
+    RR, MM = c["R2"] + c["R2bar"], c["M2"] + c["M2bar"]
+    rr = c["r1"] + c["r1bar"]
+    G = c["D"] + F @ K1
+    M2K1, MMK2, RRk0 = c["M2"] @ K1, MM @ K2, RR @ k0
+    W = c["Q2"] + K1.mT @ c["R2"] @ K1 + M2K1 + M2K1.mT
+    return {
+        "Mm": c["BpB"] + c["CpC"] @ K2,
+        "mc": (c["CpC"] @ k0 + c["b0"])[..., 0],
+        "A": c["B"] + c["C"] @ K1,
+        "G": G,
+        "Hm": G + c["Dbar"] + F @ (K2 - K1) + c["Fbar"] @ K2,
+        "hc": (c["sigma0"] + c["FpF"] @ k0)[..., 0],
+        "W": W.reshape(W.shape[0], -1),
+        "P": c["QQ"] + K2t @ RR @ K2 + MMK2 + MMK2.mT,
+        "p": (2.0 * (K2t @ RRk0 + MM @ k0) + c["q1"] + c["q1bar"] + K2t @ rr)[..., 0],
+        "p0": (k0.mT @ RRk0 + rr.mT @ k0)[..., 0, 0],
+    }
+
+
+def _running(c: dict, j: int, m: np.ndarray, S: np.ndarray) -> float:
+    """Lifted running cost at moment-table row j (S symmetric)."""
+    return c["W"][j] @ S.ravel() + m @ c["P"][j] @ m + c["p"][j] @ m + c["p0"][j]
+
+
+def _moment_rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
+    """Derivative of the flat state (mean, Cov, running cost) at row j."""
+    d = c["mc"].shape[-1]
+    m, S = y[:d], y[d:-1].reshape(d, d)
+    AS, G = c["A"][j] @ S, c["G"][j]
+    gm = c["Hm"][j] @ m + c["hc"][j]
+    out = np.empty_like(y)
+    out[:d] = c["Mm"][j] @ m + c["mc"][j]
+    out[d:-1] = (AS + AS.mT + G @ S @ G.mT + gm[:, None] * gm).ravel()
+    out[-1] = _running(c, j, m, S)
+    return out
+
+
 def moment_rhs(model: LqModel, fb: AffineFeedback, t: float,
                ms: MomentState) -> tuple[np.ndarray, np.ndarray]:
     """(m', Cov') of the closed moment system at (t, ms)."""
     model.check_time(t)
-    dm, dS, _ = _moment_rhs_raw(model, fb, t, ms.mean, ms.cov)
-    return dm, dS
+    d = model.dims.d
+    f = _moment_rhs(_moment_table(model, fb, [t]), 0,
+                    np.concatenate((ms.mean, ms.cov.ravel(), [0.0])))
+    return f[:d], f[d:-1].reshape(d, d)
 
 
-def _moment_rhs_raw(model: LqModel, fb: AffineFeedback, t: float, m, S):
-    dyn = model.dynamics
-    K1, K2, k0 = fb.gains(t)
-    B, Bb = dyn.B(t), dyn.Bbar(t)
-    C, Cb = dyn.C(t), dyn.Cbar(t)
-    D, Db = dyn.D(t), dyn.Dbar(t)
-    F, Fb = dyn.F(t), dyn.Fbar(t)
-    abar = K2 @ m + k0
-    dm = (B + Bb) @ m + (C + Cb) @ abar + dyn.b0(t)
-    A = B + C @ K1
-    G = D + F @ K1
-    h = dyn.sigma0(t) + Db @ m + F @ ((K2 - K1) @ m + k0) + Fb @ abar
-    gm = G @ m + h
-    dS = A @ S + S @ A.T + G @ S @ G.T + np.outer(gm, gm)
-    dr = _f_hat_raw(model, t, K1, K2, k0, m, S)
-    return dm, dS, dr
+def f_hat_affine(model: LqModel, t: float, fb: AffineFeedback,
+                 ms: MomentState) -> float:
+    """Lifted running cost of an affine feedback, in moment-closed form.
+
+    With a = K1(x-m) + K2 m + k the control law has mean K2 m + k and
+    covariance K1 Cov K1', and the state-control cross term reduces to
+    2 tr(M2 K1 Cov); collected by powers of the moments this is
+    tr(W Cov) + m'P m + p.m + p0 (see _moment_table).
+    """
+    model.check_time(t)
+    return float(_running(_moment_table(model, fb, [t]), 0, ms.mean, ms.cov))
 
 
 def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
@@ -85,8 +139,10 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     """RK4 integration of the moment system on [t0, t_end] (default T),
     accumulating the running cost as an augmented state component.
 
-    The covariance is re-symmetrized every step and eigenvalue-clipped at
-    -1e-9; clipping beyond -1e-6 raises CovarianceInstabilityError.
+    The gains and every affine moment coefficient are tabulated once per
+    block of stages. The covariance is re-symmetrized every step and
+    eigenvalue-clipped at -1e-9; clipping beyond -1e-6 raises
+    CovarianceInstabilityError.
     """
     model.check_time(t0)
     T = model.horizon if t_end is None else float(t_end)
@@ -97,39 +153,36 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
         raise ValueError("n_steps must be >= 1")
     d = model.dims.d
     grid = np.linspace(t0, T, n_steps + 1)
-    dt = (T - t0) / n_steps
-    means = np.empty((n_steps + 1, d))
-    covs = np.empty((n_steps + 1, d, d))
-    running = np.empty(n_steps + 1)
-    m, S, r = ms0.mean.copy(), ms0.cov.copy(), 0.0
-    means[0], covs[0], running[0] = m, S, r
-    clip_count = 0
-    if T == t0:
-        return MomentTrajectory(grid=grid[:1], means=means[:1], covs=covs[:1],
-                                running=running[:1], clip_count=0)
-    for k in range(n_steps):
-        t1, t2 = grid[k], grid[k + 1]
-        tm = 0.5 * (t1 + t2)
-        a1 = _moment_rhs_raw(model, fb, t1, m, S)
-        a2 = _moment_rhs_raw(model, fb, tm, m + 0.5 * dt * a1[0], S + 0.5 * dt * a1[1])
-        a3 = _moment_rhs_raw(model, fb, tm, m + 0.5 * dt * a2[0], S + 0.5 * dt * a2[1])
-        a4 = _moment_rhs_raw(model, fb, t2, m + dt * a3[0], S + dt * a3[1])
-        m = m + dt / 6.0 * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0])
-        S = sym(S + dt / 6.0 * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]))
-        r = r + dt / 6.0 * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2])
+    states = np.empty((n_steps + 1, d + d * d + 1))
+    states[0] = np.concatenate((ms0.mean, ms0.cov.ravel(), [0.0]))
+    clips = 0
+
+    def settle(k, y):
+        nonlocal clips
+        S = y[d:-1].reshape(d, d)
+        S[...] = sym(S)
         w, q = np.linalg.eigh(S)
         lo = float(w[0])
         if lo < INSTABILITY_FLOOR:
             raise CovarianceInstabilityError(
-                f"covariance eigenvalue {lo:.3e} at t={t2:.6g}",
-                time=float(t2), eigenvalue=lo)
+                f"covariance eigenvalue {lo:.3e} at t={grid[k]:.6g}",
+                time=float(grid[k]), eigenvalue=lo)
         if lo < CLIP_FLOOR:
-            clip_count += 1
+            clips += 1
         if lo < 0.0:
-            S = sym((q * np.maximum(w, 0.0)) @ q.T)
-        means[k + 1], covs[k + 1], running[k + 1] = m, S, r
-    return MomentTrajectory(grid=grid, means=means, covs=covs,
-                            running=running, clip_count=clip_count)
+            S[...] = sym((q * np.maximum(w, 0.0)) @ q.T)
+        return y
+
+    if T == t0:
+        grid, states = grid[:1], states[:1]
+    else:
+        for k, y, _ in _rk4(grid, (T - t0) / n_steps, states[0],
+                            lambda ts: _moment_table(model, fb, ts),
+                            _moment_rhs, settle):
+            states[k] = y
+    return MomentTrajectory(grid=grid, means=states[:, :d],
+                            covs=states[:, d:-1].reshape(-1, d, d),
+                            running=states[:, -1], clip_count=clips)
 
 
 def cost_from_moments(model: LqModel, fb: AffineFeedback, t0: float,

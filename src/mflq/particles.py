@@ -32,7 +32,7 @@ from scipy.special import ndtri
 
 from .errors import ShapeError, SimulationDivergedError
 from .model import AffineFeedback, LqModel, MomentState, ParticleEnsemble, sym
-from .riccati import RiccatiSolution
+from .riccati import STAGE_BLOCK, RiccatiSolution
 from .value import optimal_feedback
 
 
@@ -145,7 +145,8 @@ def _quad_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     """Simulate the interacting particle system under the feedback law.
 
-    Deterministic for fixed (seed, N, K, model, fb). Raises
+    Coefficients and gains are read from tables built once per block of
+    steps. Deterministic for fixed (seed, N, K, model, fb). Raises
     SimulationDivergedError (with the step index) if any state goes
     non-finite.
     """
@@ -159,14 +160,14 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     path_key, init_key = _keys(cfg.seed)
     X = _initial_states(cfg.initial, d, n, init_key)
 
-    dyn, cost = model.dynamics, model.cost
+    cost = model.cost
     mean_path = np.empty((K + 1, d))
     cov_path = np.empty((K + 1, d, d))
     running_mean = np.empty(K + 1)
     ensembles: dict[int, np.ndarray] = {}
     run = np.zeros(n)
 
-    def record(j: int) -> None:
+    def record(j: int) -> np.ndarray:
         mu = X.mean(axis=0)
         Xc = X - mu
         mean_path[j] = mu
@@ -174,32 +175,36 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
         running_mean[j] = run.mean()
         if cfg.store_every and j % cfg.store_every == 0:
             ensembles[j] = X.copy()
+        return mu
 
-    record(0)
-    for j in range(K):
-        t = times[j]
-        mhat = X.mean(axis=0)
-        K1, K2, k0 = fb.gains(t)
-        A = (X - mhat) @ K1.T + mhat @ K2.T + k0
-        ahat = A.mean(axis=0)
-        b = (dyn.b0(t) + X @ dyn.B(t).T + dyn.Bbar(t) @ mhat
-             + A @ dyn.C(t).T + dyn.Cbar(t) @ ahat)
-        s = (dyn.sigma0(t) + X @ dyn.D(t).T + dyn.Dbar(t) @ mhat
-             + A @ dyn.F(t).T + dyn.Fbar(t) @ ahat)
-        run += dt * (
-            _quad_rows(X, cost.Q2(t), X) + mhat @ cost.Q2bar(t) @ mhat
-            + _quad_rows(A, cost.R2(t), A) + ahat @ cost.R2bar(t) @ ahat
-            + 2.0 * _quad_rows(X, cost.M2(t), A)
-            + 2.0 * mhat @ cost.M2bar(t) @ ahat
-            + X @ cost.q1(t) + cost.q1bar(t) @ mhat
-            + A @ cost.r1(t) + cost.r1bar(t) @ ahat
-        )
-        xi = step_normals(path_key, j, n)
-        X = X + dt * b + sqdt * s * xi[:, None]
-        if not np.isfinite(X).all():
-            raise SimulationDivergedError(
-                f"non-finite particle state after step {j}", step=j)
-        record(j + 1)
+    mhat = record(0)
+    for j0 in range(0, K, STAGE_BLOCK):
+        block = times[j0:min(j0 + STAGE_BLOCK, K)]
+        c = model.table(block)
+        K1s, K2s, k0s = fb.table(block)
+        for r in range(block.size):
+            j = j0 + r
+            K1, K2, k0 = K1s[r], K2s[r], k0s[r]
+            A = (X - mhat) @ K1.T + mhat @ K2.T + k0
+            ahat = A.mean(axis=0)
+            b = (c["b0"][r] + X @ c["B"][r].T + c["Bbar"][r] @ mhat
+                 + A @ c["C"][r].T + c["Cbar"][r] @ ahat)
+            s = (c["sigma0"][r] + X @ c["D"][r].T + c["Dbar"][r] @ mhat
+                 + A @ c["F"][r].T + c["Fbar"][r] @ ahat)
+            run += dt * (
+                _quad_rows(X, c["Q2"][r], X) + mhat @ c["Q2bar"][r] @ mhat
+                + _quad_rows(A, c["R2"][r], A) + ahat @ c["R2bar"][r] @ ahat
+                + 2.0 * _quad_rows(X, c["M2"][r], A)
+                + 2.0 * mhat @ c["M2bar"][r] @ ahat
+                + X @ c["q1"][r] + c["q1bar"][r] @ mhat
+                + A @ c["r1"][r] + c["r1bar"][r] @ ahat
+            )
+            xi = step_normals(path_key, j, n)
+            X = X + dt * b + sqdt * s * xi[:, None]
+            if not np.isfinite(X).all():
+                raise SimulationDivergedError(
+                    f"non-finite particle state after step {j}", step=j)
+            mhat = record(j + 1)
 
     mhat_T = mean_path[K]
     terminal = (_quad_rows(X, cost.P2, X) + mhat_T @ cost.P2bar @ mhat_T

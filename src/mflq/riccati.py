@@ -28,6 +28,13 @@ and V must stay positive definite at every stage or the solve fails fast
 with a breakdown error. The stored grid states plus their ODE right-hand
 sides support cubic Hermite interpolation at arbitrary times, preserving
 4th-order accuracy for downstream value and feedback queries.
+
+Everything that depends on time alone (each coefficient and the sums the
+right-hand side uses) is tabulated once for each block of RK4 stages, grid
+points and midpoints, and the stepper addresses stages by table row. The
+same RK4 core drives the forward moment flow. Tables, Hermite queries and
+the stacked positivity check evaluate each row on its own, so a row is
+bitwise the same whichever other times share its batch.
 """
 
 from __future__ import annotations
@@ -70,80 +77,182 @@ def terminal_state(model: LqModel) -> RiccatiState:
                         gam=c.p1 + c.p1bar, chi=0.0)
 
 
-def _aux_arrays(model: LqModel, t: float, L: np.ndarray, G: np.ndarray,
-                g: np.ndarray):
-    dyn, cost = model.dynamics, model.cost
-    C, Cb = dyn.C(t), dyn.Cbar(t)
-    D, Db = dyn.D(t), dyn.Dbar(t)
-    F, Fb = dyn.F(t), dyn.Fbar(t)
-    s0 = dyn.sigma0(t)
-    FpF, DpD, CpC = F + Fb, D + Db, C + Cb
-    U = sym(F.T @ L @ F + cost.R2(t))
-    V = sym(FpF.T @ L @ FpF + cost.R2(t) + cost.R2bar(t))
-    S = D.T @ L @ F + L @ C + cost.M2(t)
-    Z = DpD.T @ L @ FpF + G @ CpC + cost.M2(t) + cost.M2bar(t)
-    Y = CpC.T @ g + cost.r1(t) + cost.r1bar(t) + 2.0 * FpF.T @ (L @ s0)
+STAGE_BLOCK = 16  # RK4 steps per stage-table block (33 rows): bounds table memory
+_VECTORS = ("b0", "sigma0", "q1", "q1bar", "r1", "r1bar")
+
+
+def _stage_table(model: LqModel, times) -> dict:
+    """Every coefficient of the model at ``times`` (one row per time), with
+    vectors as columns, plus the time-only sums the right-hand sides use.
+    Row j depends on times[j] alone."""
+    times = np.asarray(times, dtype=float)
+    c = model.table(times)
+    for name in _VECTORS:
+        c[name] = c[name][..., None]
+    c["t"] = times
+    c["BpB"] = c["B"] + c["Bbar"]
+    c["CpC"] = c["C"] + c["Cbar"]
+    c["DpD"] = c["D"] + c["Dbar"]
+    c["FpF"] = c["F"] + c["Fbar"]
+    c["QQ"] = c["Q2"] + c["Q2bar"]
+    return c
+
+
+def _rk4(times: np.ndarray, h: float, y: np.ndarray, table, rhs, settle):
+    """Classical fixed-step RK4 on a flat state through ``times``, given in
+    integration order with signed step ``h``.
+
+    Stages are addressed by row: ``table(stage_times)`` tabulates whatever
+    depends on time alone at the grid points and midpoints of one block of
+    STAGE_BLOCK steps, so table memory does not grow with the step count,
+    and ``rhs(tab, row, y)`` is the derivative at a stage row.
+    ``settle(k, y)`` checks or projects each new grid state. Yields
+    ``(k, y, f)`` for every grid index k, f being the derivative at
+    (times[k], y).
+    """
+    n = times.size - 1
+    f = None
+    for k0 in range(0, n, STAGE_BLOCK):
+        k1 = min(k0 + STAGE_BLOCK, n)
+        stage = np.empty(2 * (k1 - k0) + 1)
+        stage[0::2] = times[k0:k1 + 1]
+        stage[1::2] = 0.5 * (times[k0:k1] + times[k0 + 1:k1 + 1])
+        tab = table(stage)
+        if f is None:
+            f = rhs(tab, 0, y)
+            yield 0, y, f
+        for k in range(k0 + 1, k1 + 1):
+            j = 2 * (k - k0)
+            a2 = rhs(tab, j - 1, y + 0.5 * h * f)
+            a3 = rhs(tab, j - 1, y + 0.5 * h * a2)
+            a4 = rhs(tab, j, y + h * a3)
+            y = settle(k, y + h / 6.0 * (f + 2.0 * a2 + 2.0 * a3 + a4))
+            f = rhs(tab, j, y)
+            yield k, y, f
+
+
+def _aux_arrays(c: dict, j, L: np.ndarray, G: np.ndarray, g: np.ndarray):
+    """(U, V, S, Z, Y) from stage-table row j (an int), or from every row
+    (j = Ellipsis) with L, G, g stacked to match; g and Y are columns."""
+    C, CpC = c["C"][j], c["CpC"][j]
+    D, DpD = c["D"][j], c["DpD"][j]
+    F, FpF = c["F"][j], c["FpF"][j]
+    R2, M2, s0 = c["R2"][j], c["M2"][j], c["sigma0"][j]
+    U = sym(F.mT @ L @ F + R2)
+    V = sym(FpF.mT @ L @ FpF + R2 + c["R2bar"][j])
+    S = D.mT @ L @ F + L @ C + M2
+    Z = DpD.mT @ L @ FpF + G @ CpC + M2 + c["M2bar"][j]
+    Y = CpC.mT @ g + c["r1"][j] + c["r1bar"][j] + 2.0 * FpF.mT @ (L @ s0)
     return U, V, S, Z, Y
+
+
+def _aux_at(model: LqModel, t: float, state: RiccatiState):
+    """(U, V, S, Z, Y) at one time: the one-row stage table; Y is a column."""
+    c = _stage_table(model, [t])
+    return _aux_arrays(c, 0, state.Lam, state.Gam, state.gam[:, None])
 
 
 def auxiliary(model: LqModel, t: float, state: RiccatiState) -> AuxiliaryMatrices:
     """Assemble (U, V, S, Z, Y); positivity of U, V is not checked here."""
     model.check_time(t)
-    U, V, S, Z, Y = _aux_arrays(model, t, state.Lam, state.Gam, state.gam)
-    return AuxiliaryMatrices(U=U, V=V, S=S, Z=Z, Y=Y)
+    U, V, S, Z, Y = _aux_at(model, t, state)
+    return AuxiliaryMatrices(U=U, V=V, S=S, Z=Z, Y=Y[:, 0])
+
+
+def _spectrum_error(w: np.ndarray, t: float, name: str):
+    """The breakdown a spectrum w (ascending) signals at time t, or None."""
+    if not np.isfinite(w).all():
+        return RiccatiBreakdownError(f"{name} non-finite at t={t:.6g}", time=t)
+    lo = float(w[0])
+    if lo < POSITIVITY_FLOOR:
+        return RiccatiBreakdownError(
+            f"{name} loses positive definiteness at t={t:.6g} "
+            f"(smallest eigenvalue {lo:.3e})", time=t, eigenvalue=lo)
+    if float(w[-1]) / lo > CONDITION_LIMIT:
+        return RiccatiBreakdownError(
+            f"{name} ill-conditioned at t={t:.6g} (cond {float(w[-1]) / lo:.3e})",
+            time=t, eigenvalue=lo)
+    return None
 
 
 def checked_eigh(mat: np.ndarray, t: float, name: str):
     """Eigendecomposition that fails fast when the matrix is not safely
     positive definite (floor 1e-10, condition number cap 1e12)."""
     w, q = np.linalg.eigh(mat)
-    if not np.isfinite(w).all():
-        raise RiccatiBreakdownError(f"{name} non-finite at t={t:.6g}", time=t)
-    lo = float(w[0])
-    if lo < POSITIVITY_FLOOR:
-        raise RiccatiBreakdownError(
-            f"{name} loses positive definiteness at t={t:.6g} "
-            f"(smallest eigenvalue {lo:.3e})", time=t, eigenvalue=lo)
-    if float(w[-1]) / lo > CONDITION_LIMIT:
-        raise RiccatiBreakdownError(
-            f"{name} ill-conditioned at t={t:.6g} (cond {float(w[-1]) / lo:.3e})",
-            time=t, eigenvalue=lo)
+    err = _spectrum_error(w, t, name)
+    if err is not None:
+        raise err
     return w, q
 
 
+def _checked_eigh_stack(times: np.ndarray, *named):
+    """checked_eigh for each (name, stack) pair, one matrix per time, with
+    one stacked eigh per stack. A breakdown reports the earliest failing
+    time, checking the pairs in order there, as pointwise checks in time
+    order would."""
+    out, ok = [], np.ones(times.shape, dtype=bool)
+    for _, mats in named:
+        w, q = np.linalg.eigh(mats)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok &= (np.isfinite(w).all(axis=-1) & (w[:, 0] >= POSITIVITY_FLOOR)
+                   & (w[:, -1] / w[:, 0] <= CONDITION_LIMIT))
+        out.append((w, q))
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        i = bad[np.argmin(times[bad])]
+        for (name, _), (w, _) in zip(named, out):
+            err = _spectrum_error(w[i], float(times[i]), name)
+            if err is not None:
+                raise err
+    return out
+
+
 def spd_solve(w: np.ndarray, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs given the eigendecomposition (w, q) of SPD M."""
-    if rhs.ndim == 1:
-        return q @ ((q.T @ rhs) / w)
-    return q @ ((q.T @ rhs) / w[:, None])
+    """Solve M x = rhs given the eigendecomposition (w, q) of SPD M; rhs is
+    a matrix (vectors as columns). Leading axes are a stack."""
+    return q @ ((q.mT @ rhs) / w[..., None])
 
 
-def _rhs_arrays(model: LqModel, t: float, L, G, g, c):
-    dyn, cost = model.dynamics, model.cost
-    B, Bb = dyn.B(t), dyn.Bbar(t)
-    D, Db = dyn.D(t), dyn.Dbar(t)
-    b0, s0 = dyn.b0(t), dyn.sigma0(t)
-    Q2, Q2b = cost.Q2(t), cost.Q2bar(t)
-    q1, q1b = cost.q1(t), cost.q1bar(t)
-    BpB, DpD = B + Bb, D + Db
-    U, V, S, Z, Y = _aux_arrays(model, t, L, G, g)
+def _unpack(y: np.ndarray, d: int):
+    """Views (Lam, Gam, gam, chi) of flat Riccati states; leading axes of
+    ``y`` are kept."""
+    dd, lead = d * d, y.shape[:-1]
+    return (y[..., :dd].reshape(lead + (d, d)), y[..., dd:2 * dd].reshape(lead + (d, d)),
+            y[..., 2 * dd:2 * dd + d], y[..., -1])
+
+
+def _pack(st: RiccatiState) -> np.ndarray:
+    return np.concatenate((st.Lam.ravel(), st.Gam.ravel(), st.gam, [st.chi]))
+
+
+def _rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
+    """Forward-time derivative of the flat state at stage-table row j."""
+    L, G, g, _ = _unpack(y, c["B"].shape[-1])
+    g = g[:, None]
+    t = float(c["t"][j])
+    B, BpB = c["B"][j], c["BpB"][j]
+    D, DpD = c["D"][j], c["DpD"][j]
+    b0, s0 = c["b0"][j], c["sigma0"][j]
+    U, V, S, Z, Y = _aux_arrays(c, j, L, G, g)
     wU, qU = checked_eigh(U, t, "U")
     wV, qV = checked_eigh(V, t, "V")
-    Ui_St = spd_solve(wU, qU, S.T)
-    Vi_Zt = spd_solve(wV, qV, Z.T)
+    Ui_St = spd_solve(wU, qU, S.mT)
+    Vi_Zt = spd_solve(wV, qV, Z.mT)
     Vi_Y = spd_solve(wV, qV, Y)
-    dL = -sym(Q2 + D.T @ L @ D + L @ B + B.T @ L - S @ Ui_St)
-    dG = -sym(Q2 + Q2b + DpD.T @ L @ DpD + G @ BpB + BpB.T @ G - Z @ Vi_Zt)
-    dg = -(BpB.T @ g - Z @ Vi_Y + q1 + q1b + 2.0 * DpD.T @ (L @ s0) + 2.0 * G @ b0)
-    dc = -(-0.25 * (Y @ Vi_Y) + g @ b0 + s0 @ (L @ s0))
-    return dL, dG, dg, float(dc)
+    dL = -sym(c["Q2"][j] + D.mT @ L @ D + L @ B + B.mT @ L - S @ Ui_St)
+    dG = -sym(c["QQ"][j] + DpD.mT @ L @ DpD + G @ BpB + BpB.mT @ G - Z @ Vi_Zt)
+    dg = -(BpB.mT @ g - Z @ Vi_Y + c["q1"][j] + c["q1bar"][j]
+           + 2.0 * DpD.mT @ (L @ s0) + 2.0 * G @ b0)
+    dc = -(-0.25 * (Y.mT @ Vi_Y) + g.mT @ b0 + s0.mT @ (L @ s0))
+    return np.concatenate((dL.ravel(), dG.ravel(), dg.ravel(), dc.ravel()))
 
 
 def riccati_rhs(model: LqModel, t: float, state: RiccatiState) -> RiccatiState:
     """Forward-time derivatives (Lam', Gam', gam', chi') at (t, state)."""
     model.check_time(t)
-    dL, dG, dg, dc = _rhs_arrays(model, t, state.Lam, state.Gam, state.gam, state.chi)
-    return RiccatiState(Lam=dL, Gam=dG, gam=dg, chi=dc)
+    dL, dG, dg, dc = _unpack(_rhs(_stage_table(model, [t]), 0, _pack(state)),
+                             model.dims.d)
+    return RiccatiState(Lam=dL, Gam=dG, gam=dg, chi=float(dc))
 
 
 def default_step_count(horizon: float) -> int:
@@ -184,40 +293,47 @@ class RiccatiSolution:
                             gam=self.gam[k], chi=float(self.chi[k]))
 
     def at(self, t: float) -> RiccatiState:
+        Lam, Gam, gam, chi = self.table(np.array([t], dtype=float))
+        return RiccatiState(Lam=Lam[0], Gam=Gam[0], gam=gam[0], chi=float(chi[0]))
+
+    def table(self, times):
+        """(Lam, Gam, gam, chi) at every time in ``times``, stacked on a
+        leading axis; each row is interpolated on its own."""
+        t = np.asarray(times, dtype=float)
         grid = self.grid
-        if t < grid[0] or t > grid[-1]:
-            raise OutOfDomainError(f"t={t} outside [0, {grid[-1]}]")
-        i = int(np.searchsorted(grid, t, side="right")) - 1
-        if i >= grid.size - 1:
-            return self.state(grid.size - 1)
-        if t == grid[i]:
-            return self.state(i)
+        outside = ~((t >= grid[0]) & (t <= grid[-1]))
+        if outside.any():
+            raise OutOfDomainError(f"t={t[outside][0]} outside [0, {grid[-1]}]")
+        i = np.minimum(np.searchsorted(grid, t, side="right") - 1, grid.size - 2)
         s = (t - grid[i]) / self.step
         h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
         h10 = s * (1.0 - s) ** 2
         h01 = s * s * (3.0 - 2.0 * s)
         h11 = s * s * (s - 1.0)
         dt = self.step
+        hit = np.where(t == grid[-1], grid.size - 1, np.where(t == grid[i], i, -1))
+        on_grid = hit >= 0
 
         def hermite(y, dy):
-            return (h00 * y[i] + h01 * y[i + 1]
-                    + dt * (h10 * dy[i] + h11 * dy[i + 1]))
+            e = (slice(None),) + (None,) * (y.ndim - 1)  # basis over each row
+            return (h00[e] * y[i] + h01[e] * y[i + 1]
+                    + dt * (h10[e] * dy[i] + h11[e] * dy[i + 1]))
 
-        return RiccatiState(
-            Lam=sym(hermite(self.Lam, self.dLam)),
-            Gam=sym(hermite(self.Gam, self.dGam)),
-            gam=hermite(self.gam, self.dgam),
-            chi=float(hermite(self.chi, self.dchi)),
-        )
+        out = (sym(hermite(self.Lam, self.dLam)), sym(hermite(self.Gam, self.dGam)),
+               hermite(self.gam, self.dgam), hermite(self.chi, self.dchi))
+        for arr, stored in zip(out, (self.Lam, self.Gam, self.gam, self.chi)):
+            arr[on_grid] = stored[hit[on_grid]]
+        return out
 
 
 def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution:
     """Integrate the terminal-value system backward with fixed-step RK4.
 
-    Lam and Gam are re-symmetrized after every step; U and V are checked
-    positive definite at every stage evaluation. Raises
-    RiccatiBreakdownError carrying the failure time on positivity loss,
-    ill-conditioning, or a non-finite state.
+    Every coefficient is tabulated once per block of stages; Lam and Gam
+    are re-symmetrized after every step; U and V are checked positive
+    definite at every stage evaluation. Raises RiccatiBreakdownError
+    carrying the failure time on positivity loss, ill-conditioning, or a
+    non-finite state.
     """
     K = default_step_count(model.horizon) if n_steps is None else int(n_steps)
     if K < 1:
@@ -225,45 +341,25 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
     T = model.horizon
     d = model.dims.d
     grid = np.linspace(0.0, T, K + 1)
-    dt = T / K
-    Lam = np.empty((K + 1, d, d))
-    Gam = np.empty((K + 1, d, d))
-    gam = np.empty((K + 1, d))
-    chi = np.empty(K + 1)
-    dLam = np.empty_like(Lam)
-    dGam = np.empty_like(Gam)
-    dgam = np.empty_like(gam)
-    dchi = np.empty_like(chi)
+    times = grid[::-1]
+    states = np.empty((K + 1, 2 * d * d + d + 1))
+    derivs = np.empty_like(states)
 
-    term = terminal_state(model)
-    L, G, g, c = term.Lam, term.Gam, term.gam, term.chi
-    Lam[K], Gam[K], gam[K], chi[K] = L, G, g, c
-    f = _rhs_arrays(model, T, L, G, g, c)
-    dLam[K], dGam[K], dgam[K], dchi[K] = f
-
-    for k in range(K, 0, -1):
-        t1, t0 = grid[k], grid[k - 1]
-        tm = 0.5 * (t1 + t0)
-        a1 = f
-        a2 = _rhs_arrays(model, tm, L - 0.5 * dt * a1[0], G - 0.5 * dt * a1[1],
-                         g - 0.5 * dt * a1[2], c - 0.5 * dt * a1[3])
-        a3 = _rhs_arrays(model, tm, L - 0.5 * dt * a2[0], G - 0.5 * dt * a2[1],
-                         g - 0.5 * dt * a2[2], c - 0.5 * dt * a2[3])
-        a4 = _rhs_arrays(model, t0, L - dt * a3[0], G - dt * a3[1],
-                         g - dt * a3[2], c - dt * a3[3])
-        L = sym(L - dt / 6.0 * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]))
-        G = sym(G - dt / 6.0 * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]))
-        g = g - dt / 6.0 * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2])
-        c = c - dt / 6.0 * (a1[3] + 2.0 * a2[3] + 2.0 * a3[3] + a4[3])
-        if not (np.isfinite(L).all() and np.isfinite(G).all()
-                and np.isfinite(g).all() and math.isfinite(c)):
+    def settle(k, y):
+        L, G, _, _ = _unpack(y, d)
+        L[...] = sym(L)
+        G[...] = sym(G)
+        if not np.isfinite(y).all():
             raise RiccatiBreakdownError(
-                f"non-finite Riccati state at t={t0:.6g}", time=float(t0))
-        f = _rhs_arrays(model, t0, L, G, g, c)
-        Lam[k - 1], Gam[k - 1], gam[k - 1], chi[k - 1] = L, G, g, c
-        dLam[k - 1], dGam[k - 1], dgam[k - 1], dchi[k - 1] = f
+                f"non-finite Riccati state at t={times[k]:.6g}", time=float(times[k]))
+        return y
 
-    return RiccatiSolution(model=model, grid=grid, step=dt,
+    for k, y, f in _rk4(times, -(T / K), _pack(terminal_state(model)),
+                        lambda ts: _stage_table(model, ts), _rhs, settle):
+        states[K - k], derivs[K - k] = y, f
+    Lam, Gam, gam, chi = _unpack(states, d)
+    dLam, dGam, dgam, dchi = _unpack(derivs, d)
+    return RiccatiSolution(model=model, grid=grid, step=T / K,
                            Lam=Lam, Gam=Gam, gam=gam, chi=chi,
                            dLam=dLam, dGam=dGam, dgam=dgam, dchi=dchi)
 

@@ -74,18 +74,32 @@ class Schedule:
     def __call__(self, t: float) -> np.ndarray:
         if self.kind == CONSTANT:
             return self.value
-        times = self.times
-        if t < times[0] or t > times[-1]:
+        return self.table(np.array([t], dtype=float))[0]
+
+    def table(self, times) -> np.ndarray:
+        """Values at every time in ``times``, stacked on a leading axis.
+
+        A constant schedule returns a read-only broadcast of its value. A
+        tabulated one interpolates each time on its own, so a row does not
+        depend on which other times are in the batch; knot times return the
+        stored knot arrays.
+        """
+        t = np.asarray(times, dtype=float)
+        if self.kind == CONSTANT:
+            return np.broadcast_to(self.value, t.shape + self.value.shape)
+        knots, values = self.times, self.values
+        outside = ~((t >= knots[0]) & (t <= knots[-1]))
+        if outside.any():
             raise OutOfDomainError(
-                f"t={t} outside schedule domain [{times[0]}, {times[-1]}]"
-            )
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        if i >= times.size - 1:
-            return self.values[-1]
-        if t == times[i]:
-            return self.values[i]
-        w = (t - times[i]) / (times[i + 1] - times[i])
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+                f"t={t[outside][0]} outside schedule domain [{knots[0]}, {knots[-1]}]")
+        i = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
+        w = ((t - knots[i]) / (knots[i + 1] - knots[i])).reshape(
+            t.shape + (1,) * len(self.shape))
+        out = (1.0 - w) * values[i] + w * values[i + 1]
+        at_knot = t == knots[i]
+        out[at_knot] = values[i[at_knot]]
+        out[t == knots[-1]] = values[-1]
+        return out
 
     def map(self, fn) -> "Schedule":
         """New schedule with ``fn`` applied to every stored array."""

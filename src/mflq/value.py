@@ -11,14 +11,12 @@ differences of the stored solution — an independent consistency check
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import OutOfDomainError
 from .model import AffineFeedback, LqModel, MomentState
-from .riccati import (RiccatiSolution, RiccatiState, _aux_arrays, checked_eigh,
-                      spd_solve)
+from .riccati import (RiccatiSolution, RiccatiState, _aux_arrays, _aux_at,
+                      _checked_eigh_stack, _stage_table, checked_eigh, spd_solve)
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
@@ -36,32 +34,6 @@ def g_hat(model: LqModel, ms: MomentState) -> float:
                  + (c.p1 + c.p1bar) @ m)
 
 
-def _f_hat_raw(model: LqModel, t: float, K1, K2, k0, m, cov) -> float:
-    c = model.cost
-    abar = K2 @ m + k0
-    K1S = K1 @ cov
-    return float(
-        np.trace(c.Q2(t) @ cov) + m @ (c.Q2(t) + c.Q2bar(t)) @ m
-        + np.trace(c.R2(t) @ K1S @ K1.T) + abar @ (c.R2(t) + c.R2bar(t)) @ abar
-        + 2.0 * m @ (c.M2(t) + c.M2bar(t)) @ abar
-        + 2.0 * np.trace(c.M2(t) @ K1S)
-        + (c.q1(t) + c.q1bar(t)) @ m + (c.r1(t) + c.r1bar(t)) @ abar
-    )
-
-
-def f_hat_affine(model: LqModel, t: float, fb: AffineFeedback,
-                 ms: MomentState) -> float:
-    """Lifted running cost of an affine feedback, in moment-closed form.
-
-    With a = K1(x-m) + K2 m + k the control law has mean K2 m + k and
-    covariance K1 Cov K1', and the state-control cross term reduces to
-    2 tr(M2 K1 Cov).
-    """
-    model.check_time(t)
-    K1, K2, k0 = fb.gains(t)
-    return _f_hat_raw(model, t, K1, K2, k0, ms.mean, ms.cov)
-
-
 def control_objective(model: LqModel, t: float, state: RiccatiState,
                       fb: AffineFeedback, ms: MomentState) -> float:
     """The inner minimization target over feedback laws, in moment form:
@@ -69,13 +41,13 @@ def control_objective(model: LqModel, t: float, state: RiccatiState,
         tr(U K1 Cov K1') + abar'V abar + 2 tr(S K1 Cov) + 2 m'Z abar + Y.abar
     """
     model.check_time(t)
-    U, V, S, Z, Y = _aux_arrays(model, t, state.Lam, state.Gam, state.gam)
+    U, V, S, Z, Y = _aux_at(model, t, state)
     K1, K2, k0 = fb.gains(t)
     m = ms.mean
     abar = K2 @ m + k0
     K1S = K1 @ ms.cov
     return float(np.trace(U @ K1S @ K1.T) + abar @ V @ abar
-                 + 2.0 * np.trace(S @ K1S) + 2.0 * m @ Z @ abar + Y @ abar)
+                 + 2.0 * np.trace(S @ K1S) + 2.0 * m @ Z @ abar + Y[:, 0] @ abar)
 
 
 def g_inf(model: LqModel, t: float, state: RiccatiState, ms: MomentState) -> float:
@@ -84,15 +56,35 @@ def g_inf(model: LqModel, t: float, state: RiccatiState, ms: MomentState) -> flo
         -tr(S U^{-1} S' Cov) - m'Z V^{-1} Z' m - Y'V^{-1} Z' m - 1/4 Y'V^{-1}Y
     """
     model.check_time(t)
-    U, V, S, Z, Y = _aux_arrays(model, t, state.Lam, state.Gam, state.gam)
+    U, V, S, Z, Y = _aux_at(model, t, state)
     wU, qU = checked_eigh(U, t, "U")
     wV, qV = checked_eigh(V, t, "V")
     Ui_St = spd_solve(wU, qU, S.T)
     Vi_Zt = spd_solve(wV, qV, Z.T)
     Vi_Y = spd_solve(wV, qV, Y)
-    m = ms.mean
-    return float(-np.trace(S @ Ui_St @ ms.cov) - m @ Z @ Vi_Zt @ m
-                 - Y @ Vi_Zt @ m - 0.25 * Y @ Vi_Y)
+    m = ms.mean[:, None]
+    return (-np.trace(S @ Ui_St @ ms.cov) - m.T @ Z @ Vi_Zt @ m
+            - Y.T @ Vi_Zt @ m - 0.25 * Y.T @ Vi_Y).item()
+
+
+def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
+    """Gains of the minimizing law at every time in ``times``, stacked on
+    a leading axis:
+
+        K1 = -U^{-1}S',  K2 = -V^{-1}Z',  k = -1/2 V^{-1} Y.
+
+    The solution's states come from its Hermite table and the coefficients
+    from the stage table, and U and V pass the solver's positivity floor and
+    condition cap at every time, all in stacked form. Each row depends on
+    its own time alone. A breakdown carries the earliest failing time.
+    """
+    times = np.asarray(times, dtype=float)
+    L, G, g, _ = sol.table(times)
+    U, V, S, Z, Y = _aux_arrays(_stage_table(model, times), ..., L, G, g[..., None])
+    (wU, qU), (wV, qV) = _checked_eigh_stack(times, ("U", U), ("V", V))
+    return (-spd_solve(wU, qU, S.mT),
+            -spd_solve(wV, qV, Z.mT),
+            -0.5 * spd_solve(wV, qV, Y)[..., 0])
 
 
 def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
@@ -100,28 +92,13 @@ def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
 
         a*(t, x, mu) = -U^{-1}S' (x - mean) - V^{-1}Z' mean - 1/2 V^{-1} Y.
 
-    Gains are evaluated on demand through the solution's Hermite
-    interpolation, so K1, K2, k inherit the integrator's accuracy at every
-    t, not only at grid knots.
+    Gains are synthesised in batch (optimal_gains) over the stage times a
+    caller tabulates, through the solution's Hermite interpolation, so K1,
+    K2, k inherit the integrator's accuracy at every t, not only at grid
+    knots. A pointwise gain is the one-row batch.
     """
-    d, m = model.dims.d, model.dims.m
-
-    @lru_cache(maxsize=16)
-    def gains_at(t: float):
-        st = sol.at(t)
-        U, V, S, Z, Y = _aux_arrays(model, t, st.Lam, st.Gam, st.gam)
-        wU, qU = checked_eigh(U, t, "U")
-        wV, qV = checked_eigh(V, t, "V")
-        return (-spd_solve(wU, qU, S.T),
-                -spd_solve(wV, qV, Z.T),
-                -0.5 * spd_solve(wV, qV, Y))
-
-    return AffineFeedback(
-        k1=lambda t: gains_at(t)[0],
-        k2=lambda t: gains_at(t)[1],
-        k0=lambda t: gains_at(t)[2],
-        m=m, d=d,
-    )
+    return AffineFeedback.from_table(
+        lambda times: optimal_gains(model, sol, times), m=model.dims.m, d=model.dims.d)
 
 
 def apply_feedback(fb: AffineFeedback, t: float, x, mean_x) -> np.ndarray:
@@ -146,12 +123,12 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     if not (t - dt >= 0.0 and t + dt <= sol.horizon):
         raise OutOfDomainError(
             f"t={t} must be at least one grid step inside (0, {sol.horizon})")
-    st = sol.at(t)
-    up, dn = sol.at(t + dt), sol.at(t - dt)
-    dL = (up.Lam - dn.Lam) / (2.0 * dt)
-    dG = (up.Gam - dn.Gam) / (2.0 * dt)
-    dg = (up.gam - dn.gam) / (2.0 * dt)
-    dc = (up.chi - dn.chi) / (2.0 * dt)
+    Lam, Gam, gam, chi = sol.table(np.array([t, t + dt, t - dt]))
+    st = RiccatiState(Lam=Lam[0], Gam=Gam[0], gam=gam[0], chi=float(chi[0]))
+    dL = (Lam[1] - Lam[2]) / (2.0 * dt)
+    dG = (Gam[1] - Gam[2]) / (2.0 * dt)
+    dg = (gam[1] - gam[2]) / (2.0 * dt)
+    dc = (chi[1] - chi[2]) / (2.0 * dt)
 
     dyn, cost = model.dynamics, model.cost
     B, Bb = dyn.B(t), dyn.Bbar(t)

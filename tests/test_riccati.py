@@ -155,6 +155,26 @@ def test_eval_off_grid_matches_closed_form():
         assert abs(st.chi - cf.chi) <= 1e-8
 
 
+def test_hermite_table_rows_equal_at_bitwise():
+    sol = solve_riccati(random_standard_model(np.random.default_rng(11), d=3, m=2), 64)
+    rng = np.random.default_rng(4)
+    query = np.concatenate([sol.grid, rng.uniform(0.0, 1.0, 40),
+                            0.5 * (sol.grid[1:] + sol.grid[:-1])])
+    rng.shuffle(query)
+    Lam, Gam, gam, chi = sol.table(query)
+    for k, t in enumerate(query):
+        st = sol.at(float(t))
+        assert Lam[k].tobytes() == st.Lam.tobytes()
+        assert Gam[k].tobytes() == st.Gam.tobytes()
+        assert gam[k].tobytes() == st.gam.tobytes()
+        assert chi[k] == st.chi
+    Lam, Gam, gam, chi = sol.table(sol.grid)  # grid times return stored states
+    for arr, stored in ((Lam, sol.Lam), (Gam, sol.Gam), (gam, sol.gam), (chi, sol.chi)):
+        assert arr.tobytes() == np.ascontiguousarray(stored).tobytes()
+    with pytest.raises(mflq.OutOfDomainError):
+        sol.table([0.5, -1e-9])
+
+
 def test_eval_out_of_domain():
     sol = solve_riccati(systemic_model(SystemicParams()), 16)
     with pytest.raises(mflq.OutOfDomainError):

@@ -69,3 +69,61 @@ def test_stored_arrays_are_frozen():
     s = Schedule.constant([[1.0]])
     with pytest.raises(ValueError):
         s(0.0)[0, 0] = 9.0
+
+
+# --- batched evaluation -------------------------------------------------------
+
+def interp_reference(times, values, t):
+    """Pointwise linear interpolation, one time at a time."""
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    if i >= times.size - 1:
+        return values[-1]
+    if t == times[i]:
+        return values[i]
+    w = (t - times[i]) / (times[i + 1] - times[i])
+    return (1.0 - w) * values[i] + w * values[i + 1]
+
+
+@st.composite
+def knot_tables(draw):
+    n = draw(st.integers(2, 6))
+    times = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n,
+                                 unique=True)))
+    shape = draw(st.sampled_from([(1, 1), (2, 3), (3,)]))
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * int(np.prod(shape)),
+                                    max_size=n * int(np.prod(shape))))).reshape((n, *shape))
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    return np.array(times), values, u
+
+
+@given(knot_tables())
+def test_table_rows_equal_pointwise_bitwise(case):
+    times, values, u = case
+    s = Schedule.tabulated(times, values)
+    interior = [min(times[-1], times[0] + f * (times[-1] - times[0])) for f in u]
+    query = np.array([*times, times[0], times[-1], *interior])
+    table = s.table(query)
+    assert table.shape == (query.size, *values.shape[1:])
+    for row, t in zip(table, query):
+        assert row.tobytes() == interp_reference(times, values, t).tobytes()
+        assert row.tobytes() == s(t).tobytes()
+    for row, v in zip(table, values):  # knots return the stored arrays
+        assert row.tobytes() == v.tobytes()
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5))
+def test_constant_table_rows_are_the_value(query):
+    s = Schedule.constant([[1.5, -2.0], [0.25, 3.0]])
+    table = s.table(query)
+    assert table.shape == (len(query), 2, 2)
+    for row, t in zip(table, query):
+        assert row.tobytes() == s(t).tobytes()
+
+
+@given(knot_tables(), st.floats(1e-9, 5.0))
+def test_table_out_of_domain(case, gap):
+    times, values, _ = case
+    s = Schedule.tabulated(times, values)
+    for t in (times[0] - gap, times[-1] + gap, float("nan")):
+        with pytest.raises(OutOfDomainError):
+            s.table([times[0], t])
