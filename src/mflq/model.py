@@ -31,9 +31,14 @@ SYMMETRY_TOL = 1e-12  # asymmetry below this is repaired, above it is a violatio
 COV_EIG_FLOOR = -1e-10
 
 
+def _tr(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return a.swapaxes(-1, -2)
+
+
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
-    return 0.5 * (a + a.mT)
+    return 0.5 * (a + _tr(a))
 
 
 @dataclass(frozen=True)
@@ -363,23 +368,34 @@ def ensemble_moments(e: ParticleEnsemble) -> MomentState:
 # affine feedback laws
 
 
+def _table_row(table, i: int) -> Callable[[float], np.ndarray]:
+    """Gain i of a law's table at one time."""
+    return lambda t: table(np.array([t], dtype=float))[i][0]
+
+
 @dataclass(frozen=True)
 class AffineFeedback:
     """Control law a = K1(t)(x - mean_x) + K2(t) mean_x + k(t).
 
-    ``table(times)`` returns the gains (K1, K2, k) stacked on a leading
-    time axis; the moment flow and the particle simulator read gains only
-    through it. ``k1``, ``k2``, ``k0`` are the pointwise gains and equal
-    the table rows bitwise. Build laws with :meth:`constant`,
-    :meth:`from_schedules` or :meth:`from_table`.
+    ``table(times)`` defines the law: it returns the gains (K1, K2, k)
+    stacked on a leading time axis, and the moment flow, the particle
+    simulator and :meth:`gains` read gains only through it. ``k1``, ``k2``,
+    ``k0`` are pointwise views of single table rows for callers that want
+    one gain; replacing one of them does not change the law. Build laws
+    with :meth:`constant`, :meth:`from_schedules` or from a gain table.
     """
 
-    k1: Callable[[float], np.ndarray]
-    k2: Callable[[float], np.ndarray]
-    k0: Callable[[float], np.ndarray]
     m: int
     d: int
     table: Callable[[np.ndarray], tuple]
+    k1: Callable[[float], np.ndarray] | None = None
+    k2: Callable[[float], np.ndarray] | None = None
+    k0: Callable[[float], np.ndarray] | None = None
+
+    def __post_init__(self):
+        for i, name in enumerate(("k1", "k2", "k0")):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, _table_row(self.table, i))
 
     @classmethod
     def constant(cls, k1, k2, k0) -> "AffineFeedback":
@@ -397,21 +413,13 @@ class AffineFeedback:
         m, d = k1.shape
         if tuple(k2.shape) != (m, d) or tuple(k0.shape) != (m,):
             raise ShapeError("inconsistent gain schedule shapes")
-        return cls(k1=k1, k2=k2, k0=k0, m=m, d=d,
-                   table=lambda times: (k1.table(times), k2.table(times),
-                                        k0.table(times)))
-
-    @classmethod
-    def from_table(cls, table, m: int, d: int) -> "AffineFeedback":
-        """Law given by its gain table; the pointwise gains are its
-        one-row case."""
-        def row(i):
-            return lambda t: table(np.array([t], dtype=float))[i][0]
-
-        return cls(k1=row(0), k2=row(1), k0=row(2), m=m, d=d, table=table)
+        return cls(m=m, d=d, table=lambda times: (k1.table(times), k2.table(times),
+                                                  k0.table(times)))
 
     def gains(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.k1(t), self.k2(t), self.k0(t)
+        """(K1, K2, k) at t: the one-row table, so one evaluation."""
+        K1, K2, k0 = self.table(np.array([t], dtype=float))
+        return K1[0], K2[0], k0[0]
 
     def __call__(self, t: float, x, mean_x) -> np.ndarray:
         x = _vec(x, self.d, "x")
@@ -429,7 +437,7 @@ class AffineFeedback:
             K1, K2, k0 = base(times)
             return k1_scale * K1, k2_scale * K2, k_scale * k0 + shift
 
-        return AffineFeedback.from_table(table, self.m, self.d)
+        return AffineFeedback(m=self.m, d=self.d, table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovarianceInstabilityError, OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState, sym
+from .model import AffineFeedback, LqModel, MomentState, _tr, sym
 from .riccati import RiccatiSolution, _rk4, _stage_table
 from .value import g_hat, optimal_feedback
 from .value import value as value_at
@@ -72,12 +72,12 @@ def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
     c = _stage_table(model, times)
     K1, K2, k0 = fb.table(c["t"])
     k0 = k0[..., None]
-    F, K2t = c["F"], K2.mT
+    F, K2t = c["F"], _tr(K2)
     RR, MM = c["R2"] + c["R2bar"], c["M2"] + c["M2bar"]
     rr = c["r1"] + c["r1bar"]
     G = c["D"] + F @ K1
     M2K1, MMK2, RRk0 = c["M2"] @ K1, MM @ K2, RR @ k0
-    W = c["Q2"] + K1.mT @ c["R2"] @ K1 + M2K1 + M2K1.mT
+    W = c["Q2"] + _tr(K1) @ c["R2"] @ K1 + M2K1 + _tr(M2K1)
     return {
         "Mm": c["BpB"] + c["CpC"] @ K2,
         "mc": (c["CpC"] @ k0 + c["b0"])[..., 0],
@@ -86,9 +86,9 @@ def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
         "Hm": G + c["Dbar"] + F @ (K2 - K1) + c["Fbar"] @ K2,
         "hc": (c["sigma0"] + c["FpF"] @ k0)[..., 0],
         "W": W.reshape(W.shape[0], -1),
-        "P": c["QQ"] + K2t @ RR @ K2 + MMK2 + MMK2.mT,
+        "P": c["QQ"] + K2t @ RR @ K2 + MMK2 + _tr(MMK2),
         "p": (2.0 * (K2t @ RRk0 + MM @ k0) + c["q1"] + c["q1bar"] + K2t @ rr)[..., 0],
-        "p0": (k0.mT @ RRk0 + rr.mT @ k0)[..., 0, 0],
+        "p0": (_tr(k0) @ RRk0 + _tr(rr) @ k0)[..., 0, 0],
     }
 
 
@@ -105,7 +105,7 @@ def _moment_rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
     gm = c["Hm"][j] @ m + c["hc"][j]
     out = np.empty_like(y)
     out[:d] = c["Mm"][j] @ m + c["mc"][j]
-    out[d:-1] = (AS + AS.mT + G @ S @ G.mT + gm[:, None] * gm).ravel()
+    out[d:-1] = (AS + AS.T + G @ S @ G.T + gm[:, None] * gm).ravel()
     out[-1] = _running(c, j, m, S)
     return out
 
@@ -142,7 +142,9 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     The gains and every affine moment coefficient are tabulated once per
     block of stages. The covariance is re-symmetrized every step and
     eigenvalue-clipped at -1e-9; clipping beyond -1e-6 raises
-    CovarianceInstabilityError.
+    CovarianceInstabilityError. A block's table is built before its steps
+    run, so a RiccatiBreakdownError of the gains anywhere in a block is
+    raised ahead of an instability at an earlier step of that block.
     """
     model.check_time(t0)
     T = model.horizon if t_end is None else float(t_end)

@@ -148,7 +148,9 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     Coefficients and gains are read from tables built once per block of
     steps. Deterministic for fixed (seed, N, K, model, fb). Raises
     SimulationDivergedError (with the step index) if any state goes
-    non-finite.
+    non-finite. A block's tables are built before its steps run, so a
+    RiccatiBreakdownError of the gains anywhere in a block is raised ahead
+    of a divergence at an earlier step of that block.
     """
     cfg.validate(model)
     d, m = model.dims.d, model.dims.m

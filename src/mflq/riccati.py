@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfDomainError, RiccatiBreakdownError
-from .model import LqModel, sym
+from .model import LqModel, _tr, sym
 
 POSITIVITY_FLOOR = 1e-10
 CONDITION_LIMIT = 1e12
@@ -138,11 +138,11 @@ def _aux_arrays(c: dict, j, L: np.ndarray, G: np.ndarray, g: np.ndarray):
     D, DpD = c["D"][j], c["DpD"][j]
     F, FpF = c["F"][j], c["FpF"][j]
     R2, M2, s0 = c["R2"][j], c["M2"][j], c["sigma0"][j]
-    U = sym(F.mT @ L @ F + R2)
-    V = sym(FpF.mT @ L @ FpF + R2 + c["R2bar"][j])
-    S = D.mT @ L @ F + L @ C + M2
-    Z = DpD.mT @ L @ FpF + G @ CpC + M2 + c["M2bar"][j]
-    Y = CpC.mT @ g + c["r1"][j] + c["r1bar"][j] + 2.0 * FpF.mT @ (L @ s0)
+    U = sym(_tr(F) @ L @ F + R2)
+    V = sym(_tr(FpF) @ L @ FpF + R2 + c["R2bar"][j])
+    S = _tr(D) @ L @ F + L @ C + M2
+    Z = _tr(DpD) @ L @ FpF + G @ CpC + M2 + c["M2bar"][j]
+    Y = _tr(CpC) @ g + c["r1"][j] + c["r1bar"][j] + 2.0 * _tr(FpF) @ (L @ s0)
     return U, V, S, Z, Y
 
 
@@ -210,7 +210,7 @@ def _checked_eigh_stack(times: np.ndarray, *named):
 def spd_solve(w: np.ndarray, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs given the eigendecomposition (w, q) of SPD M; rhs is
     a matrix (vectors as columns). Leading axes are a stack."""
-    return q @ ((q.mT @ rhs) / w[..., None])
+    return q @ ((_tr(q) @ rhs) / w[..., None])
 
 
 def _unpack(y: np.ndarray, d: int):
@@ -236,14 +236,14 @@ def _rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
     U, V, S, Z, Y = _aux_arrays(c, j, L, G, g)
     wU, qU = checked_eigh(U, t, "U")
     wV, qV = checked_eigh(V, t, "V")
-    Ui_St = spd_solve(wU, qU, S.mT)
-    Vi_Zt = spd_solve(wV, qV, Z.mT)
+    Ui_St = spd_solve(wU, qU, S.T)
+    Vi_Zt = spd_solve(wV, qV, Z.T)
     Vi_Y = spd_solve(wV, qV, Y)
-    dL = -sym(c["Q2"][j] + D.mT @ L @ D + L @ B + B.mT @ L - S @ Ui_St)
-    dG = -sym(c["QQ"][j] + DpD.mT @ L @ DpD + G @ BpB + BpB.mT @ G - Z @ Vi_Zt)
-    dg = -(BpB.mT @ g - Z @ Vi_Y + c["q1"][j] + c["q1bar"][j]
-           + 2.0 * DpD.mT @ (L @ s0) + 2.0 * G @ b0)
-    dc = -(-0.25 * (Y.mT @ Vi_Y) + g.mT @ b0 + s0.mT @ (L @ s0))
+    dL = -sym(c["Q2"][j] + D.T @ L @ D + L @ B + B.T @ L - S @ Ui_St)
+    dG = -sym(c["QQ"][j] + DpD.T @ L @ DpD + G @ BpB + BpB.T @ G - Z @ Vi_Zt)
+    dg = -(BpB.T @ g - Z @ Vi_Y + c["q1"][j] + c["q1bar"][j]
+           + 2.0 * DpD.T @ (L @ s0) + 2.0 * G @ b0)
+    dc = -(-0.25 * (Y.T @ Vi_Y) + g.T @ b0 + s0.T @ (L @ s0))
     return np.concatenate((dL.ravel(), dG.ravel(), dg.ravel(), dc.ravel()))
 
 

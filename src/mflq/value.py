@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState
+from .model import AffineFeedback, LqModel, MomentState, _tr
 from .riccati import (RiccatiSolution, RiccatiState, _aux_arrays, _aux_at,
                       _checked_eigh_stack, _stage_table, checked_eigh, spd_solve)
 
@@ -82,8 +82,8 @@ def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
     L, G, g, _ = sol.table(times)
     U, V, S, Z, Y = _aux_arrays(_stage_table(model, times), ..., L, G, g[..., None])
     (wU, qU), (wV, qV) = _checked_eigh_stack(times, ("U", U), ("V", V))
-    return (-spd_solve(wU, qU, S.mT),
-            -spd_solve(wV, qV, Z.mT),
+    return (-spd_solve(wU, qU, _tr(S)),
+            -spd_solve(wV, qV, _tr(Z)),
             -0.5 * spd_solve(wV, qV, Y)[..., 0])
 
 
@@ -97,8 +97,8 @@ def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
     K2, k inherit the integrator's accuracy at every t, not only at grid
     knots. A pointwise gain is the one-row batch.
     """
-    return AffineFeedback.from_table(
-        lambda times: optimal_gains(model, sol, times), m=model.dims.m, d=model.dims.d)
+    return AffineFeedback(m=model.dims.m, d=model.dims.d,
+                          table=lambda times: optimal_gains(model, sol, times))
 
 
 def apply_feedback(fb: AffineFeedback, t: float, x, mean_x) -> np.ndarray:

@@ -2,14 +2,15 @@
 solvers do per stage."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
-from mflq import (Dirac, MeanVarianceParams, MomentState, SimConfig,
-                  SystemicParams, mean_variance_model, optimal_feedback,
-                  optimal_gains, propagate_moments, simulate, solve_riccati,
-                  systemic_model, with_scaled_lambda)
+from mflq import (AffineFeedback, Dirac, MeanVarianceParams, MomentState,
+                  SimConfig, SystemicParams, mean_variance_model,
+                  optimal_feedback, optimal_gains, propagate_moments, simulate,
+                  solve_riccati, systemic_model, with_scaled_lambda)
 from mflq.errors import RiccatiBreakdownError
 from mflq.schedules import Schedule
 
@@ -43,9 +44,11 @@ def test_gains_batch_invariant(model):
     fb = optimal_feedback(model, sol)
     for k in np.random.default_rng(1).choice(times.size, 25, replace=False):
         alone = optimal_gains(model, sol, times[k:k + 1])
-        pointwise = fb.gains(float(times[k]))
-        for b, a, p in zip(batch, alone, pointwise):
-            assert b[k].tobytes() == a[0].tobytes() == p.tobytes()
+        t = float(times[k])
+        pointwise = fb.gains(t)
+        views = (fb.k1(t), fb.k2(t), fb.k0(t))
+        for b, a, p, v in zip(batch, alone, pointwise, views):
+            assert b[k].tobytes() == a[0].tobytes() == p.tobytes() == v.tobytes()
 
 
 def test_transformed_table_is_scaled_base():
@@ -95,7 +98,14 @@ def test_solvers_make_no_pointwise_calls(monkeypatch):
             return fn(t)
         return gain
 
+    gains = AffineFeedback.gains
+
+    def counted_gains(self, t):
+        counts["gain"] += 1
+        return gains(self, t)
+
     monkeypatch.setattr(Schedule, "__call__", counted_schedule)
+    monkeypatch.setattr(AffineFeedback, "gains", counted_gains)
     sol = solve_riccati(model, 100)
     law = optimal_feedback(model, sol)
     law = dataclasses.replace(law, k1=counted_gain(law.k1), k2=counted_gain(law.k2),
@@ -105,4 +115,23 @@ def test_solvers_make_no_pointwise_calls(monkeypatch):
                                    initial=Dirac([0.5, -0.2])))
     assert counts == {"schedule": 0, "gain": 0}
     law.gains(0.5)  # the counters do see pointwise use
-    assert counts == {"schedule": 0, "gain": 3}
+    law.k1(0.5)
+    assert counts == {"schedule": 0, "gain": 2}
+
+
+def test_pointwise_gains_are_one_synthesis(monkeypatch):
+    """gains(t) and the law's action at t each synthesise one table row."""
+    value_module = importlib.import_module("mflq.value")
+    model = tabulated_model()
+    fb = optimal_feedback(model, solve_riccati(model, 100))
+    queried = []
+    synthesis = value_module.optimal_gains
+
+    def counted(model, sol, times):
+        queried.append(np.asarray(times).size)
+        return synthesis(model, sol, times)
+
+    monkeypatch.setattr(value_module, "optimal_gains", counted)
+    fb.gains(0.3)
+    fb(0.3, [0.1, 0.2], [0.0, 0.1])
+    assert queried == [1, 1]
