@@ -11,10 +11,10 @@ from .errors import (CovarianceInstabilityError, InsufficientSampleError,
                      RiccatiBreakdownError, ShapeError,
                      SimulationDivergedError)
 from .model import (AffineFeedback, Dimensions, LqCost, LqDynamics, LqModel,
-                    MomentState, ParticleEnsemble, ValidationReport,
-                    diffusion, drift, ensemble_moments, load_model, lq_model,
+                    MomentState, ParticleEnsemble, diffusion, drift,
+                    ensemble_moments, load_model, lq_model,
                     model_from_document, model_to_document, running_cost,
-                    terminal_cost, validate_model)
+                    terminal_cost)
 from .moments import (MomentTrajectory, cost_from_moments, dpp_check,
                       f_hat_affine, moment_rhs, propagate_moments,
                       trajectory_to_csv)
@@ -33,7 +33,7 @@ from .riccati import (AuxiliaryMatrices, ConditionReport, RiccatiSolution,
                       default_step_count, riccati_rhs, solution_to_csv,
                       solve_riccati, terminal_state, with_scaled_lambda)
 from .schedules import Schedule, as_schedule
-from .value import (apply_feedback, bellman_residual, control_objective,
-                    g_hat, g_inf, optimal_feedback, optimal_gains, value)
+from .value import (bellman_residual, control_objective, g_hat, g_inf,
+                    optimal_feedback, optimal_gains, value)
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import presets, riccati
-from .errors import MflqError, ModelDocumentError, RiccatiBreakdownError
-from .model import MomentState, load_model, validate_model
+from .errors import MflqError, RiccatiBreakdownError
+from .model import MomentState, load_model
 from .moments import cost_from_moments, dpp_check
 from .particles import (Dirac, Gaussian, SimConfig, canonical_perturbations,
                         optimality_gap, result_to_csv, simulate)
@@ -54,11 +54,7 @@ def _load(args):
     if args.config:
         if args.param:
             raise ValueError("--param only applies to presets")
-        model = load_model(args.config)
-        report = validate_model(model)
-        if not report.ok:
-            raise ModelDocumentError("; ".join(report.violations))
-        return model, None
+        return load_model(args.config), None
     raise ValueError("one of --preset or --config is required")
 
 

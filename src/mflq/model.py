@@ -14,11 +14,17 @@ Running and terminal costs are the full quadratic forms
 
 where mx, ma denote the state/control means. All model objects are
 immutable after construction.
+
+``lq_model`` is the single builder: the presets and the JSON documents go
+through it, and ``as_schedule`` is the one coercion of a raw coefficient.
+Every LqModel is validated when it is constructed (see
+``LqModel.__post_init__``), so an invalid model never reaches a solver.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +47,15 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _tr(a))
 
 
+def _write_csv(path, header, rows) -> None:
+    """A header line, then one line per row with every value in round-trip
+    decimal (the repr of a float)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """State dimension d and control dimension m (noise dimension is 1)."""
@@ -49,8 +64,10 @@ class Dimensions:
     m: int
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1:
-            raise ValueError("dimensions must satisfy d >= 1, m >= 1")
+        for name in ("d", "m"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"dimension '{name}' must be an integer >= 1, got {n!r}")
 
 
 # (field name, shape key) for the two coefficient blocks; shape keys are
@@ -65,12 +82,26 @@ _COST_SCHEDULE_FIELDS = (
     ("r1", "m"), ("r1bar", "m"),
 )
 _COST_CONSTANT_FIELDS = (("P2", "dd"), ("P2bar", "dd"), ("p1", "d"), ("p1bar", "d"))
+_COST_FIELDS = _COST_SCHEDULE_FIELDS + _COST_CONSTANT_FIELDS
 _SYMMETRIC_COST = ("Q2", "Q2bar", "R2", "R2bar", "P2", "P2bar")
 
 
 def _shape_of(key: str, dims: Dimensions) -> tuple:
     return {"d": (dims.d,), "m": (dims.m,), "dd": (dims.d, dims.d),
             "mm": (dims.m, dims.m), "dm": (dims.d, dims.m)}[key]
+
+
+def _stored(coeff) -> np.ndarray:
+    """The arrays a coefficient stores, stacked on a leading axis: one row
+    for a constant, one per knot for a tabulated schedule."""
+    if isinstance(coeff, Schedule):
+        return coeff.value[None] if coeff.is_constant else coeff.values
+    return np.asarray(coeff, dtype=float)[None]
+
+
+def _asymmetry(mats: np.ndarray) -> float:
+    """Largest entrywise |M - M'| over a stack of square matrices."""
+    return float(np.max(np.abs(mats - _tr(mats))))
 
 
 @dataclass(frozen=True)
@@ -85,17 +116,6 @@ class LqDynamics:
     Dbar: Schedule
     F: Schedule
     Fbar: Schedule
-
-    @classmethod
-    def build(cls, dims: Dimensions, **coeffs) -> "LqDynamics":
-        known = {name for name, _ in _DYNAMICS_FIELDS}
-        unknown = set(coeffs) - known
-        if unknown:
-            raise ValueError(f"unknown dynamics coefficients: {sorted(unknown)}")
-        return cls(**{
-            name: as_schedule(coeffs.get(name), _shape_of(key, dims))
-            for name, key in _DYNAMICS_FIELDS
-        })
 
 
 @dataclass(frozen=True)
@@ -115,44 +135,43 @@ class LqCost:
     p1: np.ndarray
     p1bar: np.ndarray
 
-    @classmethod
-    def build(cls, dims: Dimensions, **coeffs) -> "LqCost":
-        known = {name for name, _ in _COST_SCHEDULE_FIELDS + _COST_CONSTANT_FIELDS}
-        unknown = set(coeffs) - known
-        if unknown:
-            raise ValueError(f"unknown cost coefficients: {sorted(unknown)}")
-        kw = {}
-        for name, key in _COST_SCHEDULE_FIELDS:
-            sched = as_schedule(coeffs.get(name), _shape_of(key, dims))
-            if name in _SYMMETRIC_COST and sched.max_asymmetry() <= SYMMETRY_TOL:
-                sched = sched.map(sym)
-            kw[name] = sched
-        for name, key in _COST_CONSTANT_FIELDS:
-            shape = _shape_of(key, dims)
-            v = coeffs.get(name)
-            arr = np.zeros(shape) if v is None else np.asarray(v, dtype=float)
-            if arr.ndim == 0 and int(np.prod(shape)) == 1:
-                arr = np.full(shape, float(arr))
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if name in _SYMMETRIC_COST and np.max(np.abs(arr - arr.T)) <= SYMMETRY_TOL:
-                arr = sym(arr)
-            arr = arr.copy()
-            arr.setflags(write=False)
-            kw[name] = arr
-        return cls(**kw)
-
 
 @dataclass(frozen=True)
 class LqModel:
+    """A model whose every construction, ``dataclasses.replace`` included,
+    is validated; build one with :func:`lq_model`."""
+
     dims: Dimensions
     horizon: float
     dynamics: LqDynamics
     cost: LqCost
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        """Reject, with a ValueError naming the coefficient, a horizon that
+        is not finite and positive, a coefficient whose shape does not match
+        ``dims``, a tabulated schedule that does not span exactly [0, T], a
+        non-finite value, and a symmetric cost weight (Q2, Q2bar, R2, R2bar,
+        P2, P2bar) asymmetric by more than SYMMETRY_TOL."""
+        T = self.horizon
+        if not (math.isfinite(T) and T > 0):
+            raise ValueError(f"horizon must be finite and positive, got {T}")
+        for block, fields in ((self.dynamics, _DYNAMICS_FIELDS),
+                              (self.cost, _COST_FIELDS)):
+            for name, key in fields:
+                coeff = getattr(block, name)
+                mats, shape = _stored(coeff), _shape_of(key, self.dims)
+                if mats.shape[1:] != shape:
+                    raise ValueError(f"coefficient '{name}' has shape "
+                                     f"{mats.shape[1:]}, expected {shape}")
+                if isinstance(coeff, Schedule) and not coeff.spans(T):
+                    raise ValueError(
+                        f"coefficient '{name}': knots on [{coeff.times[0]}, "
+                        f"{coeff.times[-1]}] do not span exactly [0, {T}]")
+                if not np.isfinite(mats).all():
+                    raise ValueError(f"coefficient '{name}' has a non-finite value")
+                if name in _SYMMETRIC_COST and (gap := _asymmetry(mats)) > SYMMETRY_TOL:
+                    raise ValueError(f"coefficient '{name}' is not symmetric "
+                                     f"(asymmetry {gap:.3e})")
 
     def check_time(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:
@@ -170,51 +189,36 @@ class LqModel:
 def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
     """Build a model from keyword coefficients; omitted ones are zero.
 
-    Coefficient values may be scalars (1x1 only), arrays, or Schedules.
+    Each value goes through :func:`as_schedule` (None, a number, an array,
+    a Schedule or ``{"knots": ...}``); P2, P2bar, p1, p1bar must be
+    constant. A symmetric cost weight within SYMMETRY_TOL of symmetric is
+    symmetrized. Raises ValueError naming the coefficient; LqModel lists
+    the checks.
     """
     dims = Dimensions(d, m)
-    dyn_names = {name for name, _ in _DYNAMICS_FIELDS}
-    cost_names = {name for name, _ in _COST_SCHEDULE_FIELDS + _COST_CONSTANT_FIELDS}
-    unknown = set(coeffs) - dyn_names - cost_names
+    unknown = set(coeffs) - {name for name, _ in _DYNAMICS_FIELDS + _COST_FIELDS}
     if unknown:
         raise ValueError(f"unknown coefficients: {sorted(unknown)}")
-    dyn = LqDynamics.build(dims, **{k: v for k, v in coeffs.items() if k in dyn_names})
-    cost = LqCost.build(dims, **{k: v for k, v in coeffs.items() if k in cost_names})
-    return LqModel(dims=dims, horizon=float(horizon), dynamics=dyn, cost=cost)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
-
-
-def validate_model(model: LqModel) -> ValidationReport:
-    """Check every shape/symmetry/span invariant; reports, never raises."""
-    v = []
-    dims, T = model.dims, model.horizon
-    for block, block_fields in ((model.dynamics, _DYNAMICS_FIELDS),
-                                (model.cost, _COST_SCHEDULE_FIELDS)):
-        for name, key in block_fields:
-            sched: Schedule = getattr(block, name)
-            expected = _shape_of(key, dims)
-            if tuple(sched.shape) != expected:
-                v.append(f"{name} has shape {tuple(sched.shape)}, expected {expected}")
-                continue
-            if not sched.spans(T):
-                v.append(f"schedule {name} does not span [0,{T}]")
-            if sched.kind == "tabulated" and not np.all(np.diff(sched.times) > 0):
-                v.append(f"schedule {name} has non-increasing knot times")
-            if name in _SYMMETRIC_COST and sched.max_asymmetry() > SYMMETRY_TOL:
-                v.append(f"{name} not symmetric")
-    for name, key in _COST_CONSTANT_FIELDS:
-        arr = getattr(model.cost, name)
-        expected = _shape_of(key, dims)
-        if arr.shape != expected:
-            v.append(f"{name} has shape {arr.shape}, expected {expected}")
-        elif name in _SYMMETRIC_COST and np.max(np.abs(arr - arr.T)) > SYMMETRY_TOL:
-            v.append(f"{name} not symmetric")
-    return ValidationReport(ok=not v, violations=tuple(v))
+    built = {}
+    for name, key in _DYNAMICS_FIELDS + _COST_FIELDS:
+        try:
+            sched = as_schedule(coeffs.get(name), _shape_of(key, dims))
+        except ValueError as exc:
+            raise ValueError(f"coefficient '{name}': {exc}") from exc
+        if name in _SYMMETRIC_COST and _asymmetry(_stored(sched)) <= SYMMETRY_TOL:
+            sched = sched.map(sym)
+        built[name] = sched
+    for name, _ in _COST_CONSTANT_FIELDS:
+        if not built[name].is_constant:
+            raise ValueError(f"coefficient '{name}' must be constant in time")
+        built[name] = built[name].value
+    try:
+        horizon = float(horizon)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("horizon must be a number") from exc
+    return LqModel(dims=dims, horizon=horizon,
+                   dynamics=LqDynamics(**{n: built[n] for n, _ in _DYNAMICS_FIELDS}),
+                   cost=LqCost(**{n: built[n] for n, _ in _COST_FIELDS}))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,7 @@ def terminal_cost(model: LqModel, x, mean_x) -> float:
 # measures through their first two moments
 
 
-def clip_psd(cov: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+def clip_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Symmetrize and clip negative eigenvalues to zero.
 
     Returns the repaired matrix and the smallest eigenvalue found; the
@@ -311,7 +315,7 @@ class MomentState:
             raise ShapeError(f"mean/cov shapes {mean.shape}/{cov.shape} inconsistent")
         if np.max(np.abs(cov - cov.T)) > 1e-8:
             raise ValueError("covariance not symmetric")
-        cov, lo = clip_psd(cov, COV_EIG_FLOOR)
+        cov, lo = clip_psd(cov)
         if lo < COV_EIG_FLOOR:
             raise ValueError(f"covariance has eigenvalue {lo} < {COV_EIG_FLOOR}")
         mean.setflags(write=False)
@@ -444,80 +448,31 @@ class AffineFeedback:
 # JSON model documents
 
 
-def _coefficient_from_json(name: str, raw, shape) -> Schedule:
-    if raw is None:
-        return Schedule.zeros(shape)
-    if isinstance(raw, dict):
-        if "knots" not in raw:
-            raise ModelDocumentError(f"coefficient '{name}': expected a 'knots' key")
-        try:
-            times = [float(k[0]) for k in raw["knots"]]
-            mats = [_as_shaped(name, k[1], shape) for k in raw["knots"]]
-        except (TypeError, IndexError) as exc:
-            raise ModelDocumentError(f"coefficient '{name}': malformed knots") from exc
-        try:
-            return Schedule.tabulated(times, np.stack(mats))
-        except ValueError as exc:
-            raise ModelDocumentError(f"coefficient '{name}': {exc}") from exc
-    return Schedule.constant(_as_shaped(name, raw, shape))
-
-
-def _as_shaped(name: str, raw, shape) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelDocumentError(f"coefficient '{name}': not numeric") from exc
-    if arr.ndim == 0 and int(np.prod(shape)) == 1:
-        arr = np.full(shape, float(arr))
-    if arr.shape != tuple(shape) and arr.size == int(np.prod(shape)):
-        arr = arr.reshape(shape)
-    if arr.shape != tuple(shape):
-        raise ModelDocumentError(
-            f"coefficient '{name}' has shape {arr.shape}, expected {tuple(shape)}")
-    return arr
-
-
-def model_from_document(doc: dict) -> LqModel:
-    """Parse the UTF-8 JSON model document layout (see README)."""
+def model_from_document(doc) -> LqModel:
+    """Parse the UTF-8 JSON model document layout (see README) and build it
+    with :func:`lq_model`. Every error, of layout or of the model, is a
+    ModelDocumentError naming the field."""
+    if not isinstance(doc, dict):
+        raise ModelDocumentError("a model document must be a JSON object")
     for key in ("dims", "horizon"):
         if key not in doc:
             raise ModelDocumentError(f"missing required field '{key}'")
-    dims_doc = doc["dims"]
-    if not isinstance(dims_doc, dict) or "d" not in dims_doc or "m" not in dims_doc:
+    dims = doc["dims"]
+    if not isinstance(dims, dict) or "d" not in dims or "m" not in dims:
         raise ModelDocumentError("field 'dims' must contain 'd' and 'm'")
-    try:
-        dims = Dimensions(int(dims_doc["d"]), int(dims_doc["m"]))
-    except (TypeError, ValueError) as exc:
-        raise ModelDocumentError(f"field 'dims': {exc}") from exc
-    try:
-        horizon = float(doc["horizon"])
-    except (TypeError, ValueError) as exc:
-        raise ModelDocumentError("field 'horizon' must be a number") from exc
-    if horizon <= 0:
-        raise ModelDocumentError("field 'horizon' must be positive")
-    dyn_doc = doc.get("dynamics") or {}
-    cost_doc = doc.get("cost") or {}
-    for block_name, block_doc, known in (
-        ("dynamics", dyn_doc, {n for n, _ in _DYNAMICS_FIELDS}),
-        ("cost", cost_doc, {n for n, _ in _COST_SCHEDULE_FIELDS + _COST_CONSTANT_FIELDS}),
-    ):
-        unknown = set(block_doc) - known
+    coeffs = {}
+    for block, fields in (("dynamics", _DYNAMICS_FIELDS), ("cost", _COST_FIELDS)):
+        raw = doc.get(block, {})
+        if not isinstance(raw, dict):
+            raise ModelDocumentError(f"field '{block}' must be an object")
+        unknown = set(raw) - {name for name, _ in fields}
         if unknown:
-            raise ModelDocumentError(f"unknown {block_name} coefficients: {sorted(unknown)}")
-    dyn = LqDynamics(**{
-        name: _coefficient_from_json(name, dyn_doc.get(name), _shape_of(key, dims))
-        for name, key in _DYNAMICS_FIELDS
-    })
-    cost_kwargs = {
-        name: _coefficient_from_json(name, cost_doc.get(name), _shape_of(key, dims))
-        for name, key in _COST_SCHEDULE_FIELDS
-    }
-    cost_kwargs.update({
-        name: _as_shaped(name, cost_doc[name], _shape_of(key, dims))
-        for name, key in _COST_CONSTANT_FIELDS if name in cost_doc
-    })
-    cost = LqCost.build(dims, **cost_kwargs)
-    return LqModel(dims=dims, horizon=horizon, dynamics=dyn, cost=cost)
+            raise ModelDocumentError(f"unknown {block} coefficients: {sorted(unknown)}")
+        coeffs.update(raw)
+    try:
+        return lq_model(dims["d"], dims["m"], doc["horizon"], **coeffs)
+    except ValueError as exc:
+        raise ModelDocumentError(str(exc)) from exc
 
 
 def load_model(path) -> LqModel:

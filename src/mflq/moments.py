@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovarianceInstabilityError, OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState, _tr, sym
+from .model import AffineFeedback, LqModel, MomentState, _tr, _write_csv, clip_psd
 from .riccati import RiccatiSolution, _rk4, _stage_table
 from .value import g_hat, optimal_feedback
 from .value import value as value_at
@@ -162,17 +162,13 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     def settle(k, y):
         nonlocal clips
         S = y[d:-1].reshape(d, d)
-        S[...] = sym(S)
-        w, q = np.linalg.eigh(S)
-        lo = float(w[0])
+        S[...], lo = clip_psd(S)
         if lo < INSTABILITY_FLOOR:
             raise CovarianceInstabilityError(
                 f"covariance eigenvalue {lo:.3e} at t={grid[k]:.6g}",
                 time=float(grid[k]), eigenvalue=lo)
         if lo < CLIP_FLOOR:
             clips += 1
-        if lo < 0.0:
-            S[...] = sym((q * np.maximum(w, 0.0)) @ q.T)
         return y
 
     if T == t0:
@@ -217,11 +213,8 @@ def dpp_check(model: LqModel, sol: RiccatiSolution, t: float, theta: float,
 
 def trajectory_to_csv(traj: MomentTrajectory, path) -> None:
     d = traj.means.shape[1]
-    cols = (["t"] + [f"m_{i}" for i in range(d)]
-            + [f"Sigma_{i}{j}" for i in range(d) for j in range(d)]
-            + ["running"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k, t in enumerate(traj.grid):
-            row = [t, *traj.means[k], *traj.covs[k].ravel(), traj.running[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path,
+               ["t"] + [f"m_{i}" for i in range(d)]
+               + [f"Sigma_{i}{j}" for i in range(d) for j in range(d)] + ["running"],
+               ([t, *traj.means[k], *traj.covs[k].ravel(), traj.running[k]]
+                for k, t in enumerate(traj.grid)))

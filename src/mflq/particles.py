@@ -31,7 +31,8 @@ from numpy.random import Philox, SeedSequence
 from scipy.special import ndtri
 
 from .errors import ShapeError, SimulationDivergedError
-from .model import AffineFeedback, LqModel, MomentState, ParticleEnsemble, sym
+from .model import (AffineFeedback, LqModel, MomentState, ParticleEnsemble,
+                    _write_csv, sym)
 from .riccati import STAGE_BLOCK, RiccatiSolution
 from .value import optimal_feedback
 
@@ -323,15 +324,11 @@ def optimality_gap(model: LqModel, sol: RiccatiSolution, cfg: SimConfig,
 def result_to_csv(res: SimResult, path, thin: int = 1) -> None:
     """Rows "t,emp_mean_*,emp_cov_*,running_cost_mean", one per kept time."""
     d = res.mean_path.shape[1]
-    cols = (["t"] + [f"emp_mean_{i}" for i in range(d)]
-            + [f"emp_cov_{i}{j}" for i in range(d) for j in range(d)]
-            + ["running_cost_mean"])
-    keep = range(0, res.times.size, max(1, thin))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        last = res.times.size - 1
-        idx = sorted(set(keep) | {last})
-        for k in idx:
-            row = [res.times[k], *res.mean_path[k], *res.cov_path[k].ravel(),
-                   res.running_mean[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    last = res.times.size - 1
+    keep = sorted(set(range(0, res.times.size, max(1, thin))) | {last})
+    _write_csv(path,
+               ["t"] + [f"emp_mean_{i}" for i in range(d)]
+               + [f"emp_cov_{i}{j}" for i in range(d) for j in range(d)]
+               + ["running_cost_mean"],
+               ([res.times[k], *res.mean_path[k], *res.cov_path[k].ravel(),
+                 res.running_mean[k]] for k in keep))

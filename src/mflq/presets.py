@@ -33,10 +33,6 @@ from .schedules import Schedule, as_schedule
 QUAD_TOL = 1e-12
 
 
-def _scalar_schedule(value) -> Schedule:
-    return value if isinstance(value, Schedule) else as_schedule(float(value), (1, 1))
-
-
 def _at(s: Schedule, t: float) -> float:
     return float(s(t).reshape(-1)[0])
 
@@ -67,9 +63,8 @@ class MeanVarianceParams:
     horizon: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _scalar_schedule(self.r))
-        object.__setattr__(self, "rho", _scalar_schedule(self.rho))
-        object.__setattr__(self, "vol", _scalar_schedule(self.vol))
+        for name in ("r", "rho", "vol"):
+            object.__setattr__(self, name, as_schedule(getattr(self, name), (1, 1)))
         if not self.eta > 0:
             raise ValueError("eta must be positive")
         if not self.horizon > 0:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfDomainError, RiccatiBreakdownError
-from .model import LqModel, _tr, sym
+from .model import LqModel, _tr, _write_csv, sym
 
 POSITIVITY_FLOOR = 1e-10
 CONDITION_LIMIT = 1e12
@@ -416,14 +416,9 @@ def check_standard_conditions(model: LqModel, margin: float) -> ConditionReport:
 def solution_to_csv(sol: RiccatiSolution, path) -> None:
     """One row per grid point, full round-trip decimal precision."""
     d = sol.model.dims.d
-    cols = (["t"]
-            + [f"Lambda_{i}{j}" for i in range(d) for j in range(d)]
-            + [f"Gamma_{i}{j}" for i in range(d) for j in range(d)]
-            + [f"gamma_{i}" for i in range(d)]
-            + ["chi"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k, t in enumerate(sol.grid):
-            row = [t, *sol.Lam[k].ravel(), *sol.Gam[k].ravel(),
-                   *sol.gam[k], sol.chi[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path,
+               ["t"] + [f"Lambda_{i}{j}" for i in range(d) for j in range(d)]
+               + [f"Gamma_{i}{j}" for i in range(d) for j in range(d)]
+               + [f"gamma_{i}" for i in range(d)] + ["chi"],
+               ([t, *sol.Lam[k].ravel(), *sol.Gam[k].ravel(), *sol.gam[k], sol.chi[k]]
+                for k, t in enumerate(sol.grid)))

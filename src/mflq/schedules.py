@@ -8,6 +8,7 @@ frozen so schedules can be shared between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,29 +108,43 @@ class Schedule:
             return Schedule.constant(fn(self.value))
         return Schedule.tabulated(self.times, np.stack([fn(v) for v in self.values]))
 
-    def max_asymmetry(self) -> float:
-        """Largest entrywise |M - M^T| over stored square matrices."""
-        mats = [self.value] if self.kind == CONSTANT else list(self.values)
-        return max(float(np.max(np.abs(m - m.T))) for m in mats)
+
+def _shaped(value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of exactly ``shape``; a number fills a
+    one-element shape."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"not numeric: {exc}") from exc
+    if arr.ndim == 0 and math.prod(shape) == 1:
+        arr = np.full(shape, float(arr))
+    if arr.shape != shape:
+        raise ValueError(f"shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def as_schedule(value, shape) -> Schedule:
-    """Coerce ``value`` (Schedule | scalar | array | None) to a Schedule.
+    """Coerce ``value`` to a Schedule of ``shape``; raises ValueError.
 
-    ``None`` becomes the zero schedule of the requested shape; scalars are
-    broadcast only onto 1x1 or length-1 shapes.
+    ``value`` is None (the zero schedule), a number, an array, a Schedule,
+    or the document form ``{"knots": [[t, array], ...]}``. A constant and
+    every knot array must have exactly ``shape``, except that a number
+    fills a one-element shape.
     """
+    shape = tuple(shape)
     if value is None:
         return Schedule.zeros(shape)
     if isinstance(value, Schedule):
-        if tuple(value.shape) != tuple(shape):
-            raise ValueError(f"schedule shape {value.shape} != expected {shape}")
+        if tuple(value.shape) != shape:
+            raise ValueError(f"schedule shape {value.shape}, expected {shape}")
         return value
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        if int(np.prod(shape)) != 1:
-            raise ValueError(f"scalar given for coefficient of shape {shape}")
-        arr = np.full(shape, float(arr))
-    if arr.shape != tuple(shape):
-        raise ValueError(f"coefficient shape {arr.shape} != expected {shape}")
-    return Schedule.constant(arr)
+    if isinstance(value, dict):
+        if "knots" not in value:
+            raise ValueError("expected a 'knots' key")
+        try:
+            knots = [(float(t), _shaped(v, shape)) for t, v in value["knots"]]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed knots: {exc}") from exc
+        return Schedule.tabulated([t for t, _ in knots],
+                                  np.reshape([v for _, v in knots], (-1,) + shape))
+    return Schedule.constant(_shaped(value, shape))

@@ -101,11 +101,6 @@ def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
                           table=lambda times: optimal_gains(model, sol, times))
 
 
-def apply_feedback(fb: AffineFeedback, t: float, x, mean_x) -> np.ndarray:
-    """K1(t)(x - mean_x) + K2(t) mean_x + k(t)."""
-    return fb(t, x, mean_x)
-
-
 def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
                      ms: MomentState) -> float:
     """Residual of the dynamic-programming identity at (t, ms); 0 for the

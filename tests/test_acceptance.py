@@ -261,7 +261,7 @@ def test_criterion_09_mean_variance_trajectory(mv_default, mc_runs):
     for _ in range(50):
         t = rng.uniform(0.0, 1.0)
         x, mx = rng.normal(size=2)
-        fb_err = max(fb_err, abs(mflq.apply_feedback(fb, t, [x], [mx])[0]
+        fb_err = max(fb_err, abs(fb(t, [x], [mx])[0]
                                  - mean_variance_optimal_control(p, t, x, mx)))
     # the closed-form display itself, at the criterion's stated value
     assert abs(mean_variance_mean_trajectory(p, 1.0) - target) <= 1e-12

@@ -45,6 +45,16 @@ def test_riccati_missing_horizon(tmp_path, capsys):
     assert "horizon" in stderr
 
 
+@pytest.mark.parametrize("text", ['{"dims": {"d": 1, "m": 1}, "horizon": Infinity}',
+                                  "null"])
+def test_riccati_invalid_document_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(text)
+    code, _, stderr = run(capsys, "riccati", "--config", str(cfg))
+    assert code == 2
+    assert stderr.startswith("error:")
+
+
 def test_unknown_preset_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["riccati", "--preset", "nonsense"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import mflq
 from mflq import (MomentState, ParticleEnsemble, diffusion, drift,
                   ensemble_moments, lq_model, model_from_document,
-                  model_to_document, running_cost, terminal_cost,
-                  validate_model)
+                  model_to_document, running_cost, terminal_cost)
 from mflq.errors import (InsufficientSampleError, ModelDocumentError,
                          OutOfDomainError, ShapeError)
+from mflq.schedules import Schedule
 
 
 def zero_model(d=1, m=1, T=1.0):
@@ -17,33 +19,64 @@ def zero_model(d=1, m=1, T=1.0):
 
 # --- validation -----------------------------------------------------------
 
-def test_presets_validate_ok():
-    assert validate_model(mflq.mean_variance_model(mflq.MeanVarianceParams())).ok
-    assert validate_model(mflq.systemic_model(mflq.SystemicParams())).ok
-
-
 def test_asymmetric_cost_flagged():
-    model = lq_model(d=2, m=1, horizon=1.0, Q2=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    report = validate_model(model)
-    assert not report.ok
-    assert any("Q2 not symmetric" in v for v in report.violations)
+    with pytest.raises(ValueError, match="'Q2' is not symmetric"):
+        lq_model(d=2, m=1, horizon=1.0, Q2=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_near_symmetric_cost_repaired():
     q = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
     model = lq_model(d=2, m=1, horizon=1.0, Q2=q)
-    assert validate_model(model).ok
     got = model.cost.Q2(0.0)
     assert np.array_equal(got, got.T)
 
 
 def test_partial_span_flagged():
-    from mflq.schedules import Schedule
     b = Schedule.tabulated([0.0, 0.5], np.zeros((2, 1, 1)))
-    model = lq_model(d=1, m=1, horizon=1.0, B=b)
-    report = validate_model(model)
-    assert not report.ok
-    assert any("schedule B does not span [0,1.0]" in v for v in report.violations)
+    with pytest.raises(ValueError, match=r"'B': knots on \[0.0, 0.5\] do not span"):
+        lq_model(d=1, m=1, horizon=1.0, B=b)
+
+
+# (d, coefficient, value, message); every one is rejected when built
+REJECTED = [
+    (1, "B", Schedule.tabulated([0.0, 0.5], np.zeros((2, 1, 1))),
+     r"'B': knots on \[0.0, 0.5\] do not span exactly \[0, 1.0\]"),
+    (2, "P2", np.array([[0.0, 1e-9], [0.0, 0.0]]), "'P2' is not symmetric"),
+    (2, "Q2bar", np.array([[1.0, 2.0], [0.0, 1.0]]), "'Q2bar' is not symmetric"),
+    (2, "C", np.array([[np.nan], [0.0]]), "'C' has a non-finite value"),
+    (2, "q1", np.array([0.0, np.inf]), "'q1' has a non-finite value"),
+]
+
+
+@pytest.mark.parametrize("d, name, value, message", REJECTED)
+def test_invalid_model_rejected(d, name, value, message):
+    with pytest.raises(ValueError, match=message):
+        lq_model(d=d, m=1, horizon=1.0, **{name: value})
+    base = lq_model(d=d, m=1, horizon=1.0)
+    block = "dynamics" if hasattr(base.dynamics, name) else "cost"
+    if isinstance(getattr(getattr(base, block), name), Schedule) \
+            and not isinstance(value, Schedule):
+        value = Schedule.constant(value)
+    with pytest.raises(ValueError, match=message):  # dataclasses.replace validates too
+        dataclasses.replace(base, **{block: dataclasses.replace(
+            getattr(base, block), **{name: value})})
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+def test_bad_horizon_rejected(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        lq_model(d=1, m=1, horizon=horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        dataclasses.replace(zero_model(), horizon=horizon)
+
+
+def test_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match=r"'B': shape \(1,\), expected \(1, 1\)"):
+        lq_model(d=1, m=1, horizon=1.0, B=[0.05])
+    base = zero_model(d=2)
+    with pytest.raises(ValueError, match=r"'B' has shape \(1, 1\), expected \(2, 2\)"):
+        dataclasses.replace(base, dynamics=dataclasses.replace(
+            base.dynamics, B=Schedule.zeros((1, 1))))
 
 
 # --- drift / diffusion / costs --------------------------------------------
@@ -198,7 +231,6 @@ def test_document_roundtrip():
     model = mflq.systemic_model(mflq.SystemicParams())
     doc = model_to_document(model)
     back = model_from_document(doc)
-    assert validate_model(back).ok
     t = 0.37
     for name in ("B", "Bbar", "C", "sigma0"):
         assert np.allclose(getattr(back.dynamics, name)(t),
@@ -228,4 +260,31 @@ def test_document_bad_coefficient():
     doc = {"dims": {"d": 2, "m": 1}, "horizon": 1.0,
            "dynamics": {"B": [[1.0]]}}
     with pytest.raises(ModelDocumentError, match="'B'"):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize("field, raw", [
+    ("B", [1.0, 0.0, 0.0, 1.0]),          # flat 2x2
+    ("C", [[1.0, 2.0]]),                  # transposed 2x1
+    ("B", {"knots": [[0.0, [1.0, 0.0, 0.0, 1.0]], [1.0, [[1.0, 0.0], [0.0, 1.0]]]]}),
+])
+def test_document_flat_or_transposed_array(field, raw):
+    doc = {"dims": {"d": 2, "m": 1}, "horizon": 1.0, "dynamics": {field: raw}}
+    with pytest.raises(ModelDocumentError, match=f"'{field}'"):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize("doc, field", [
+    (None, "object"),
+    ([], "object"),
+    ({"dims": {"d": 1.5, "m": 1}, "horizon": 1.0}, "'d'"),
+    ({"dims": {"d": 1, "m": True}, "horizon": 1.0}, "'m'"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": 1.0, "cost": [1.0]}, "'cost'"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": 1.0, "cost": {"B": 1.0}}, "cost.*'B'"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": float("inf")}, "horizon"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": 1.0,
+      "cost": {"P2": {"knots": [[0.0, 1.0], [1.0, 1.0]]}}}, "'P2' must be constant"),
+])
+def test_document_layout_errors(doc, field):
+    with pytest.raises(ModelDocumentError, match=field):
         model_from_document(doc)

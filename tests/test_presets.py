@@ -10,15 +10,15 @@ from mflq import (MeanVarianceParams, SystemicParams, build_preset,
                   mean_variance_model, mean_variance_optimal_control,
                   optimal_feedback, solve_riccati, systemic_delta,
                   systemic_lambda_reference, systemic_model,
-                  systemic_optimal_control, validate_model)
+                  systemic_optimal_control)
 from mflq.schedules import Schedule
 
 
 # --- model builders -----------------------------------------------------------
 
 def test_builders_validate():
-    assert validate_model(mean_variance_model(MeanVarianceParams())).ok
-    assert validate_model(systemic_model(SystemicParams())).ok
+    mean_variance_model(MeanVarianceParams())  # construction validates
+    systemic_model(SystemicParams())
 
 
 def test_mean_variance_coefficients():
@@ -120,7 +120,7 @@ def test_mean_variance_control_engine_vs_formula():
     for _ in range(20):
         t = rng.uniform(0.0, 1.0)
         x, mx = rng.normal(size=2)
-        got = mflq.apply_feedback(fb, t, [x], [mx])[0]
+        got = fb(t, [x], [mx])[0]
         want = mean_variance_optimal_control(p, t, x, mx)
         assert abs(got - want) <= 1e-8
 
@@ -176,7 +176,7 @@ def test_systemic_control_engine_vs_formula():
         t = rng.uniform(0.0, 1.0)
         x, mx = rng.normal(size=2)
         want = systemic_optimal_control(p, sol, t, x, mx)
-        got = mflq.apply_feedback(fb, t, [x], [mx])[0]
+        got = fb(t, [x], [mx])[0]
         assert abs(got - want) <= 1e-10
     assert systemic_optimal_control(p, sol, 0.5, 1.3, 1.3) == 0.0
 
@@ -204,7 +204,6 @@ def test_sweep_mean_variance_solves():
         for T in (0.5, 2.0):
             p = MeanVarianceParams(r=r, rho=rho, vol=vol, eta=eta, horizon=T)
             model = mean_variance_model(p)
-            assert validate_model(model).ok
             sol = solve_riccati(model, 300)
             assert np.isfinite(sol.Lam).all()
             count += 1
@@ -229,7 +228,6 @@ def test_sweep_systemic_solves():
             p = SystemicParams(kappa=kappa, q=q, eta=eta, c=c, sigma=sigma,
                                horizon=2.0)
             model = systemic_model(p)
-            assert validate_model(model).ok
             sol = solve_riccati(model, 300)
             assert np.isfinite(sol.Lam).all()
             count += 1

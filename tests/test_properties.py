@@ -1,0 +1,99 @@
+"""Property tests over random standard models with d, m <= 3: the model
+document boundary, and identities of the solved value function."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mflq import (LqModel, MomentState, cost_from_moments, model_from_document,
+                  model_to_document, optimal_feedback, solve_riccati, value)
+from mflq.errors import ModelDocumentError
+
+from helpers import random_standard_model
+
+K = 200  # RK4 steps: the identities below hold to round-off or O(K^-4)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+sizes = st.integers(1, 3)
+
+# any JSON value, kept small
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+# what a dimension may be replaced with: never large enough to allocate much
+small_dims = st.none() | st.booleans() | st.integers(-1, 3) | st.floats(-1, 4) | st.text(max_size=2)
+
+
+def paths(node, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+def get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate(doc, data):
+    """One random edit: replace, delete or add a node, reshape an array, or
+    replace the dimensions. Nodes under "dims" change only through small
+    values, and added keys are too short to be "dims"."""
+    kind = data.draw(st.sampled_from(("replace", "delete", "add", "reshape", "dims")))
+    if kind == "dims":
+        if isinstance(doc, dict):
+            doc["dims"] = data.draw(
+                st.dictionaries(st.sampled_from(("d", "m")), small_dims) | small_dims)
+        return doc
+    path = data.draw(st.sampled_from([p for p in paths(doc) if p[:1] != ("dims",)]))
+    node = get(doc, path)
+    if kind == "replace":
+        if not path:
+            return data.draw(json_values)
+        get(doc, path[:-1])[path[-1]] = data.draw(json_values)
+    elif kind == "delete" and path:
+        del get(doc, path[:-1])[path[-1]]
+    elif kind == "add" and isinstance(node, dict):
+        node[data.draw(st.text(max_size=3))] = data.draw(json_values)
+    elif kind == "reshape" and path and isinstance(node, list):
+        arr = np.asarray(node, dtype=object)  # ragged lists stay one-dimensional
+        get(doc, path[:-1])[path[-1]] = (arr.T if arr.ndim == 2 else arr.ravel()).tolist()
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, sizes, sizes, st.booleans(), st.integers(1, 3), st.data())
+def test_fuzzed_documents_build_or_raise_document_error(seed, d, m, barred, edits, data):
+    doc = model_to_document(random_standard_model(np.random.default_rng(seed), d, m, barred))
+    for _ in range(edits):
+        doc = mutate(doc, data)
+    try:
+        assert isinstance(model_from_document(doc), LqModel)
+    except ModelDocumentError:
+        pass
+
+
+@settings(max_examples=8, deadline=None)
+@given(seeds, sizes, sizes)
+def test_gamma_equals_lambda_without_mean_field_terms(seed, d, m):
+    model = random_standard_model(np.random.default_rng(seed), d, m, barred=False)
+    sol = solve_riccati(model, K)
+    assert np.array_equal(sol.Lam, sol.Gam)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seeds, sizes, sizes, st.booleans())
+def test_value_equals_cost_of_optimal_law(seed, d, m, barred):
+    rng = np.random.default_rng(seed)
+    model = random_standard_model(rng, d, m, barred)
+    a = rng.standard_normal((d, d))
+    ms = MomentState(rng.standard_normal(d), a @ a.T / d)
+    sol = solve_riccati(model, K)
+    v = value(sol, 0.0, ms)
+    cost = cost_from_moments(model, optimal_feedback(model, sol), 0.0, ms, K)
+    assert abs(v - cost) <= 1e-7 * max(1.0, abs(v))

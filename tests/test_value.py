@@ -5,7 +5,7 @@ import pytest
 
 import mflq
 from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
-                  SystemicParams, apply_feedback, bellman_residual,
+                  SystemicParams, bellman_residual,
                   control_objective, f_hat_affine, g_hat, g_inf, lq_model,
                   mean_variance_model, optimal_feedback, solve_riccati,
                   systemic_model, value)
@@ -244,11 +244,11 @@ def test_optimal_feedback_zero_cost():
 
 def test_apply_feedback():
     fb = AffineFeedback.constant([[2.0]], [[0.0]], [0.7])
-    assert apply_feedback(fb, 0.1, [1.5], [1.5]) == pytest.approx([0.7])
+    assert fb(0.1, [1.5], [1.5]) == pytest.approx([0.7])
     sys_fb = AffineFeedback.constant([[-(2 * 0.2 + 0.5)]], [[0.0]], [0.0])
-    assert apply_feedback(sys_fb, 0.0, [1.5], [1.0]) == pytest.approx([-0.45])
+    assert sys_fb(0.0, [1.5], [1.0]) == pytest.approx([-0.45])
     ident = AffineFeedback.constant(np.eye(2), np.eye(2), np.zeros(2))
-    out = apply_feedback(ident, 0.0, [3.0, -1.0], [3.0, -1.0])
+    out = ident(0.0, [3.0, -1.0], [3.0, -1.0])
     assert out == pytest.approx([3.0, -1.0])
 
 
