@@ -58,29 +58,22 @@ def _load(args):
     raise ValueError("one of --preset or --config is required")
 
 
-def _parse_vector(raw: str, d: int, name: str) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(json.loads(raw), dtype=float))
-    if v.shape != (d,):
-        raise ValueError(f"--{name} must have {d} entries")
-    return v
-
-
-def _parse_cov(raw: str, d: int) -> np.ndarray:
-    c = np.asarray(json.loads(raw), dtype=float)
-    if c.ndim == 0:
-        c = c.reshape(1, 1)
-    if c.shape != (d, d):
-        raise ValueError(f"--cov must be a {d}x{d} matrix")
-    return c
-
-
 def _initial_state(args, model, x0) -> MomentState:
+    """The law of --mean (default: the preset's x0) and --cov (default: 0)."""
     d = model.dims.d
-    mean = _parse_vector(args.mean, d, "mean") if args.mean else x0
+    mean = json.loads(args.mean) if args.mean else x0
     if mean is None:
         raise ValueError("--mean required for --config models")
-    cov = _parse_cov(args.cov, d) if args.cov else np.zeros((d, d))
-    return MomentState(mean, cov)  # validates symmetry and PSD
+    cov = json.loads(args.cov) if args.cov else np.zeros((d, d))
+    ms = MomentState(mean, cov)  # validates shapes, symmetry and PSD
+    if ms.d != d:
+        raise ValueError(f"--mean/--cov have dimension {ms.d}, the model has d={d}")
+    return ms
+
+
+def _initial_law(ms0: MomentState):
+    """The particles' initial law: a point mass if the covariance is zero."""
+    return Dirac(ms0.mean) if not ms0.cov.any() else Gaussian(ms0.mean, ms0.cov)
 
 
 def cmd_riccati(args) -> int:
@@ -110,10 +103,8 @@ def cmd_simulate(args) -> int:
     ms0 = _initial_state(args, model, x0)
     sol = riccati.solve_riccati(model, args.steps)
     fb = optimal_feedback(model, sol)
-    initial = (Dirac(ms0.mean) if not ms0.cov.any()
-               else Gaussian(ms0.mean, ms0.cov))
     cfg = SimConfig(n_particles=args.particles, n_steps=args.steps or 1000,
-                    seed=args.seed, initial=initial)
+                    seed=args.seed, initial=_initial_law(ms0))
     res = simulate(model, fb, cfg)
     if args.out:
         result_to_csv(res, args.out, thin=args.thin)
@@ -172,10 +163,8 @@ def _verify_battery(model, sol, ms0, seed, n_particles, n_steps):
     checks.append(("moment_gap_min", margin, MOMENT_GAP_MIN,
                    margin >= MOMENT_GAP_MIN))
 
-    initial = (Dirac(ms0.mean) if not ms0.cov.any()
-               else Gaussian(ms0.mean, ms0.cov))
     cfg = SimConfig(n_particles=n_particles, n_steps=n_steps, seed=seed,
-                    initial=initial)
+                    initial=_initial_law(ms0))
     report = optimality_gap(model, sol, cfg, perts)
     mc_dev = abs(report.optimal_cost - v0)
     lim = 4.0 * report.optimal_stderr

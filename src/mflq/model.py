@@ -1,5 +1,5 @@
-"""Linear-quadratic mean-field model: coefficients, pointwise evaluation,
-moments of particle ensembles, and the JSON document interface.
+"""Linear-quadratic mean-field model: coefficients, the state equation and
+the costs, moments of particle ensembles, and the JSON document interface.
 
 State dynamics (scalar Brownian noise, so the diffusion is an R^d vector):
 
@@ -12,8 +12,9 @@ Running and terminal costs are the full quadratic forms
         + 2 mx'M2bar ma + q1.x + q1bar.mx + r1.a + r1bar.ma
     g = x'P2 x + mx'P2bar mx + p1.x + p1bar.mx
 
-where mx, ma denote the state/control means. All model objects are
-immutable after construction.
+where mx, ma denote the state/control means. ``_row_terms`` and
+``_terminal_rows`` are the one implementation of these formulas, called by
+the simulator and the pointwise functions. Model objects are immutable.
 
 ``lq_model`` is the single builder: the presets and the JSON documents go
 through it, and ``as_schedule`` is the one coercion of a raw coefficient.
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientSampleError, ModelDocumentError, OutOfDomainError, ShapeError
-from .schedules import Schedule, as_schedule
+from .schedules import Schedule, _not_a_number, _shaped, as_schedule
 
 SYMMETRY_TOL = 1e-12  # asymmetry below this is repaired, above it is a violation
 COV_EIG_FLOOR = -1e-10
@@ -148,13 +149,13 @@ class LqModel:
 
     def __post_init__(self):
         """Reject, with a ValueError naming the coefficient, a horizon that
-        is not finite and positive, a coefficient whose shape does not match
+        is not a finite positive number, a coefficient whose shape does not match
         ``dims``, a tabulated schedule that does not span exactly [0, T], a
         non-finite value, and a symmetric cost weight (Q2, Q2bar, R2, R2bar,
         P2, P2bar) asymmetric by more than SYMMETRY_TOL."""
         T = self.horizon
-        if not (math.isfinite(T) and T > 0):
-            raise ValueError(f"horizon must be finite and positive, got {T}")
+        if _not_a_number(T) or not (math.isfinite(T) and T > 0):
+            raise ValueError(f"horizon must be finite and positive, got {T!r}")
         for block, fields in ((self.dynamics, _DYNAMICS_FIELDS),
                               (self.cost, _COST_FIELDS)):
             for name, key in fields:
@@ -213,16 +214,43 @@ def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
             raise ValueError(f"coefficient '{name}' must be constant in time")
         built[name] = built[name].value
     try:
-        horizon = float(horizon)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError("horizon must be a number") from exc
+        horizon = float(_shaped(horizon, ()))
+    except ValueError as exc:
+        raise ValueError(f"horizon must be a number: {exc}") from exc
     return LqModel(dims=dims, horizon=horizon,
                    dynamics=LqDynamics(**{n: built[n] for n, _ in _DYNAMICS_FIELDS}),
                    cost=LqCost(**{n: built[n] for n, _ in _COST_FIELDS}))
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
+# the state equation and the costs, on rows of particles (pointwise: one row)
+
+
+def _quad_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise x_i' M y_i."""
+    return np.einsum("ij,jk,ik->i", X, M, Y)
+
+
+def _row_terms(c: dict, r: int, X, A, mx, ma):
+    """(drift, diffusion, running cost) of states X (N, d) under controls A
+    (N, m) with means mx, ma, at row r of an LqModel.table. Row i of each
+    result depends on row i of X and A alone."""
+    b = (c["b0"][r] + X @ c["B"][r].T + c["Bbar"][r] @ mx
+         + A @ c["C"][r].T + c["Cbar"][r] @ ma)
+    s = (c["sigma0"][r] + X @ c["D"][r].T + c["Dbar"][r] @ mx
+         + A @ c["F"][r].T + c["Fbar"][r] @ ma)
+    f = (_quad_rows(X, c["Q2"][r], X) + mx @ c["Q2bar"][r] @ mx
+         + _quad_rows(A, c["R2"][r], A) + ma @ c["R2bar"][r] @ ma
+         + 2.0 * _quad_rows(X, c["M2"][r], A) + 2.0 * mx @ c["M2bar"][r] @ ma
+         + X @ c["q1"][r] + c["q1bar"][r] @ mx
+         + A @ c["r1"][r] + c["r1bar"][r] @ ma)
+    return b, s, f
+
+
+def _terminal_rows(cost: LqCost, X: np.ndarray, mx: np.ndarray) -> np.ndarray:
+    """Terminal cost of the states X (N, d) against the mean mx."""
+    return (_quad_rows(X, cost.P2, X) + mx @ cost.P2bar @ mx
+            + X @ cost.p1 + cost.p1bar @ mx)
 
 
 def _vec(x, n: int, name: str) -> np.ndarray:
@@ -234,49 +262,35 @@ def _vec(x, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def drift(model: LqModel, t: float, x, a, mean_x, mean_a) -> np.ndarray:
-    """b0 + B x + Bbar mean_x + C a + Cbar mean_a at time t."""
+def _pointwise(model: LqModel, t: float, x, a, mean_x, mean_a):
+    """_row_terms for one state at time t: row 0 of model.table([t])."""
     model.check_time(t)
     d, m = model.dims.d, model.dims.m
     x, mean_x = _vec(x, d, "x"), _vec(mean_x, d, "mean_x")
     a, mean_a = _vec(a, m, "a"), _vec(mean_a, m, "mean_a")
-    dyn = model.dynamics
-    return (dyn.b0(t) + dyn.B(t) @ x + dyn.Bbar(t) @ mean_x
-            + dyn.C(t) @ a + dyn.Cbar(t) @ mean_a)
+    b, s, f = _row_terms(model.table([t]), 0, x[None], a[None], mean_x, mean_a)
+    return b[0], s[0], float(f[0])
+
+
+def drift(model: LqModel, t: float, x, a, mean_x, mean_a) -> np.ndarray:
+    """b0 + B x + Bbar mean_x + C a + Cbar mean_a at time t."""
+    return _pointwise(model, t, x, a, mean_x, mean_a)[0]
 
 
 def diffusion(model: LqModel, t: float, x, a, mean_x, mean_a) -> np.ndarray:
     """sigma0 + D x + Dbar mean_x + F a + Fbar mean_a at time t."""
-    model.check_time(t)
-    d, m = model.dims.d, model.dims.m
-    x, mean_x = _vec(x, d, "x"), _vec(mean_x, d, "mean_x")
-    a, mean_a = _vec(a, m, "a"), _vec(mean_a, m, "mean_a")
-    dyn = model.dynamics
-    return (dyn.sigma0(t) + dyn.D(t) @ x + dyn.Dbar(t) @ mean_x
-            + dyn.F(t) @ a + dyn.Fbar(t) @ mean_a)
+    return _pointwise(model, t, x, a, mean_x, mean_a)[1]
 
 
 def running_cost(model: LqModel, t: float, x, a, mean_x, mean_a) -> float:
-    model.check_time(t)
-    d, m = model.dims.d, model.dims.m
-    x, mean_x = _vec(x, d, "x"), _vec(mean_x, d, "mean_x")
-    a, mean_a = _vec(a, m, "a"), _vec(mean_a, m, "mean_a")
-    c = model.cost
-    return float(
-        x @ c.Q2(t) @ x + mean_x @ c.Q2bar(t) @ mean_x
-        + a @ c.R2(t) @ a + mean_a @ c.R2bar(t) @ mean_a
-        + 2.0 * x @ c.M2(t) @ a + 2.0 * mean_x @ c.M2bar(t) @ mean_a
-        + c.q1(t) @ x + c.q1bar(t) @ mean_x
-        + c.r1(t) @ a + c.r1bar(t) @ mean_a
-    )
+    """The running cost f at time t (see the module docstring)."""
+    return _pointwise(model, t, x, a, mean_x, mean_a)[2]
 
 
 def terminal_cost(model: LqModel, x, mean_x) -> float:
-    d = model.dims.d
-    x, mean_x = _vec(x, d, "x"), _vec(mean_x, d, "mean_x")
-    c = model.cost
-    return float(x @ c.P2 @ x + mean_x @ c.P2bar @ mean_x
-                 + c.p1 @ x + c.p1bar @ mean_x)
+    """The terminal cost g (see the module docstring)."""
+    x, mean_x = _vec(x, model.dims.d, "x"), _vec(mean_x, model.dims.d, "mean_x")
+    return float(_terminal_rows(model.cost, x[None], mean_x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +320,11 @@ class MomentState:
     cov: np.ndarray
 
     def __init__(self, mean, cov):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
-        cov = np.asarray(cov, dtype=float)
+        try:
+            mean = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
+            cov = np.asarray(cov, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"mean/cov not numeric: {exc}") from exc
         if cov.ndim == 0:
             cov = cov.reshape(1, 1)
         d = mean.shape[0]
@@ -358,14 +375,18 @@ class ParticleEnsemble:
         return self.states.shape[1]
 
 
+def _sample_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arithmetic mean and unbiased (N-1) covariance of the rows of X."""
+    mean = X.mean(axis=0)
+    centered = X - mean
+    return mean, sym(centered.T @ centered / (X.shape[0] - 1))
+
+
 def ensemble_moments(e: ParticleEnsemble) -> MomentState:
     """Arithmetic mean and unbiased (N-1) covariance of the ensemble."""
     if e.n < 2:
         raise InsufficientSampleError(f"need N >= 2 particles, got {e.n}")
-    mean = e.states.mean(axis=0)
-    centered = e.states - mean
-    cov = sym(centered.T @ centered / (e.n - 1))
-    return MomentState(mean, cov)
+    return MomentState(*_sample_moments(e.states))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from scipy.special import ndtri
 
 from .errors import ShapeError, SimulationDivergedError
 from .model import (AffineFeedback, LqModel, MomentState, ParticleEnsemble,
-                    _write_csv, sym)
+                    _row_terms, _sample_moments, _terminal_rows, _write_csv)
 from .riccati import STAGE_BLOCK, RiccatiSolution
 from .value import optimal_feedback
 
@@ -138,11 +138,6 @@ def _initial_states(initial, d: int, n: int, init_key: np.ndarray) -> np.ndarray
     raise ValueError(f"unsupported initial law: {initial!r}")
 
 
-def _quad_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # row-wise x_i' M y_i
-    return np.einsum("ij,jk,ik->i", X, M, Y)
-
-
 def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     """Simulate the interacting particle system under the feedback law.
 
@@ -154,16 +149,14 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     of a divergence at an earlier step of that block.
     """
     cfg.validate(model)
-    d, m = model.dims.d, model.dims.m
+    d = model.dims.d
     n, K = cfg.n_particles, cfg.n_steps
-    T = model.horizon
-    dt = (T - cfg.t0) / K
+    dt = (model.horizon - cfg.t0) / K
     sqdt = np.sqrt(dt)
     times = cfg.t0 + dt * np.arange(K + 1)
     path_key, init_key = _keys(cfg.seed)
     X = _initial_states(cfg.initial, d, n, init_key)
 
-    cost = model.cost
     mean_path = np.empty((K + 1, d))
     cov_path = np.empty((K + 1, d, d))
     running_mean = np.empty(K + 1)
@@ -171,14 +164,11 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     run = np.zeros(n)
 
     def record(j: int) -> np.ndarray:
-        mu = X.mean(axis=0)
-        Xc = X - mu
-        mean_path[j] = mu
-        cov_path[j] = sym(Xc.T @ Xc / (n - 1))
+        mean_path[j], cov_path[j] = _sample_moments(X)
         running_mean[j] = run.mean()
         if cfg.store_every and j % cfg.store_every == 0:
             ensembles[j] = X.copy()
-        return mu
+        return mean_path[j]
 
     mhat = record(0)
     for j0 in range(0, K, STAGE_BLOCK):
@@ -187,21 +177,9 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
         K1s, K2s, k0s = fb.table(block)
         for r in range(block.size):
             j = j0 + r
-            K1, K2, k0 = K1s[r], K2s[r], k0s[r]
-            A = (X - mhat) @ K1.T + mhat @ K2.T + k0
-            ahat = A.mean(axis=0)
-            b = (c["b0"][r] + X @ c["B"][r].T + c["Bbar"][r] @ mhat
-                 + A @ c["C"][r].T + c["Cbar"][r] @ ahat)
-            s = (c["sigma0"][r] + X @ c["D"][r].T + c["Dbar"][r] @ mhat
-                 + A @ c["F"][r].T + c["Fbar"][r] @ ahat)
-            run += dt * (
-                _quad_rows(X, c["Q2"][r], X) + mhat @ c["Q2bar"][r] @ mhat
-                + _quad_rows(A, c["R2"][r], A) + ahat @ c["R2bar"][r] @ ahat
-                + 2.0 * _quad_rows(X, c["M2"][r], A)
-                + 2.0 * mhat @ c["M2bar"][r] @ ahat
-                + X @ c["q1"][r] + c["q1bar"][r] @ mhat
-                + A @ c["r1"][r] + c["r1bar"][r] @ ahat
-            )
+            A = (X - mhat) @ K1s[r].T + mhat @ K2s[r].T + k0s[r]
+            b, s, f = _row_terms(c, r, X, A, mhat, A.mean(axis=0))
+            run += dt * f
             xi = step_normals(path_key, j, n)
             X = X + dt * b + sqdt * s * xi[:, None]
             if not np.isfinite(X).all():
@@ -209,10 +187,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
                     f"non-finite particle state after step {j}", step=j)
             mhat = record(j + 1)
 
-    mhat_T = mean_path[K]
-    terminal = (_quad_rows(X, cost.P2, X) + mhat_T @ cost.P2bar @ mhat_T
-                + X @ cost.p1 + cost.p1bar @ mhat_T)
-    per_cost = run + terminal
+    per_cost = run + _terminal_rows(model.cost, X, mean_path[K])
     ensembles[K] = X.copy()
     return SimResult(
         times=times, mean_path=mean_path, cov_path=cov_path,

@@ -213,6 +213,15 @@ def spd_solve(w: np.ndarray, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return q @ ((_tr(q) @ rhs) / w[..., None])
 
 
+def _solved_aux(c: dict, j: int, L: np.ndarray, G: np.ndarray, g: np.ndarray):
+    """S, Z, Y and U^{-1}S', V^{-1}Z', V^{-1}Y at stage-table row j, via checked_eigh."""
+    U, V, S, Z, Y = _aux_arrays(c, j, L, G, g)
+    t = float(c["t"][j])
+    wU, qU = checked_eigh(U, t, "U")
+    wV, qV = checked_eigh(V, t, "V")
+    return S, Z, Y, spd_solve(wU, qU, S.T), spd_solve(wV, qV, Z.T), spd_solve(wV, qV, Y)
+
+
 def _unpack(y: np.ndarray, d: int):
     """Views (Lam, Gam, gam, chi) of flat Riccati states; leading axes of
     ``y`` are kept."""
@@ -229,16 +238,10 @@ def _rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
     """Forward-time derivative of the flat state at stage-table row j."""
     L, G, g, _ = _unpack(y, c["B"].shape[-1])
     g = g[:, None]
-    t = float(c["t"][j])
     B, BpB = c["B"][j], c["BpB"][j]
     D, DpD = c["D"][j], c["DpD"][j]
     b0, s0 = c["b0"][j], c["sigma0"][j]
-    U, V, S, Z, Y = _aux_arrays(c, j, L, G, g)
-    wU, qU = checked_eigh(U, t, "U")
-    wV, qV = checked_eigh(V, t, "V")
-    Ui_St = spd_solve(wU, qU, S.T)
-    Vi_Zt = spd_solve(wV, qV, Z.T)
-    Vi_Y = spd_solve(wV, qV, Y)
+    S, Z, Y, Ui_St, Vi_Zt, Vi_Y = _solved_aux(c, j, L, G, g)
     dL = -sym(c["Q2"][j] + D.T @ L @ D + L @ B + B.T @ L - S @ Ui_St)
     dG = -sym(c["QQ"][j] + DpD.T @ L @ DpD + G @ BpB + BpB.T @ G - Z @ Vi_Zt)
     dg = -(BpB.T @ g - Z @ Vi_Y + c["q1"][j] + c["q1bar"][j]

@@ -109,9 +109,23 @@ class Schedule:
         return Schedule.tabulated(self.times, np.stack([fn(v) for v in self.values]))
 
 
+def _not_a_number(value) -> bool:
+    """Whether a string or a boolean, NumPy's included, is anywhere in
+    ``value``; NumPy would convert either to float without a word."""
+    if isinstance(value, np.ndarray):
+        if value.dtype != object:
+            return value.dtype.kind in "bSU"
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return any(_not_a_number(v) for v in value)
+    return isinstance(value, (str, bytes, bool, np.bool_))
+
+
 def _shaped(value, shape: tuple) -> np.ndarray:
     """``value`` as a float array of exactly ``shape``; a number fills a
     one-element shape."""
+    if _not_a_number(value):
+        raise ValueError("not numeric: a string or a boolean")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, OverflowError) as exc:
@@ -129,7 +143,7 @@ def as_schedule(value, shape) -> Schedule:
     ``value`` is None (the zero schedule), a number, an array, a Schedule,
     or the document form ``{"knots": [[t, array], ...]}``. A constant and
     every knot array must have exactly ``shape``, except that a number
-    fills a one-element shape.
+    fills a one-element shape. No string or boolean is taken as a number.
     """
     shape = tuple(shape)
     if value is None:
@@ -142,7 +156,7 @@ def as_schedule(value, shape) -> Schedule:
         if "knots" not in value:
             raise ValueError("expected a 'knots' key")
         try:
-            knots = [(float(t), _shaped(v, shape)) for t, v in value["knots"]]
+            knots = [(_shaped(t, ()), _shaped(v, shape)) for t, v in value["knots"]]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed knots: {exc}") from exc
         return Schedule.tabulated([t for t, _ in knots],

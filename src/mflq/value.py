@@ -16,7 +16,7 @@ import numpy as np
 from .errors import OutOfDomainError
 from .model import AffineFeedback, LqModel, MomentState, _tr
 from .riccati import (RiccatiSolution, RiccatiState, _aux_arrays, _aux_at,
-                      _checked_eigh_stack, _stage_table, checked_eigh, spd_solve)
+                      _checked_eigh_stack, _solved_aux, _stage_table, spd_solve)
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
@@ -56,12 +56,12 @@ def g_inf(model: LqModel, t: float, state: RiccatiState, ms: MomentState) -> flo
         -tr(S U^{-1} S' Cov) - m'Z V^{-1} Z' m - Y'V^{-1} Z' m - 1/4 Y'V^{-1}Y
     """
     model.check_time(t)
-    U, V, S, Z, Y = _aux_at(model, t, state)
-    wU, qU = checked_eigh(U, t, "U")
-    wV, qV = checked_eigh(V, t, "V")
-    Ui_St = spd_solve(wU, qU, S.T)
-    Vi_Zt = spd_solve(wV, qV, Z.T)
-    Vi_Y = spd_solve(wV, qV, Y)
+    return _g_inf(_stage_table(model, [t]), 0, state, ms)
+
+
+def _g_inf(c: dict, j: int, st: RiccatiState, ms: MomentState) -> float:
+    """g_inf at stage-table row j."""
+    S, Z, Y, Ui_St, Vi_Zt, Vi_Y = _solved_aux(c, j, st.Lam, st.Gam, st.gam[:, None])
     m = ms.mean[:, None]
     return (-np.trace(S @ Ui_St @ ms.cov) - m.T @ Z @ Vi_Zt @ m
             - Y.T @ Vi_Zt @ m - 0.25 * Y.T @ Vi_Y).item()
@@ -112,7 +112,11 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     zero. The grouping mirrors the identification that produced the ODE
     system: the Var(.) block, the mean-quadratic block, the mean-linear
     block (including gam'), and the scalar block, plus the minimized inner
-    objective.
+    objective. Coefficients come from the one-row stage table at t, as in
+    the solve. The four blocks are summed here, not taken from the solver's
+    right-hand side (_rhs): that keeps the residual an independent check
+    of a transcription error in _rhs. Only the minimized inner objective
+    (g_inf) shares the solver's U/V inversion.
     """
     dt = sol.step
     if not (t - dt >= 0.0 and t + dt <= sol.horizon):
@@ -120,24 +124,17 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
             f"t={t} must be at least one grid step inside (0, {sol.horizon})")
     Lam, Gam, gam, chi = sol.table(np.array([t, t + dt, t - dt]))
     st = RiccatiState(Lam=Lam[0], Gam=Gam[0], gam=gam[0], chi=float(chi[0]))
-    dL = (Lam[1] - Lam[2]) / (2.0 * dt)
-    dG = (Gam[1] - Gam[2]) / (2.0 * dt)
-    dg = (gam[1] - gam[2]) / (2.0 * dt)
-    dc = (chi[1] - chi[2]) / (2.0 * dt)
+    dL, dG, dg, dc = ((y[1] - y[2]) / (2.0 * dt) for y in (Lam, Gam, gam, chi))
 
-    dyn, cost = model.dynamics, model.cost
-    B, Bb = dyn.B(t), dyn.Bbar(t)
-    D, Db = dyn.D(t), dyn.Dbar(t)
-    b0, s0 = dyn.b0(t), dyn.sigma0(t)
-    BpB, DpD = B + Bb, D + Db
+    c = _stage_table(model, [t])
+    B, BpB, D, DpD, Q2, Q2bar = (c[n][0] for n in ("B", "BpB", "D", "DpD", "Q2", "Q2bar"))
+    b0, s0, q1, q1bar = (c[n][0, :, 0] for n in ("b0", "sigma0", "q1", "q1bar"))
     L, G, g = st.Lam, st.Gam, st.gam
     m, cov = ms.mean, ms.cov
 
-    var_block = dL + cost.Q2(t) + D.T @ L @ D + L @ B + B.T @ L
-    mean_quad = dG + cost.Q2(t) + cost.Q2bar(t) + DpD.T @ L @ DpD \
-        + G @ BpB + BpB.T @ G
-    mean_lin = dg + BpB.T @ g + cost.q1(t) + cost.q1bar(t) \
-        + 2.0 * DpD.T @ (L @ s0) + 2.0 * G @ b0
+    var_block = dL + Q2 + D.T @ L @ D + L @ B + B.T @ L
+    mean_quad = dG + Q2 + Q2bar + DpD.T @ L @ DpD + G @ BpB + BpB.T @ G
+    mean_lin = dg + BpB.T @ g + q1 + q1bar + 2.0 * DpD.T @ (L @ s0) + 2.0 * G @ b0
     scalar = dc + g @ b0 + s0 @ (L @ s0)
     return float(np.trace(var_block @ cov) + m @ mean_quad @ m
-                 + mean_lin @ m + scalar + g_inf(model, t, st, ms))
+                 + mean_lin @ m + scalar + _g_inf(c, 0, st, ms))

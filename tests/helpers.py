@@ -1,8 +1,11 @@
 """Shared test utilities."""
 
+import dataclasses
+
 import numpy as np
 
 from mflq import lq_model
+from mflq.schedules import Schedule
 
 
 def variance_stderr(samples) -> float:
@@ -50,3 +53,15 @@ def random_standard_model(rng, d=2, m=2, barred=True):
             p1bar=rng.standard_normal(d) * 0.3,
         )
     return lq_model(d=d, m=m, horizon=1.0, **kw)
+
+
+def tabulated_model():
+    """Random d=2, m=2 model whose drift and cost schedules are tabulated."""
+    rng = np.random.default_rng(8)
+    base = random_standard_model(rng, d=2, m=2)
+    knots = np.array([0.0, 0.5, 1.0])
+    B = Schedule.tabulated(knots, [base.dynamics.B(0.0) * f for f in (1.0, 0.5, 1.5)])
+    Q2 = Schedule.tabulated(knots, [base.cost.Q2(0.0) * f for f in (1.0, 2.0, 1.0)])
+    return dataclasses.replace(
+        base, dynamics=dataclasses.replace(base.dynamics, B=B),
+        cost=dataclasses.replace(base.cost, Q2=Q2))

@@ -97,6 +97,15 @@ def test_value_rejects_indefinite_cov(capsys):
     assert "eigenvalue" in stderr or "covariance" in stderr
 
 
+@pytest.mark.parametrize("law", [("--mean", "[1, 2]", "--cov", "[[1, 0], [0, 1]]"),
+                                 ("--cov", "[[1, 2], [3, 4]]"),
+                                 ("--mean", "{}")])
+def test_value_rejects_malformed_law(capsys, law):
+    code, _, stderr = run(capsys, "value", "--preset", "mean-variance", *law)
+    assert code == 2
+    assert stderr.startswith("error:")
+
+
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_reproducible_csv(tmp_path, capsys):

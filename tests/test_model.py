@@ -62,7 +62,8 @@ def test_invalid_model_rejected(d, name, value, message):
             getattr(base, block), **{name: value})})
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("horizon",
+                         [0.0, -1.0, np.inf, np.nan, "1.5", True, np.bool_(True)])
 def test_bad_horizon_rejected(horizon):
     with pytest.raises(ValueError, match="horizon"):
         lq_model(d=1, m=1, horizon=horizon)
@@ -77,6 +78,23 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match=r"'B' has shape \(1, 1\), expected \(2, 2\)"):
         dataclasses.replace(base, dynamics=dataclasses.replace(
             base.dynamics, B=Schedule.zeros((1, 1))))
+
+
+@pytest.mark.parametrize("d, name, value", [
+    (1, "B", "0.5"),
+    (1, "C", True),
+    (1, "B", [[True]]),
+    (1, "B", np.array([[True]])),
+    (1, "B", np.array([["0.5"]])),
+    (2, "q1", [0.5, True]),
+    (2, "q1", np.array([0.5, True], dtype=object)),
+    (1, "B", {"knots": [["0", [[1.0]]], [1.0, [[1.0]]]]}),
+    (1, "B", {"knots": [[0.0, [[1.0]]], [True, [[1.0]]]]}),
+    (1, "B", {"knots": [[0.0, [[1.0]]], [1.0, [["1.0"]]]]}),
+])
+def test_string_or_bool_coefficient_rejected(d, name, value):
+    with pytest.raises(ValueError, match=f"'{name}'.*not numeric"):
+        lq_model(d=d, m=1, horizon=1.0, **{name: value})
 
 
 # --- drift / diffusion / costs --------------------------------------------
@@ -284,6 +302,18 @@ def test_document_flat_or_transposed_array(field, raw):
     ({"dims": {"d": 1, "m": 1}, "horizon": float("inf")}, "horizon"),
     ({"dims": {"d": 1, "m": 1}, "horizon": 1.0,
       "cost": {"P2": {"knots": [[0.0, 1.0], [1.0, 1.0]]}}}, "'P2' must be constant"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": "1.5",
+      "dynamics": {"B": "0.5", "C": True}}, "'B'.*not numeric"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": "1.5"}, "horizon.*not numeric"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": True}, "horizon.*not numeric"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": 1.0,
+      "dynamics": {"C": True}}, "'C'.*not numeric"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": 1.0,
+      "dynamics": {"B": [[True]]}}, "'B'.*not numeric"),
+    ({"dims": {"d": 2, "m": 1}, "horizon": 1.0,
+      "cost": {"q1": [0.5, True]}}, "'q1'.*not numeric"),
+    ({"dims": {"d": 1, "m": 1}, "horizon": 1.0,
+      "dynamics": {"B": {"knots": [["0", [[1.0]]], [1.0, [[1.0]]]]}}}, "'B'.*not numeric"),
 ])
 def test_document_layout_errors(doc, field):
     with pytest.raises(ModelDocumentError, match=field):

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
 import mflq
 from mflq import (AffineFeedback, Dirac, FeedbackPerturbation, Gaussian,
                   MomentState, Particles, SimConfig, SystemicParams,
-                  canonical_perturbations, lq_model, optimal_feedback,
-                  optimality_gap, propagate_moments, simulate, solve_riccati,
-                  systemic_model, value)
+                  canonical_perturbations, diffusion, drift, lq_model,
+                  optimal_feedback, optimality_gap, propagate_moments,
+                  running_cost, simulate, solve_riccati, systemic_model,
+                  terminal_cost, value)
 from mflq.errors import SimulationDivergedError
+from mflq.model import _row_terms
 from mflq.particles import _keys, step_normals
+
+from helpers import random_standard_model, tabulated_model
 
 
 def zero_fb():
@@ -42,7 +48,55 @@ def test_noise_is_standard_normal():
     assert abs(draws.var() - 1.0) <= 4.0 * np.sqrt(2.0 / n)
 
 
+@pytest.mark.parametrize("d, m", [(1, 1), (3, 2), (8, 4)])
+def test_chunk_reproduces_full_ensemble_rows(d, m):
+    """A worker holding particles [i0, i1), i0 a multiple of 4, draws its
+    normals by moving the Philox counter i0 // 4 blocks of four words, and
+    gets the full ensemble's rows from the row evaluator given the full
+    ensemble's means: chunked execution is bitwise the single-lane one."""
+    n, step, i0, i1 = 20_000, 5, 4 * 1237, 4 * 1237 + 3001
+    path_key, _ = _keys(17)
+    raw = Philox(key=path_key, counter=(step << 128) + i0 // 4).random_raw(i1 - i0)
+    normals = ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
+    assert normals.tobytes() == step_normals(path_key, step, n)[i0:i1].tobytes()
+
+    rng = np.random.default_rng(d)
+    c = random_standard_model(rng, d, m).table([0.4])
+    X, A = rng.standard_normal((n, d)), rng.standard_normal((n, m))
+    mx, ma = X.mean(axis=0), A.mean(axis=0)
+    full = _row_terms(c, 0, X, A, mx, ma)
+    chunk = _row_terms(c, 0, X[i0:i1], A[i0:i1], mx, ma)
+    for f, part in zip(full, chunk):
+        assert part.tobytes() == f[i0:i1].tobytes()
+
+
 # --- simulate -------------------------------------------------------------------
+
+def test_step_is_the_pointwise_state_equation():
+    """One simulate step moves each particle by dt drift + sqrt(dt)
+    diffusion xi, and charges dt running_cost + terminal_cost, with the
+    public pointwise functions at the ensemble's means."""
+    model = tabulated_model()
+    fb = AffineFeedback.constant([[0.3, -0.2], [0.1, 0.4]], [[0.5, 0.0], [-0.1, 0.2]],
+                                 [0.2, -0.3])
+    X0 = np.random.default_rng(4).standard_normal((6, 2))
+    t0, seed = 0.3, 9
+    res = simulate(model, fb, SimConfig(n_particles=6, n_steps=1, seed=seed, t0=t0,
+                                        initial=Particles(X0)))
+    dt = 1.0 - t0
+    mx = X0.mean(axis=0)
+    A = np.array([fb(t0, x, mx) for x in X0])
+    ma = A.mean(axis=0)
+    xi = step_normals(_keys(seed)[0], 0, 6)
+    X1 = np.array([x + dt * drift(model, t0, x, a, mx, ma)
+                   + np.sqrt(dt) * diffusion(model, t0, x, a, mx, ma) * z
+                   for x, a, z in zip(X0, A, xi)])
+    np.testing.assert_allclose(res.ensembles[1], X1, rtol=1e-12, atol=0.0)
+    mx1 = X1.mean(axis=0)
+    cost = [dt * running_cost(model, t0, x, a, mx, ma) + terminal_cost(model, x1, mx1)
+            for x, a, x1 in zip(X0, A, X1)]
+    np.testing.assert_allclose(res.per_particle_cost, cost, rtol=1e-12, atol=0.0)
+
 
 def test_bitwise_reproducible():
     model, sol, fb = systemic_setup()

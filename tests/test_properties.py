@@ -2,11 +2,14 @@
 document boundary, and identities of the solved value function."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mflq import (LqModel, MomentState, cost_from_moments, model_from_document,
+from mflq import (LqModel, MomentState, check_standard_conditions,
+                  cost_from_moments, dpp_check, model_from_document,
                   model_to_document, optimal_feedback, solve_riccati, value)
 from mflq.errors import ModelDocumentError
+from mflq.riccati import PSD_TOL
 
 from helpers import random_standard_model
 
@@ -78,6 +81,22 @@ def test_fuzzed_documents_build_or_raise_document_error(seed, d, m, barred, edit
         pass
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds, sizes, sizes, st.booleans(), st.data())
+def test_string_or_bool_leaf_is_a_document_error(seed, d, m, barred, data):
+    """Replace one number of a valid document (dims, horizon, a knot time or
+    a coefficient entry) with a string or a boolean."""
+    doc = model_to_document(random_standard_model(np.random.default_rng(seed), d, m, barred))
+    B = doc["dynamics"]["B"]
+    doc["dynamics"]["B"] = {"knots": [[0.0, B], [doc["horizon"], B]]}
+    numbers = [p for p in paths(doc) if type(get(doc, p)) in (int, float)]
+    path = data.draw(st.sampled_from(numbers))
+    get(doc, path[:-1])[path[-1]] = data.draw(
+        st.booleans() | st.text(max_size=3) | st.floats().map(repr))
+    with pytest.raises(ModelDocumentError):
+        model_from_document(doc)
+
+
 @settings(max_examples=8, deadline=None)
 @given(seeds, sizes, sizes)
 def test_gamma_equals_lambda_without_mean_field_terms(seed, d, m):
@@ -97,3 +116,31 @@ def test_value_equals_cost_of_optimal_law(seed, d, m, barred):
     v = value(sol, 0.0, ms)
     cost = cost_from_moments(model, optimal_feedback(model, sol), 0.0, ms, K)
     assert abs(v - cost) <= 1e-7 * max(1.0, abs(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, sizes, sizes, st.booleans())
+def test_lambda_gamma_psd_under_standard_conditions(seed, d, m, barred):
+    """Yong, "LQ optimal control problems for mean-field SDEs" (SICON 2013):
+    under the standard conditions Lam and Gam are PSD on [0, T]."""
+    model = random_standard_model(np.random.default_rng(seed), d, m, barred)
+    if check_standard_conditions(model, 0.25).holds:
+        sol = solve_riccati(model, K)
+        assert np.linalg.eigvalsh(sol.Lam).min() >= -PSD_TOL
+        assert np.linalg.eigvalsh(sol.Gam).min() >= -PSD_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, sizes, sizes, st.booleans())
+def test_dpp_split(seed, d, m, barred):
+    """The split value(t) = running cost on [t, theta] + value(theta) under
+    the optimal law. The residual is the O(K^-4) error of the solve, which
+    scales with the value (2.6e-6 at a value of 28.5 falls to 2.3e-7 at
+    twice K), so the bound is relative."""
+    rng = np.random.default_rng(seed)
+    model = random_standard_model(rng, d, m, barred)
+    t, theta = np.sort(rng.uniform(0.0, model.horizon, size=2))
+    a = rng.standard_normal((d, d))
+    ms = MomentState(rng.standard_normal(d), a @ a.T / d)
+    sol = solve_riccati(model, K)
+    assert dpp_check(model, sol, t, theta, ms, K) <= 1e-6 * max(1.0, abs(value(sol, t, ms)))

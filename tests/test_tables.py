@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from mflq import (AffineFeedback, Dirac, MeanVarianceParams, MomentState,
-                  SimConfig, SystemicParams, mean_variance_model,
-                  optimal_feedback, optimal_gains, propagate_moments, simulate,
-                  solve_riccati, systemic_model, with_scaled_lambda)
+                  SimConfig, SystemicParams, bellman_residual, dpp_check,
+                  mean_variance_model, optimal_feedback, optimal_gains,
+                  propagate_moments, simulate, solve_riccati, systemic_model,
+                  with_scaled_lambda)
 from mflq.errors import RiccatiBreakdownError
 from mflq.schedules import Schedule
 
-from helpers import random_standard_model
+from helpers import tabulated_model
 
 
 def stage_times(grid):
@@ -22,18 +23,6 @@ def stage_times(grid):
     out[0::2] = grid
     out[1::2] = 0.5 * (grid[1:] + grid[:-1])
     return out
-
-
-def tabulated_model():
-    """Random d=2, m=2 model whose drift and cost schedules are tabulated."""
-    rng = np.random.default_rng(8)
-    base = random_standard_model(rng, d=2, m=2)
-    knots = np.array([0.0, 0.5, 1.0])
-    B = Schedule.tabulated(knots, [base.dynamics.B(0.0) * f for f in (1.0, 0.5, 1.5)])
-    Q2 = Schedule.tabulated(knots, [base.cost.Q2(0.0) * f for f in (1.0, 2.0, 1.0)])
-    return dataclasses.replace(
-        base, dynamics=dataclasses.replace(base.dynamics, B=B),
-        cost=dataclasses.replace(base.cost, Q2=Q2))
 
 
 @pytest.mark.parametrize("model", [systemic_model(SystemicParams()), tabulated_model()])
@@ -110,7 +99,10 @@ def test_solvers_make_no_pointwise_calls(monkeypatch):
     law = optimal_feedback(model, sol)
     law = dataclasses.replace(law, k1=counted_gain(law.k1), k2=counted_gain(law.k2),
                               k0=counted_gain(law.k0))
-    propagate_moments(model, law, 0.0, MomentState([0.5, -0.2], np.eye(2)), 100)
+    ms = MomentState([0.5, -0.2], np.eye(2))
+    propagate_moments(model, law, 0.0, ms, 100)
+    bellman_residual(model, sol, 0.37, ms)
+    dpp_check(model, sol, 0.2, 0.7, ms, 50)
     simulate(model, law, SimConfig(n_particles=50, n_steps=100, seed=2,
                                    initial=Dirac([0.5, -0.2])))
     assert counts == {"schedule": 0, "gain": 0}
