@@ -40,9 +40,10 @@ class RiccatiBreakdownError(MflqError):
 
 
 class CovarianceInstabilityError(MflqError):
-    """Moment propagation produced a covariance eigenvalue below -1e-6."""
+    """Moment propagation produced a covariance eigenvalue below -1e-6, or
+    a non-finite state (then ``eigenvalue`` is None), at grid time ``time``."""
 
-    def __init__(self, message: str, time: float, eigenvalue: float):
+    def __init__(self, message: str, time: float, eigenvalue: float | None = None):
         super().__init__(message)
         self.time = time
         self.eigenvalue = eigenvalue

@@ -314,12 +314,16 @@ def clip_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True)
 class MomentState:
     """Mean and covariance: the sufficient statistics of a law for every
-    value/cost evaluation in the LQ scope."""
+    value/cost evaluation in the LQ scope. Both must be finite numbers, not
+    strings or booleans; the covariance symmetric, its eigenvalues above
+    COV_EIG_FLOOR."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __init__(self, mean, cov):
+        if _not_a_number(mean) or _not_a_number(cov):
+            raise ValueError("mean/cov not numeric: a string or a boolean")
         try:
             mean = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
             cov = np.asarray(cov, dtype=float)
@@ -330,6 +334,8 @@ class MomentState:
         d = mean.shape[0]
         if mean.ndim != 1 or cov.shape != (d, d):
             raise ShapeError(f"mean/cov shapes {mean.shape}/{cov.shape} inconsistent")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean/cov has a non-finite value")
         if np.max(np.abs(cov - cov.T)) > 1e-8:
             raise ValueError("covariance not symmetric")
         cov, lo = clip_psd(cov)

@@ -141,8 +141,9 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
 
     The gains and every affine moment coefficient are tabulated once per
     block of stages. The covariance is re-symmetrized every step and
-    eigenvalue-clipped at -1e-9; clipping beyond -1e-6 raises
-    CovarianceInstabilityError. A block's table is built before its steps
+    eigenvalue-clipped at -1e-9; clipping beyond -1e-6, or a non-finite
+    mean, covariance or running cost, raises CovarianceInstabilityError at
+    that step's time. A block's table is built before its steps
     run, so a RiccatiBreakdownError of the gains anywhere in a block is
     raised ahead of an instability at an earlier step of that block.
     """
@@ -161,6 +162,9 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
 
     def settle(k, y):
         nonlocal clips
+        if not np.isfinite(y).all():
+            raise CovarianceInstabilityError(
+                f"non-finite moment state at t={grid[k]:.6g}", time=float(grid[k]))
         S = y[d:-1].reshape(d, d)
         S[...], lo = clip_psd(S)
         if lo < INSTABILITY_FLOOR:

@@ -20,7 +20,7 @@ across sources), so the ODE integration is the ground truth here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -257,22 +257,27 @@ def systemic_optimal_control(p: SystemicParams, sol: RiccatiSolution,
 # ---------------------------------------------------------------------------
 # registry used by the CLI
 
-PRESET_NAMES = ("mean-variance", "systemic-risk")
+_PRESETS = {"mean-variance": (MeanVarianceParams, mean_variance_model),
+            "systemic-risk": (SystemicParams, systemic_model)}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def build_preset(name: str, overrides: dict | None = None):
     """Return (model, params) for a named preset with parameter overrides.
 
     Mean-variance accepts r, rho, vol, eta, x0, T; systemic-risk accepts
-    kappa, sigma, q, eta, c, x0, T.
+    kappa, sigma, q, eta, c, x0, T. Raises ValueError for an unknown
+    preset or parameter name.
     """
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
+    params_type, build = _PRESETS[name]
+    accepted = [f.name for f in fields(params_type) if f.name != "horizon"] + ["T"]
     kw = dict(overrides or {})
+    if unknown := [key for key in kw if key not in accepted]:
+        raise ValueError(f"unknown parameter '{unknown[0]}' for preset '{name}' "
+                         f"(accepted: {', '.join(accepted)})")
     if "T" in kw:
         kw["horizon"] = kw.pop("T")
-    if name == "mean-variance":
-        params = MeanVarianceParams(**kw)
-        return mean_variance_model(params), params
-    if name == "systemic-risk":
-        params = SystemicParams(**kw)
-        return systemic_model(params), params
-    raise ValueError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
+    params = params_type(**kw)
+    return build(params), params

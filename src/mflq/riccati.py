@@ -29,12 +29,17 @@ with a breakdown error. The stored grid states plus their ODE right-hand
 sides support cubic Hermite interpolation at arbitrary times, preserving
 4th-order accuracy for downstream value and feedback queries.
 
-Everything that depends on time alone (each coefficient and the sums the
-right-hand side uses) is tabulated once for each block of RK4 stages, grid
-points and midpoints, and the stepper addresses stages by table row. The
-same RK4 core drives the forward moment flow. Tables, Hermite queries and
-the stacked positivity check evaluate each row on its own, so a row is
-bitwise the same whichever other times share its batch.
+The Lam and Gam equations share one form: Gam's takes B+Bbar, C+Cbar,
+D+Dbar, F+Fbar, Q2+Q2bar where Lam's takes B, C, D, F, Q2, and adds R2bar
+and M2bar. The stage table holds each such coefficient as a (Lam, Gam)
+pair on one axis, so (U, V), (S, Z) and (Lam', Gam') are each one
+expression, and one eigh of the (U, V) pair per stage serves the
+inversions, the positivity floor and the condition cap (_solved_aux).
+Everything that depends on time alone is tabulated once for each block of
+RK4 stages, grid points and midpoints, and the stepper addresses stages by
+table row; the same RK4 core drives the forward moment flow. Tables,
+Hermite queries and the stacked check evaluate each row on its own, so a
+row is bitwise the same whichever other times share its batch.
 """
 
 from __future__ import annotations
@@ -79,22 +84,26 @@ def terminal_state(model: LqModel) -> RiccatiState:
 
 STAGE_BLOCK = 16  # RK4 steps per stage-table block (33 rows): bounds table memory
 _VECTORS = ("b0", "sigma0", "q1", "q1bar", "r1", "r1bar")
+# (coefficient, barred term, name of their sum): the Lam and Gam members of a pair
+_PAIRS = (("B", "Bbar", "BpB"), ("C", "Cbar", "CpC"), ("D", "Dbar", "DpD"),
+          ("F", "Fbar", "FpF"), ("Q2", "Q2bar", "QQ"))
 
 
 def _stage_table(model: LqModel, times) -> dict:
     """Every coefficient of the model at ``times`` (one row per time), with
-    vectors as columns, plus the time-only sums the right-hand sides use.
-    Row j depends on times[j] alone."""
+    vectors as columns, plus the (Lam, Gam) pair of each of B, C, D, F, Q2
+    under its name + "p": "Bp" is [B, B+Bbar] stacked on a leading axis,
+    and its Gam member is also "BpB" (so "CpC", "DpD", "FpF", "QQ"). Row j
+    (c[name][j], c[name + "p"][:, j]) depends on times[j] alone."""
     times = np.asarray(times, dtype=float)
     c = model.table(times)
     for name in _VECTORS:
         c[name] = c[name][..., None]
     c["t"] = times
-    c["BpB"] = c["B"] + c["Bbar"]
-    c["CpC"] = c["C"] + c["Cbar"]
-    c["DpD"] = c["D"] + c["Dbar"]
-    c["FpF"] = c["F"] + c["Fbar"]
-    c["QQ"] = c["Q2"] + c["Q2bar"]
+    for name, bar, total in _PAIRS:
+        pair = c[name + "p"] = np.empty((2,) + c[name].shape)
+        pair[0] = c[name]
+        c[total] = np.add(c[name], c[bar], out=pair[1])
     return c
 
 
@@ -131,31 +140,31 @@ def _rk4(times: np.ndarray, h: float, y: np.ndarray, table, rhs, settle):
             yield k, y, f
 
 
-def _aux_arrays(c: dict, j, L: np.ndarray, G: np.ndarray, g: np.ndarray):
-    """(U, V, S, Z, Y) from stage-table row j (an int), or from every row
-    (j = Ellipsis) with L, G, g stacked to match; g and Y are columns."""
-    C, CpC = c["C"][j], c["CpC"][j]
-    D, DpD = c["D"][j], c["DpD"][j]
-    F, FpF = c["F"][j], c["FpF"][j]
-    R2, M2, s0 = c["R2"][j], c["M2"][j], c["sigma0"][j]
-    U = sym(_tr(F) @ L @ F + R2)
-    V = sym(_tr(FpF) @ L @ FpF + R2 + c["R2bar"][j])
-    S = _tr(D) @ L @ F + L @ C + M2
-    Z = _tr(DpD) @ L @ FpF + G @ CpC + M2 + c["M2bar"][j]
-    Y = _tr(CpC) @ g + c["r1"][j] + c["r1bar"][j] + 2.0 * _tr(FpF) @ (L @ s0)
-    return U, V, S, Z, Y
+def _aux_arrays(c: dict, j, P: np.ndarray, g: np.ndarray):
+    """The pairs (U, V) and (S, Z), each stacked on a leading axis, and Y
+    at stage-table row j (an int), or at every row (j = Ellipsis) with the
+    pair P = (Lam, Gam) and g stacked to match; g and Y are columns."""
+    L = P[:1]  # Lam, for both members of a pair
+    Cp, Dp, Fp = c["Cp"][:, j], c["Dp"][:, j], c["Fp"][:, j]
+    UV = _tr(Fp) @ L @ Fp + c["R2"][j]
+    UV[1] += c["R2bar"][j]
+    SZ = _tr(Dp) @ L @ Fp + P @ Cp + c["M2"][j]
+    SZ[1] += c["M2bar"][j]
+    Y = (_tr(c["CpC"][j]) @ g + c["r1"][j] + c["r1bar"][j]
+         + 2.0 * _tr(c["FpF"][j]) @ (P[0] @ c["sigma0"][j]))
+    return sym(UV), SZ, Y
 
 
 def _aux_at(model: LqModel, t: float, state: RiccatiState):
-    """(U, V, S, Z, Y) at one time: the one-row stage table; Y is a column."""
-    c = _stage_table(model, [t])
-    return _aux_arrays(c, 0, state.Lam, state.Gam, state.gam[:, None])
+    """(U, V), (S, Z) and the column Y at one time: the one-row stage table."""
+    return _aux_arrays(_stage_table(model, [t]), 0, np.stack((state.Lam, state.Gam)),
+                       state.gam[:, None])
 
 
 def auxiliary(model: LqModel, t: float, state: RiccatiState) -> AuxiliaryMatrices:
     """Assemble (U, V, S, Z, Y); positivity of U, V is not checked here."""
     model.check_time(t)
-    U, V, S, Z, Y = _aux_at(model, t, state)
+    (U, V), (S, Z), Y = _aux_at(model, t, state)
     return AuxiliaryMatrices(U=U, V=V, S=S, Z=Z, Y=Y[:, 0])
 
 
@@ -175,51 +184,30 @@ def _spectrum_error(w: np.ndarray, t: float, name: str):
     return None
 
 
-def checked_eigh(mat: np.ndarray, t: float, name: str):
-    """Eigendecomposition that fails fast when the matrix is not safely
-    positive definite (floor 1e-10, condition number cap 1e12)."""
-    w, q = np.linalg.eigh(mat)
-    err = _spectrum_error(w, t, name)
-    if err is not None:
-        raise err
-    return w, q
-
-
-def _checked_eigh_stack(times: np.ndarray, *named):
-    """checked_eigh for each (name, stack) pair, one matrix per time, with
-    one stacked eigh per stack. A breakdown reports the earliest failing
-    time, checking the pairs in order there, as pointwise checks in time
-    order would."""
-    out, ok = [], np.ones(times.shape, dtype=bool)
-    for _, mats in named:
-        w, q = np.linalg.eigh(mats)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok &= (np.isfinite(w).all(axis=-1) & (w[:, 0] >= POSITIVITY_FLOOR)
-                   & (w[:, -1] / w[:, 0] <= CONDITION_LIMIT))
-        out.append((w, q))
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        i = bad[np.argmin(times[bad])]
-        for (name, _), (w, _) in zip(named, out):
-            err = _spectrum_error(w[i], float(times[i]), name)
-            if err is not None:
-                raise err
-    return out
-
-
 def spd_solve(w: np.ndarray, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs given the eigendecomposition (w, q) of SPD M; rhs is
     a matrix (vectors as columns). Leading axes are a stack."""
     return q @ ((_tr(q) @ rhs) / w[..., None])
 
 
-def _solved_aux(c: dict, j: int, L: np.ndarray, G: np.ndarray, g: np.ndarray):
-    """S, Z, Y and U^{-1}S', V^{-1}Z', V^{-1}Y at stage-table row j, via checked_eigh."""
-    U, V, S, Z, Y = _aux_arrays(c, j, L, G, g)
-    t = float(c["t"][j])
-    wU, qU = checked_eigh(U, t, "U")
-    wV, qV = checked_eigh(V, t, "V")
-    return S, Z, Y, spd_solve(wU, qU, S.T), spd_solve(wV, qV, Z.T), spd_solve(wV, qV, Y)
+def _solved_aux(c: dict, j, P: np.ndarray, g: np.ndarray):
+    """(S, Z), Y, (U^{-1}S', V^{-1}Z') and V^{-1}Y as in _aux_arrays, from
+    one eigh of the (U, V) pair. If U or V fails the positivity floor or the
+    condition cap, raises RiccatiBreakdownError at the earliest failing
+    time, for U before V there, as pointwise checks in time order would."""
+    UV, SZ, Y = _aux_arrays(c, j, P, g)
+    w, q = np.linalg.eigh(UV)
+    lo = w[..., 0]
+    if not (np.isfinite(w).all() and (lo >= POSITIVITY_FLOOR).all()
+            and (w[..., -1] / lo <= CONDITION_LIMIT).all()):
+        t = np.atleast_1d(c["t"][j])
+        pairs = w.reshape(2, t.size, -1)
+        for i in np.argsort(t, kind="stable"):
+            for name, spectrum in zip("UV", pairs[:, i]):
+                err = _spectrum_error(spectrum, float(t[i]), name)
+                if err is not None:
+                    raise err
+    return SZ, Y, spd_solve(w, q, _tr(SZ)), spd_solve(w[1], q[1], Y)
 
 
 def _unpack(y: np.ndarray, d: int):
@@ -235,19 +223,18 @@ def _pack(st: RiccatiState) -> np.ndarray:
 
 
 def _rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
-    """Forward-time derivative of the flat state at stage-table row j."""
-    L, G, g, _ = _unpack(y, c["B"].shape[-1])
-    g = g[:, None]
-    B, BpB = c["B"][j], c["BpB"][j]
-    D, DpD = c["D"][j], c["DpD"][j]
+    """Forward-time derivative of the flat state at stage-table row j;
+    (Lam', Gam') is one expression over the pair."""
+    d = c["B"].shape[-1]
+    P, g = y[:2 * d * d].reshape(2, d, d), y[2 * d * d:-1, None]
+    L, Bp, Dp = P[0], c["Bp"][:, j], c["Dp"][:, j]
     b0, s0 = c["b0"][j], c["sigma0"][j]
-    S, Z, Y, Ui_St, Vi_Zt, Vi_Y = _solved_aux(c, j, L, G, g)
-    dL = -sym(c["Q2"][j] + D.T @ L @ D + L @ B + B.T @ L - S @ Ui_St)
-    dG = -sym(c["QQ"][j] + DpD.T @ L @ DpD + G @ BpB + BpB.T @ G - Z @ Vi_Zt)
-    dg = -(BpB.T @ g - Z @ Vi_Y + c["q1"][j] + c["q1bar"][j]
-           + 2.0 * DpD.T @ (L @ s0) + 2.0 * G @ b0)
+    SZ, Y, W, Vi_Y = _solved_aux(c, j, P, g)
+    dP = -sym(c["Q2p"][:, j] + _tr(Dp) @ L @ Dp + P @ Bp + _tr(Bp) @ P - SZ @ W)
+    dg = -(Bp[1].T @ g - SZ[1] @ Vi_Y + c["q1"][j] + c["q1bar"][j]
+           + 2.0 * Dp[1].T @ (L @ s0) + 2.0 * P[1] @ b0)
     dc = -(-0.25 * (Y.T @ Vi_Y) + g.T @ b0 + s0.T @ (L @ s0))
-    return np.concatenate((dL.ravel(), dG.ravel(), dg.ravel(), dc.ravel()))
+    return np.concatenate((dP.ravel(), dg.ravel(), dc.ravel()))
 
 
 def riccati_rhs(model: LqModel, t: float, state: RiccatiState) -> RiccatiState:

@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState, _tr
-from .riccati import (RiccatiSolution, RiccatiState, _aux_arrays, _aux_at,
-                      _checked_eigh_stack, _solved_aux, _stage_table, spd_solve)
+from .model import AffineFeedback, LqModel, MomentState
+from .riccati import RiccatiSolution, RiccatiState, _aux_at, _solved_aux, _stage_table
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
@@ -41,7 +40,7 @@ def control_objective(model: LqModel, t: float, state: RiccatiState,
         tr(U K1 Cov K1') + abar'V abar + 2 tr(S K1 Cov) + 2 m'Z abar + Y.abar
     """
     model.check_time(t)
-    U, V, S, Z, Y = _aux_at(model, t, state)
+    (U, V), (S, Z), Y = _aux_at(model, t, state)
     K1, K2, k0 = fb.gains(t)
     m = ms.mean
     abar = K2 @ m + k0
@@ -56,12 +55,12 @@ def g_inf(model: LqModel, t: float, state: RiccatiState, ms: MomentState) -> flo
         -tr(S U^{-1} S' Cov) - m'Z V^{-1} Z' m - Y'V^{-1} Z' m - 1/4 Y'V^{-1}Y
     """
     model.check_time(t)
-    return _g_inf(_stage_table(model, [t]), 0, state, ms)
+    return _g_inf(_stage_table(model, [t]), np.stack((state.Lam, state.Gam)), state.gam, ms)
 
 
-def _g_inf(c: dict, j: int, st: RiccatiState, ms: MomentState) -> float:
-    """g_inf at stage-table row j."""
-    S, Z, Y, Ui_St, Vi_Zt, Vi_Y = _solved_aux(c, j, st.Lam, st.Gam, st.gam[:, None])
+def _g_inf(c: dict, P: np.ndarray, g: np.ndarray, ms: MomentState) -> float:
+    """g_inf at the one-row stage table c, with P = (Lam, Gam) stacked."""
+    (S, Z), Y, (Ui_St, Vi_Zt), Vi_Y = _solved_aux(c, 0, P, g[:, None])
     m = ms.mean[:, None]
     return (-np.trace(S @ Ui_St @ ms.cov) - m.T @ Z @ Vi_Zt @ m
             - Y.T @ Vi_Zt @ m - 0.25 * Y.T @ Vi_Y).item()
@@ -74,17 +73,14 @@ def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
         K1 = -U^{-1}S',  K2 = -V^{-1}Z',  k = -1/2 V^{-1} Y.
 
     The solution's states come from its Hermite table and the coefficients
-    from the stage table, and U and V pass the solver's positivity floor and
-    condition cap at every time, all in stacked form. Each row depends on
+    from the stage table; U and V go through the solve's own factorization
+    and check (one stacked eigh of the (U, V) pair), so they pass its
+    positivity floor and condition cap at every time. Each row depends on
     its own time alone. A breakdown carries the earliest failing time.
     """
-    times = np.asarray(times, dtype=float)
     L, G, g, _ = sol.table(times)
-    U, V, S, Z, Y = _aux_arrays(_stage_table(model, times), ..., L, G, g[..., None])
-    (wU, qU), (wV, qV) = _checked_eigh_stack(times, ("U", U), ("V", V))
-    return (-spd_solve(wU, qU, _tr(S)),
-            -spd_solve(wV, qV, _tr(Z)),
-            -0.5 * spd_solve(wV, qV, Y)[..., 0])
+    _, _, W, Vi_Y = _solved_aux(_stage_table(model, times), ..., np.stack((L, G)), g[..., None])
+    return -W[0], -W[1], -0.5 * Vi_Y[..., 0]
 
 
 def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
@@ -123,13 +119,12 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
         raise OutOfDomainError(
             f"t={t} must be at least one grid step inside (0, {sol.horizon})")
     Lam, Gam, gam, chi = sol.table(np.array([t, t + dt, t - dt]))
-    st = RiccatiState(Lam=Lam[0], Gam=Gam[0], gam=gam[0], chi=float(chi[0]))
     dL, dG, dg, dc = ((y[1] - y[2]) / (2.0 * dt) for y in (Lam, Gam, gam, chi))
 
     c = _stage_table(model, [t])
     B, BpB, D, DpD, Q2, Q2bar = (c[n][0] for n in ("B", "BpB", "D", "DpD", "Q2", "Q2bar"))
     b0, s0, q1, q1bar = (c[n][0, :, 0] for n in ("b0", "sigma0", "q1", "q1bar"))
-    L, G, g = st.Lam, st.Gam, st.gam
+    L, G, g = Lam[0], Gam[0], gam[0]
     m, cov = ms.mean, ms.cov
 
     var_block = dL + Q2 + D.T @ L @ D + L @ B + B.T @ L
@@ -137,4 +132,4 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     mean_lin = dg + BpB.T @ g + q1 + q1bar + 2.0 * DpD.T @ (L @ s0) + 2.0 * G @ b0
     scalar = dc + g @ b0 + s0 @ (L @ s0)
     return float(np.trace(var_block @ cov) + m @ mean_quad @ m
-                 + mean_lin @ m + scalar + _g_inf(c, 0, st, ms))
+                 + mean_lin @ m + scalar + _g_inf(c, np.stack((L, G)), g, ms))

@@ -99,11 +99,22 @@ def test_value_rejects_indefinite_cov(capsys):
 
 @pytest.mark.parametrize("law", [("--mean", "[1, 2]", "--cov", "[[1, 0], [0, 1]]"),
                                  ("--cov", "[[1, 2], [3, 4]]"),
-                                 ("--mean", "{}")])
+                                 ("--mean", "{}"),
+                                 ("--mean", '"2"'),
+                                 ("--mean", "[true]", "--cov", "[[false]]"),
+                                 ("--mean", "NaN"),
+                                 ("--param", "x0=nan"),
+                                 ("--cov", "Infinity")])
 def test_value_rejects_malformed_law(capsys, law):
     code, _, stderr = run(capsys, "value", "--preset", "mean-variance", *law)
     assert code == 2
     assert stderr.startswith("error:")
+
+
+def test_value_rejects_unknown_param(capsys):
+    code, _, stderr = run(capsys, "value", "--preset", "systemic-risk", "--param", "foo=1")
+    assert code == 2
+    assert stderr.startswith("error: unknown parameter 'foo'") and "kappa" in stderr
 
 
 # --- simulate ----------------------------------------------------------------

@@ -243,6 +243,14 @@ def test_moment_state_validation():
     assert ms.cov[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("mean, cov", [("2", 0.0), ([True], [[False]]), ([1.0], [["1"]]),
+                                       (np.array([True]), 0.0), ([np.nan], [[1.0]]),
+                                       ([1.0], [[np.inf]]), ([-np.inf], 0.0)])
+def test_moment_state_rejects_non_numbers(mean, cov):
+    with pytest.raises(ValueError, match="not numeric|non-finite"):
+        MomentState(mean, cov)
+
+
 # --- JSON documents ---------------------------------------------------------
 
 def test_document_roundtrip():

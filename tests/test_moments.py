@@ -105,6 +105,18 @@ def test_instability_error_on_stiff_coarse_grid():
     assert traj.clip_count == 0
 
 
+def test_non_finite_flow_raises():
+    # the covariance overflows to inf at the last of the 10 steps
+    model = lq_model(d=1, m=1, horizon=1.0, B=2e5, D=30.0, Q2=1.0, R2=1.0)
+    ms = MomentState([1.0], [[1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CovarianceInstabilityError, match="non-finite") as info:
+            propagate_moments(model, zero_fb(), 0.0, ms, 10)
+        assert info.value.time == 1.0 and info.value.eigenvalue is None
+        with pytest.raises(CovarianceInstabilityError):
+            cost_from_moments(model, zero_fb(), 0.0, ms, 10)
+
+
 # --- cost -------------------------------------------------------------------------
 
 def test_cost_zero_model():

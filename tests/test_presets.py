@@ -244,3 +244,5 @@ def test_build_preset():
     assert params.kappa == 1.0
     with pytest.raises(ValueError):
         build_preset("unknown", {})
+    with pytest.raises(ValueError, match="unknown parameter 'foo'.*kappa, sigma, q, eta, c, x0, T"):
+        build_preset("systemic-risk", {"foo": 1.0})

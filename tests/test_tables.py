@@ -9,7 +9,7 @@ import pytest
 
 from mflq import (AffineFeedback, Dirac, MeanVarianceParams, MomentState,
                   SimConfig, SystemicParams, bellman_residual, dpp_check,
-                  mean_variance_model, optimal_feedback, optimal_gains,
+                  lq_model, mean_variance_model, optimal_feedback, optimal_gains,
                   propagate_moments, simulate, solve_riccati, systemic_model,
                   with_scaled_lambda)
 from mflq.errors import RiccatiBreakdownError
@@ -68,6 +68,61 @@ def test_breakdown_carries_earliest_queried_time():
     with pytest.raises(RiccatiBreakdownError) as info:
         bad.gains(0.4)
     assert info.value.time == 0.4
+
+
+def knotted(before, after):
+    """A schedule equal to ``before`` up to t = 0.4 and to ``after`` from 0.6 on."""
+    return Schedule.tabulated([0.0, 0.4, 0.6, 1.0], [before, before, after, after])
+
+
+# m, the failing coefficients (U = R2, V = R2 + R2bar as F = 0), message, eigenvalue
+BREAKDOWNS = {
+    "V only": (1, dict(R2=1.0, R2bar=knotted([[0.0]], [[-1.0]])),
+               "V loses positive definiteness", 0.0),
+    "condition cap": (2, dict(R2=knotted(np.eye(2), np.diag([1e4, 1e-9]))),
+                      "U ill-conditioned", 1e-9),
+    "U before V": (1, dict(R2=knotted([[1.0]], [[-1.0]])),
+                   "U loses positive definiteness", -1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BREAKDOWNS))
+def test_uv_breakdown_names_matrix_and_earliest_failing_time(case):
+    """The solve and a gain batch report the same matrix and kind of
+    failure; the batch reports its earliest failing time, which is neither
+    its first entry nor its earliest time."""
+    m, coeffs, message, eigenvalue = BREAKDOWNS[case]
+    C = np.ones((1, m))
+    model = lq_model(1, m, 1.0, C=C, P2=1.0, **coeffs)
+    with pytest.raises(RiccatiBreakdownError) as info:
+        solve_riccati(model, 50)
+    assert message in str(info.value) and info.value.time == 1.0
+    assert info.value.eigenvalue == pytest.approx(eigenvalue)
+    healthy = solve_riccati(lq_model(1, m, 1.0, C=C, R2=np.eye(m), P2=1.0), 50)
+    with pytest.raises(RiccatiBreakdownError) as info:
+        optimal_gains(model, healthy, [0.2, 0.9, 0.65, 0.7, 0.1])
+    assert message in str(info.value) and info.value.time == 0.65
+    assert info.value.eigenvalue == pytest.approx(eigenvalue)
+
+
+def test_one_eigh_per_stage(monkeypatch):
+    """U and V are factorized together: one eigh per right-hand side of
+    the solve (4K + 1) and one per gain batch."""
+    model = tabulated_model()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sol = solve_riccati(model, 25)
+    assert len(calls) == 4 * 25 + 1
+    calls.clear()
+    optimal_gains(model, sol, stage_times(np.linspace(0.0, 1.0, 17)))
+    assert calls == [(2, 33, 2, 2)]
+    assert [a.shape for a in optimal_gains(model, sol, [])] == [(0, 2, 2), (0, 2, 2), (0, 2)]
 
 
 def test_solvers_make_no_pointwise_calls(monkeypatch):
