@@ -11,17 +11,15 @@ from .errors import (CovarianceInstabilityError, InsufficientSampleError,
                      RiccatiBreakdownError, ShapeError,
                      SimulationDivergedError)
 from .model import (AffineFeedback, Dimensions, LqCost, LqDynamics, LqModel,
-                    MomentState, ParticleEnsemble, diffusion, drift,
-                    ensemble_moments, load_model, lq_model,
-                    model_from_document, model_to_document, running_cost,
-                    terminal_cost)
+                    MomentState, diffusion, drift, ensemble_moments,
+                    load_model, lq_model, model_from_document,
+                    model_to_document, running_cost, terminal_cost)
 from .moments import (MomentTrajectory, cost_from_moments, dpp_check,
                       f_hat_affine, moment_rhs, propagate_moments,
                       trajectory_to_csv)
-from .particles import (CandidateResult, Dirac, FeedbackPerturbation,
-                        GapReport, Gaussian, Particles, SimConfig, SimResult,
-                        canonical_perturbations, optimality_gap,
-                        result_to_csv, simulate)
+from .particles import (CandidateResult, FeedbackPerturbation, GapReport,
+                        SimConfig, SimResult, canonical_perturbations,
+                        optimality_gap, result_to_csv, simulate)
 from .presets import (LambdaBlowUpError, MeanVarianceParams, SystemicParams,
                       build_preset, mean_variance_closed_form,
                       mean_variance_mean_trajectory, mean_variance_model,

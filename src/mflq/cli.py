@@ -7,10 +7,11 @@ value      evaluate the value function at (t, mean, cov)
 simulate   particle Monte Carlo under the optimal feedback + consistency line
 verify     full validation battery with a PASS/FAIL table
 
-Models come from ``--preset mean-variance|systemic-risk`` (with ``--param
-name=value`` overrides) or ``--config model.json``. All numeric output is
-locale-independent; errors go to stderr; exit status 0 means success (for
-``verify``: every check passed).
+Models come from exactly one of ``--preset mean-variance|systemic-risk``
+(with ``--param name=value`` overrides) and ``--config model.json``;
+``value``, ``simulate`` and ``verify`` also take the law ``--mean``/``--cov``.
+All numeric output is locale-independent; errors go to stderr; exit status
+0 means success (for ``verify``: every check passed).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from . import presets, riccati
 from .errors import MflqError, RiccatiBreakdownError
 from .model import MomentState, load_model
 from .moments import cost_from_moments, dpp_check
-from .particles import (Dirac, Gaussian, SimConfig, canonical_perturbations,
-                        optimality_gap, result_to_csv, simulate)
+from .particles import (SimConfig, canonical_perturbations, optimality_gap,
+                        result_to_csv, simulate)
 from .value import bellman_residual, optimal_feedback
 from .value import value as value_fn
 
@@ -47,15 +48,13 @@ def _parse_params(items) -> dict:
 
 
 def _load(args):
-    """Return (model, x0 vector or None) from --preset/--config."""
+    """Return (model, x0 vector or None) from --preset or --config."""
     if args.preset:
         model, params = presets.build_preset(args.preset, _parse_params(args.param))
         return model, np.full(model.dims.d, params.x0)
-    if args.config:
-        if args.param:
-            raise ValueError("--param only applies to presets")
-        return load_model(args.config), None
-    raise ValueError("one of --preset or --config is required")
+    if args.param:
+        raise ValueError("--param only applies to presets")
+    return load_model(args.config), None
 
 
 def _initial_state(args, model, x0) -> MomentState:
@@ -69,11 +68,6 @@ def _initial_state(args, model, x0) -> MomentState:
     if ms.d != d:
         raise ValueError(f"--mean/--cov have dimension {ms.d}, the model has d={d}")
     return ms
-
-
-def _initial_law(ms0: MomentState):
-    """The particles' initial law: a point mass if the covariance is zero."""
-    return Dirac(ms0.mean) if not ms0.cov.any() else Gaussian(ms0.mean, ms0.cov)
 
 
 def cmd_riccati(args) -> int:
@@ -104,7 +98,7 @@ def cmd_simulate(args) -> int:
     sol = riccati.solve_riccati(model, args.steps)
     fb = optimal_feedback(model, sol)
     cfg = SimConfig(n_particles=args.particles, n_steps=args.steps or 1000,
-                    seed=args.seed, initial=_initial_law(ms0))
+                    seed=args.seed, initial=ms0)
     res = simulate(model, fb, cfg)
     if args.out:
         result_to_csv(res, args.out, thin=args.thin)
@@ -164,7 +158,7 @@ def _verify_battery(model, sol, ms0, seed, n_particles, n_steps):
                    margin >= MOMENT_GAP_MIN))
 
     cfg = SimConfig(n_particles=n_particles, n_steps=n_steps, seed=seed,
-                    initial=_initial_law(ms0))
+                    initial=ms0)
     report = optimality_gap(model, sol, cfg, perts)
     mc_dev = abs(report.optimal_cost - v0)
     lim = 4.0 * report.optimal_stderr
@@ -204,12 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, steps_default=None):
-        p.add_argument("--preset", choices=presets.PRESET_NAMES)
-        p.add_argument("--config", help="path to a JSON model document")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--preset", choices=presets.PRESET_NAMES)
+        source.add_argument("--config", help="path to a JSON model document")
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="preset parameter override (repeatable)")
         p.add_argument("--steps", type=int, default=steps_default,
                        help="time steps (default: solver default)")
+
+    def with_law(p, steps_default=None):
+        common(p, steps_default)
         p.add_argument("--mean", help="initial/query mean, JSON number or list")
         p.add_argument("--cov", help="initial/query covariance, JSON")
 
@@ -219,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_riccati)
 
     p = sub.add_parser("value", help="evaluate the value function")
-    common(p)
+    with_law(p)
     p.add_argument("--t", type=float, help="query time (default: T)")
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("simulate", help="particle Monte Carlo run")
-    common(p, steps_default=1000)
+    with_law(p, steps_default=1000)
     p.add_argument("--particles", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--thin", type=int, default=1,
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the validation battery")
-    common(p, steps_default=1000)
+    with_law(p, steps_default=1000)
     p.add_argument("--particles", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt-lambda", type=float, default=1.0,

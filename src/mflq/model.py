@@ -206,8 +206,9 @@ def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
             sched = as_schedule(coeffs.get(name), _shape_of(key, dims))
         except ValueError as exc:
             raise ValueError(f"coefficient '{name}': {exc}") from exc
-        if name in _SYMMETRIC_COST and _asymmetry(_stored(sched)) <= SYMMETRY_TOL:
-            sched = sched.map(sym)
+        if name in _SYMMETRIC_COST and _asymmetry(mats := _stored(sched)) <= SYMMETRY_TOL:
+            sched = (Schedule.constant(sym(mats[0])) if sched.is_constant
+                     else Schedule.tabulated(sched.times, sym(mats)))
         built[name] = sched
     for name, _ in _COST_CONSTANT_FIELDS:
         if not built[name].is_constant:
@@ -356,31 +357,6 @@ class MomentState:
         return cls(point, np.zeros((point.size, point.size)))
 
 
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """N state vectors approximating the marginal law empirically."""
-
-    states: np.ndarray
-
-    def __init__(self, states):
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 1:
-            states = states[:, None]
-        if states.ndim != 2:
-            raise ShapeError("states must be an (N, d) array")
-        states = states.copy()
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.states.shape[1]
-
-
 def _sample_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Arithmetic mean and unbiased (N-1) covariance of the rows of X."""
     mean = X.mean(axis=0)
@@ -388,11 +364,15 @@ def _sample_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, sym(centered.T @ centered / (X.shape[0] - 1))
 
 
-def ensemble_moments(e: ParticleEnsemble) -> MomentState:
-    """Arithmetic mean and unbiased (N-1) covariance of the ensemble."""
-    if e.n < 2:
-        raise InsufficientSampleError(f"need N >= 2 particles, got {e.n}")
-    return MomentState(*_sample_moments(e.states))
+def ensemble_moments(states) -> MomentState:
+    """Arithmetic mean and unbiased (N-1) covariance of an (N, d) array of
+    particle states."""
+    X = np.asarray(states, dtype=float)
+    if X.ndim != 2:
+        raise ShapeError(f"states must be an (N, d) array, got shape {X.shape}")
+    if X.shape[0] < 2:
+        raise InsufficientSampleError(f"need N >= 2 particles, got {X.shape[0]}")
+    return MomentState(*_sample_moments(X))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +393,7 @@ class AffineFeedback:
     simulator and :meth:`gains` read gains only through it. ``k1``, ``k2``,
     ``k0`` are pointwise views of single table rows for callers that want
     one gain; replacing one of them does not change the law. Build laws
-    with :meth:`constant`, :meth:`from_schedules` or from a gain table.
+    with :meth:`constant` or from a gain table.
     """
 
     m: int
@@ -436,14 +416,7 @@ class AffineFeedback:
         m, d = k1.shape
         if k2.shape != (m, d) or k0.shape != (m,):
             raise ShapeError("inconsistent gain shapes")
-        return cls.from_schedules(Schedule.constant(k1), Schedule.constant(k2),
-                                  Schedule.constant(k0))
-
-    @classmethod
-    def from_schedules(cls, k1: Schedule, k2: Schedule, k0: Schedule) -> "AffineFeedback":
-        m, d = k1.shape
-        if tuple(k2.shape) != (m, d) or tuple(k0.shape) != (m,):
-            raise ShapeError("inconsistent gain schedule shapes")
+        k1, k2, k0 = (Schedule.constant(k) for k in (k1, k2, k0))
         return cls(m=m, d=d, table=lambda times: (k1.table(times), k2.table(times),
                                                   k0.table(times)))
 
@@ -457,18 +430,6 @@ class AffineFeedback:
         mean_x = _vec(mean_x, self.d, "mean_x")
         g1, g2, g0 = self.gains(t)
         return g1 @ (x - mean_x) + g2 @ mean_x + g0
-
-    def transformed(self, k1_scale: float = 1.0, k2_scale: float = 1.0,
-                    k_scale: float = 1.0, k_shift=0.0) -> "AffineFeedback":
-        """New law with scaled gains and a shifted offset."""
-        shift = np.broadcast_to(np.asarray(k_shift, dtype=float), (self.m,))
-        base = self.table
-
-        def table(times):
-            K1, K2, k0 = base(times)
-            return k1_scale * K1, k2_scale * K2, k_scale * k0 + shift
-
-        return AffineFeedback(m=self.m, d=self.d, table=table)
 
 
 # ---------------------------------------------------------------------------

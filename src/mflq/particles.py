@@ -6,6 +6,10 @@ means over the ensemble: each step computes the state mean over particles
 in fixed index order, every particle's control against that mean, the
 control mean, then one Euler-Maruyama update per particle.
 
+The initial law is a MomentState: the particles are drawn from the
+Gaussian law with its mean and covariance, or all start at the mean (a
+point mass) when the covariance is zero.
+
 Randomness
 ----------
 The normal increment for (step k, particle i) is a pure function of
@@ -15,7 +19,7 @@ positioned at counter k << 128, its i-th 64-bit output word is mapped to
 consumed per particle per step, so results are bit-reproducible and
 independent of execution order or chunking. Empirical means use numpy's
 deterministic pairwise reduction over the fixed particle-index layout.
-Initial Gaussian draws come from a separately keyed stream.
+The initial Gaussian draw comes from a separately keyed stream.
 
 Running costs use the left-endpoint rule, order-matched to the weak
 order-1 scheme; the terminal cost is added against the final empirical
@@ -31,43 +35,10 @@ from numpy.random import Philox, SeedSequence
 from scipy.special import ndtri
 
 from .errors import ShapeError, SimulationDivergedError
-from .model import (AffineFeedback, LqModel, MomentState, ParticleEnsemble,
-                    _row_terms, _sample_moments, _terminal_rows, _write_csv)
+from .model import (AffineFeedback, LqModel, MomentState, _row_terms,
+                    _sample_moments, _terminal_rows, _write_csv)
 from .riccati import STAGE_BLOCK, RiccatiSolution
 from .value import optimal_feedback
-
-
-@dataclass(frozen=True)
-class Dirac:
-    """All particles start at the same point."""
-
-    point: np.ndarray
-
-    def __init__(self, point):
-        object.__setattr__(self, "point",
-                           np.atleast_1d(np.asarray(point, dtype=float)))
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __init__(self, mean, cov):
-        ms = MomentState(mean, cov)  # validates symmetry/PSD
-        object.__setattr__(self, "mean", ms.mean)
-        object.__setattr__(self, "cov", ms.cov)
-
-
-@dataclass(frozen=True)
-class Particles:
-    """Explicit initial particle list."""
-
-    states: np.ndarray
-
-    def __init__(self, states):
-        object.__setattr__(self, "states",
-                           ParticleEnsemble(states).states)
 
 
 @dataclass(frozen=True)
@@ -76,7 +47,7 @@ class SimConfig:
     n_steps: int
     seed: int
     t0: float = 0.0
-    initial: object = None
+    initial: MomentState | None = None
     store_every: int = 0  # 0: keep only the final ensemble snapshot
 
     def validate(self, model: LqModel) -> None:
@@ -86,8 +57,11 @@ class SimConfig:
             raise ValueError("n_steps must be >= 1")
         if not 0.0 <= self.t0 < model.horizon:
             raise ValueError(f"t0={self.t0} outside [0, {model.horizon})")
-        if self.initial is None:
-            raise ValueError("initial law required (Dirac, Gaussian or Particles)")
+        if not isinstance(self.initial, MomentState):
+            raise ValueError("initial law must be a MomentState, got "
+                             f"{type(self.initial).__name__}")
+        if self.store_every < 0:
+            raise ValueError("store_every must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,9 +74,6 @@ class SimResult:
     per_particle_cost: np.ndarray = field(repr=False)
     cost_mean: float = 0.0
     cost_stderr: float = 0.0
-
-    def ensemble(self, step: int) -> ParticleEnsemble:
-        return ParticleEnsemble(self.ensembles[step])
 
 
 def _keys(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,25 +88,18 @@ def step_normals(path_key: np.ndarray, step: int, n: int) -> np.ndarray:
     return ndtri(u)
 
 
-def _initial_states(initial, d: int, n: int, init_key: np.ndarray) -> np.ndarray:
-    if isinstance(initial, Dirac):
-        if initial.point.shape != (d,):
-            raise ShapeError(f"initial point has shape {initial.point.shape}")
-        return np.tile(initial.point, (n, 1))
-    if isinstance(initial, Gaussian):
-        if initial.mean.shape != (d,):
-            raise ShapeError(f"initial mean has shape {initial.mean.shape}")
-        rng = np.random.Generator(Philox(key=init_key))
-        w, q = np.linalg.eigh(initial.cov)  # PSD square root (cov may be singular)
-        root = q * np.sqrt(np.clip(w, 0.0, None))
-        return initial.mean + rng.standard_normal((n, d)) @ root.T
-    if isinstance(initial, Particles):
-        if initial.states.shape != (n, d):
-            raise ShapeError(
-                f"explicit particle list has shape {initial.states.shape}, "
-                f"expected ({n}, {d})")
-        return initial.states.copy()
-    raise ValueError(f"unsupported initial law: {initial!r}")
+def _initial_states(initial: MomentState, d: int, n: int,
+                    init_key: np.ndarray) -> np.ndarray:
+    """N rows drawn from the Gaussian law with the moments of ``initial``,
+    or the mean tiled, with no draw, when its covariance is zero."""
+    if initial.d != d:
+        raise ShapeError(f"initial law has dimension {initial.d}, the model has d={d}")
+    if not initial.cov.any():
+        return np.tile(initial.mean, (n, 1))
+    rng = np.random.Generator(Philox(key=init_key))
+    w, q = np.linalg.eigh(initial.cov)  # PSD square root (cov may be singular)
+    root = q * np.sqrt(np.clip(w, 0.0, None))
+    return initial.mean + rng.standard_normal((n, d)) @ root.T
 
 
 def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
@@ -214,8 +178,15 @@ class FeedbackPerturbation:
     k_shift: float = 0.0
 
     def apply(self, fb: AffineFeedback) -> AffineFeedback:
-        return fb.transformed(k1_scale=self.k1_scale, k2_scale=self.k2_scale,
-                              k_scale=self.k_scale, k_shift=self.k_shift)
+        """The law with gains K1*k1_scale, K2*k2_scale, k*k_scale + k_shift."""
+        shift = np.broadcast_to(np.asarray(self.k_shift, dtype=float), (fb.m,))
+        base = fb.table
+
+        def table(times):
+            K1, K2, k0 = base(times)
+            return self.k1_scale * K1, self.k2_scale * K2, self.k_scale * k0 + shift
+
+        return AffineFeedback(m=fb.m, d=fb.d, table=table)
 
 
 def canonical_perturbations() -> list[FeedbackPerturbation]:

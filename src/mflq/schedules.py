@@ -29,7 +29,7 @@ def _frozen(a) -> np.ndarray:
 class Schedule:
     """Matrix- or vector-valued function of time.
 
-    Use :meth:`constant`, :meth:`tabulated` or :meth:`zeros` to construct.
+    Use :meth:`constant` or :meth:`tabulated` to construct.
     """
 
     kind: str
@@ -42,10 +42,6 @@ class Schedule:
     def constant(cls, value) -> "Schedule":
         v = _frozen(value)
         return cls(kind=CONSTANT, shape=v.shape, value=v)
-
-    @classmethod
-    def zeros(cls, shape) -> "Schedule":
-        return cls.constant(np.zeros(shape))
 
     @classmethod
     def tabulated(cls, times, values) -> "Schedule":
@@ -102,12 +98,6 @@ class Schedule:
         out[t == knots[-1]] = values[-1]
         return out
 
-    def map(self, fn) -> "Schedule":
-        """New schedule with ``fn`` applied to every stored array."""
-        if self.kind == CONSTANT:
-            return Schedule.constant(fn(self.value))
-        return Schedule.tabulated(self.times, np.stack([fn(v) for v in self.values]))
-
 
 def _not_a_number(value) -> bool:
     """Whether a string or a boolean, NumPy's included, is anywhere in
@@ -147,7 +137,7 @@ def as_schedule(value, shape) -> Schedule:
     """
     shape = tuple(shape)
     if value is None:
-        return Schedule.zeros(shape)
+        return Schedule.constant(np.zeros(shape))
     if isinstance(value, Schedule):
         if tuple(value.shape) != shape:
             raise ValueError(f"schedule shape {value.shape}, expected {shape}")

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import simpson
 
 import mflq
-from mflq import (Dirac, MeanVarianceParams, MomentState, SimConfig,
+from mflq import (MeanVarianceParams, MomentState, SimConfig,
                   SystemicParams, bellman_residual, canonical_perturbations,
                   cost_from_moments, dpp_check, mean_variance_closed_form,
                   mean_variance_mean_trajectory, mean_variance_model,
@@ -73,7 +73,7 @@ def mc_runs(mv_default, sy_default):
         runs = []
         for seed in MC_SEEDS:
             cfg = SimConfig(n_particles=N_PARTICLES, n_steps=1000, seed=seed,
-                            initial=Dirac([1.0]), store_every=250)
+                            initial=MomentState.dirac([1.0]), store_every=250)
             t0 = time.perf_counter()
             res = simulate(model, fb, cfg)
             runs.append((res, time.perf_counter() - t0))
@@ -231,7 +231,7 @@ def test_criterion_08_optimality_gap_detection(mv_default, sy_default):
     for name, pack in (("mean-variance", mv_default), ("systemic", sy_default)):
         model, sol = pack[1], pack[2]
         cfg = SimConfig(n_particles=N_PARTICLES, n_steps=1000, seed=CRN_SEED,
-                        initial=Dirac([1.0]))
+                        initial=MomentState.dirac([1.0]))
         perts = [FeedbackPerturbation("unperturbed")] + canonical_perturbations()
         rep = optimality_gap(model, sol, cfg, perts)
         unperturbed = rep.candidates[0]

@@ -60,6 +60,23 @@ def test_unknown_preset_rejected(capsys):
         main(["riccati", "--preset", "nonsense"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("value", "--preset", "systemic-risk", "--config", "model.json"),
+    ("riccati", "--preset", "systemic-risk", "--mean", "[1,2,3]"),
+    ("simulate", "--mean", "1.0"),
+])
+def test_conflicting_or_ignored_options_exit_2(tmp_path, monkeypatch, capsys, argv):
+    """--preset and --config exclude each other and one is required;
+    riccati takes no initial law. Each is a usage error, not a silent run."""
+    doc = {"dims": {"d": 2, "m": 1}, "horizon": 1.0, "cost": {"R2": [[1.0]]}}
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_config_model_accepted(tmp_path, capsys):
     doc = {"dims": {"d": 1, "m": 1}, "horizon": 1.0,
            "dynamics": {"B": [[0.1]], "C": [[1.0]], "F": [[0.5]]},

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mflq
-from mflq import (MomentState, ParticleEnsemble, diffusion, drift,
-                  ensemble_moments, lq_model, model_from_document,
-                  model_to_document, running_cost, terminal_cost)
+from mflq import (MomentState, diffusion, drift, ensemble_moments, lq_model,
+                  model_from_document, model_to_document, running_cost,
+                  terminal_cost)
 from mflq.errors import (InsufficientSampleError, ModelDocumentError,
                          OutOfDomainError, ShapeError)
 from mflq.schedules import Schedule
@@ -77,7 +77,7 @@ def test_shape_mismatch_rejected():
     base = zero_model(d=2)
     with pytest.raises(ValueError, match=r"'B' has shape \(1, 1\), expected \(2, 2\)"):
         dataclasses.replace(base, dynamics=dataclasses.replace(
-            base.dynamics, B=Schedule.zeros((1, 1))))
+            base.dynamics, B=Schedule.constant(np.zeros((1, 1)))))
 
 
 @pytest.mark.parametrize("d, name, value", [
@@ -200,35 +200,36 @@ def test_running_cost_quadratic_part_homogeneous(x, a, mx, ma, s):
 # --- ensembles --------------------------------------------------------------
 
 def test_ensemble_moments_degenerate():
-    e = ParticleEnsemble(np.full((5, 2), 3.0))
-    ms = ensemble_moments(e)
+    ms = ensemble_moments(np.full((5, 2), 3.0))
     assert ms.mean == pytest.approx([3.0, 3.0])
     assert ms.cov == pytest.approx(np.zeros((2, 2)))
 
 
 def test_ensemble_moments_two_points():
-    ms = ensemble_moments(ParticleEnsemble([[0.0], [2.0]]))
+    ms = ensemble_moments([[0.0], [2.0]])
     assert ms.mean[0] == pytest.approx(1.0)
     assert ms.cov[0, 0] == pytest.approx(2.0)
 
 
 def test_ensemble_moments_requires_two():
     with pytest.raises(InsufficientSampleError):
-        ensemble_moments(ParticleEnsemble([[1.0]]))
+        ensemble_moments([[1.0]])
+    with pytest.raises(ShapeError):
+        ensemble_moments([1.0, 2.0, 3.0])
 
 
 def test_ensemble_moments_lln():
     n = 10 ** 5
     draws = np.random.default_rng(7).standard_normal((n, 1))
-    ms = ensemble_moments(ParticleEnsemble(draws))
+    ms = ensemble_moments(draws)
     assert abs(ms.mean[0]) <= 4.0 / np.sqrt(n)
     assert abs(ms.cov[0, 0] - 1.0) <= 4.0 * np.sqrt(2.0 / n)
 
 
 def test_ensemble_union_bookkeeping():
     states = np.random.default_rng(11).standard_normal((40, 2))
-    single = ensemble_moments(ParticleEnsemble(states))
-    union = ensemble_moments(ParticleEnsemble(np.vstack([states, states])))
+    single = ensemble_moments(states)
+    union = ensemble_moments(np.vstack([states, states]))
     n = 40
     assert union.mean == pytest.approx(single.mean)
     assert union.cov == pytest.approx(single.cov * (2 * n - 2) / (2 * n - 1))

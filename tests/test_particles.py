@@ -4,17 +4,18 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 import mflq
-from mflq import (AffineFeedback, Dirac, FeedbackPerturbation, Gaussian,
-                  MomentState, Particles, SimConfig, SystemicParams,
-                  canonical_perturbations, diffusion, drift, lq_model,
-                  optimal_feedback, optimality_gap, propagate_moments,
+from mflq import (AffineFeedback, FeedbackPerturbation, MomentState, SimConfig,
+                  SystemicParams, canonical_perturbations, diffusion, drift,
+                  lq_model, optimal_feedback, optimality_gap, propagate_moments,
                   running_cost, simulate, solve_riccati, systemic_model,
                   terminal_cost, value)
-from mflq.errors import SimulationDivergedError
+from mflq.errors import ShapeError, SimulationDivergedError
 from mflq.model import _row_terms
 from mflq.particles import _keys, step_normals
 
 from helpers import random_standard_model, tabulated_model
+
+AT_ONE = MomentState.dirac([1.0])  # every particle starts at x = 1
 
 
 def zero_fb():
@@ -79,10 +80,11 @@ def test_step_is_the_pointwise_state_equation():
     model = tabulated_model()
     fb = AffineFeedback.constant([[0.3, -0.2], [0.1, 0.4]], [[0.5, 0.0], [-0.1, 0.2]],
                                  [0.2, -0.3])
-    X0 = np.random.default_rng(4).standard_normal((6, 2))
     t0, seed = 0.3, 9
+    initial = MomentState([0.4, -1.1], [[1.0, 0.3], [0.3, 0.5]])
     res = simulate(model, fb, SimConfig(n_particles=6, n_steps=1, seed=seed, t0=t0,
-                                        initial=Particles(X0)))
+                                        initial=initial, store_every=1))
+    X0 = res.ensembles[0]
     dt = 1.0 - t0
     mx = X0.mean(axis=0)
     A = np.array([fb(t0, x, mx) for x in X0])
@@ -98,9 +100,52 @@ def test_step_is_the_pointwise_state_equation():
     np.testing.assert_allclose(res.per_particle_cost, cost, rtol=1e-12, atol=0.0)
 
 
+# --- the initial law ------------------------------------------------------------
+
+def _initial_ensemble(d, initial, n=40, seed=21):
+    model = random_standard_model(np.random.default_rng(d), d, 2)
+    fb = AffineFeedback.constant(np.zeros((2, d)), np.zeros((2, d)), np.zeros(2))
+    cfg = SimConfig(n_particles=n, n_steps=2, seed=seed, initial=initial,
+                    store_every=1)
+    return simulate(model, fb, cfg).ensembles[0]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_zero_covariance_starts_at_the_tiled_mean(d):
+    """A point mass: every particle is the mean, byte for byte (a -0.0
+    entry included), and no normal is drawn."""
+    mean = np.array([-0.0, 1.5, -2.25][:d])
+    X0 = _initial_ensemble(d, MomentState(mean, np.zeros((d, d))))
+    assert X0.tobytes() == np.tile(mean, (40, 1)).tobytes()
+    assert np.signbit(X0[:, 0]).all()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_nonzero_covariance_is_the_init_keyed_gaussian_draw(d):
+    """Rows are mean + z root', with z the (N, d) standard normals of the
+    init-keyed Philox stream and root the PSD square root of the
+    covariance."""
+    rng = np.random.default_rng(d + 10)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    ms = MomentState(rng.uniform(-2.0, 2.0, d), (q * rng.uniform(0.1, 2.0, d)) @ q.T)
+    X0 = _initial_ensemble(d, ms, seed=33)
+    w, v = np.linalg.eigh(ms.cov)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    z = np.random.Generator(Philox(key=_keys(33)[1])).standard_normal((40, d))
+    assert X0.tobytes() == (ms.mean + z @ root.T).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_initial_law_dimension_must_match(d):
+    with pytest.raises(ShapeError):
+        _initial_ensemble(d, MomentState.dirac(np.zeros(d + 1)))
+    with pytest.raises(ShapeError):
+        _initial_ensemble(d, MomentState(np.zeros(d + 1), np.eye(d + 1)))
+
+
 def test_bitwise_reproducible():
     model, sol, fb = systemic_setup()
-    cfg = SimConfig(n_particles=500, n_steps=100, seed=42, initial=Dirac([1.0]))
+    cfg = SimConfig(n_particles=500, n_steps=100, seed=42, initial=AT_ONE)
     a = simulate(model, fb, cfg)
     b = simulate(model, fb, cfg)
     assert np.array_equal(a.per_particle_cost, b.per_particle_cost)
@@ -111,7 +156,8 @@ def test_bitwise_reproducible():
 def test_zero_dynamics_zero_noise_degenerate():
     model = lq_model(d=1, m=1, horizon=1.0, R2=1.0, P2=2.0)
     fb = AffineFeedback.constant([[0.0]], [[0.0]], [0.3])
-    cfg = SimConfig(n_particles=16, n_steps=50, seed=0, initial=Dirac([0.5]))
+    cfg = SimConfig(n_particles=16, n_steps=50, seed=0,
+                    initial=MomentState.dirac([0.5]))
     res = simulate(model, fb, cfg)
     assert np.all(res.ensembles[50] == 0.5)  # particles never move
     # cost: left-endpoint quadrature of the constant a'R2 a plus terminal
@@ -123,36 +169,32 @@ def test_zero_dynamics_zero_noise_degenerate():
 def test_gaussian_initial_moments():
     model, sol, fb = systemic_setup()
     cfg = SimConfig(n_particles=20000, n_steps=1, seed=3,
-                    initial=Gaussian([2.0], [[0.49]]))
+                    initial=MomentState([2.0], [[0.49]]))
     res = simulate(model, fb, cfg)
     assert abs(res.mean_path[0, 0] - 2.0) <= 4.0 * np.sqrt(0.49 / 20000)
     assert abs(res.cov_path[0, 0, 0] - 0.49) <= 4.0 * 0.49 * np.sqrt(2.0 / 20000)
 
 
-def test_explicit_particles_initial():
-    model, sol, fb = systemic_setup()
-    states = np.linspace(-1, 1, 64)[:, None]
-    cfg = SimConfig(n_particles=64, n_steps=10, seed=1, initial=Particles(states))
-    res = simulate(model, fb, cfg)
-    assert res.mean_path[0, 0] == pytest.approx(states.mean())
-
-
 def test_invalid_configs():
     model, sol, fb = systemic_setup(50)
     with pytest.raises(ValueError):
-        simulate(model, fb, SimConfig(1, 10, 0, initial=Dirac([1.0])))
+        simulate(model, fb, SimConfig(1, 10, 0, initial=AT_ONE))
     with pytest.raises(ValueError):
-        simulate(model, fb, SimConfig(10, 0, 0, initial=Dirac([1.0])))
+        simulate(model, fb, SimConfig(10, 0, 0, initial=AT_ONE))
     with pytest.raises(ValueError):
-        simulate(model, fb, SimConfig(10, 10, 0, t0=1.0, initial=Dirac([1.0])))
+        simulate(model, fb, SimConfig(10, 10, 0, t0=1.0, initial=AT_ONE))
     with pytest.raises(ValueError):
         simulate(model, fb, SimConfig(10, 10, 0))
+    with pytest.raises(ValueError, match="ndarray"):
+        simulate(model, fb, SimConfig(10, 10, 0, initial=np.ones(1)))
+    with pytest.raises(ValueError, match="store_every"):
+        simulate(model, fb, SimConfig(10, 10, 0, initial=AT_ONE, store_every=-1))
 
 
 def test_divergence_reported_with_step():
     model = systemic_model(SystemicParams())
     runaway = AffineFeedback.constant([[1e12]], [[0.0]], [0.0])
-    cfg = SimConfig(n_particles=8, n_steps=60, seed=0, initial=Dirac([1.0]))
+    cfg = SimConfig(n_particles=8, n_steps=60, seed=0, initial=AT_ONE)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationDivergedError) as info:
             simulate(model, runaway, cfg)
@@ -162,15 +204,15 @@ def test_divergence_reported_with_step():
 def test_stderr_sqrt_n_scaling():
     # doubling N scales the stderr by 1/sqrt(2) (within 20%)
     model, sol, fb = systemic_setup()
-    cfg1 = SimConfig(n_particles=4000, n_steps=200, seed=11, initial=Dirac([1.0]))
-    cfg2 = SimConfig(n_particles=8000, n_steps=200, seed=11, initial=Dirac([1.0]))
+    cfg1 = SimConfig(n_particles=4000, n_steps=200, seed=11, initial=AT_ONE)
+    cfg2 = SimConfig(n_particles=8000, n_steps=200, seed=11, initial=AT_ONE)
     r = simulate(model, fb, cfg1).cost_stderr / simulate(model, fb, cfg2).cost_stderr
     assert np.sqrt(2.0) * 0.8 <= r <= np.sqrt(2.0) * 1.2
 
 
 def test_seed_independence_of_cost():
     model, sol, fb = systemic_setup()
-    results = [simulate(model, fb, SimConfig(4000, 200, seed, initial=Dirac([1.0])))
+    results = [simulate(model, fb, SimConfig(4000, 200, seed, initial=AT_ONE))
                for seed in (1, 2, 3, 4, 5)]
     for i in range(5):
         for j in range(i):
@@ -183,16 +225,16 @@ def test_consistency_with_moment_oracle():
     from helpers import variance_stderr
     model, sol, fb = systemic_setup()
     n = 20000
-    cfg = SimConfig(n_particles=n, n_steps=400, seed=8, initial=Dirac([1.0]),
+    cfg = SimConfig(n_particles=n, n_steps=400, seed=8, initial=AT_ONE,
                     store_every=100)
     res = simulate(model, fb, cfg)
-    traj = propagate_moments(model, fb, 0.0, MomentState.dirac([1.0]), 400)
+    traj = propagate_moments(model, fb, 0.0, AT_ONE, 400)
     for k in (100, 200, 400):
         sig = traj.covs[k, 0, 0]
         assert abs(res.mean_path[k, 0] - traj.means[k, 0]) <= 4 * np.sqrt(sig / n)
         assert abs(res.cov_path[k, 0, 0] - sig) \
             <= 4 * variance_stderr(res.ensembles[k])
-    assert abs(res.cost_mean - value(sol, 0.0, MomentState.dirac([1.0]))) \
+    assert abs(res.cost_mean - value(sol, 0.0, AT_ONE)) \
         <= 4 * res.cost_stderr
 
 
@@ -200,7 +242,7 @@ def test_consistency_with_moment_oracle():
 
 def test_zero_perturbation_gap_exactly_zero():
     model, sol, fb = systemic_setup()
-    cfg = SimConfig(n_particles=300, n_steps=60, seed=5, initial=Dirac([1.0]))
+    cfg = SimConfig(n_particles=300, n_steps=60, seed=5, initial=AT_ONE)
     rep = optimality_gap(model, sol, cfg, [FeedbackPerturbation("same")])
     assert rep.candidates[0].gap == 0.0
     assert rep.candidates[0].gap_stderr == 0.0
@@ -209,7 +251,7 @@ def test_zero_perturbation_gap_exactly_zero():
 
 def test_k1_scaling_detected_on_systemic():
     model, sol, fb = systemic_setup()
-    cfg = SimConfig(n_particles=20000, n_steps=400, seed=6, initial=Dirac([1.0]))
+    cfg = SimConfig(n_particles=20000, n_steps=400, seed=6, initial=AT_ONE)
     rep = optimality_gap(model, sol, cfg,
                          [FeedbackPerturbation("k1 x 1.2", k1_scale=1.2)])
     c = rep.candidates[0]
@@ -220,7 +262,7 @@ def test_offset_shift_detected_on_mean_variance():
     p = mflq.MeanVarianceParams()
     model = mflq.mean_variance_model(p)
     sol = solve_riccati(model, 400)
-    cfg = SimConfig(n_particles=20000, n_steps=400, seed=6, initial=Dirac([1.0]))
+    cfg = SimConfig(n_particles=20000, n_steps=400, seed=6, initial=AT_ONE)
     rep = optimality_gap(model, sol, cfg,
                          [FeedbackPerturbation("k + 0.5", k_shift=0.5)])
     c = rep.candidates[0]
@@ -240,7 +282,7 @@ def test_canonical_set_has_ten_distinct_members():
 
 def test_result_csv_reproducible(tmp_path):
     model, sol, fb = systemic_setup(50)
-    cfg = SimConfig(n_particles=200, n_steps=50, seed=9, initial=Dirac([1.0]))
+    cfg = SimConfig(n_particles=200, n_steps=50, seed=9, initial=AT_ONE)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     mflq.result_to_csv(simulate(model, fb, cfg), p1)
     mflq.result_to_csv(simulate(model, fb, cfg), p2)
@@ -251,7 +293,7 @@ def test_result_csv_reproducible(tmp_path):
 
 def test_csv_thinning(tmp_path):
     model, sol, fb = systemic_setup(50)
-    cfg = SimConfig(n_particles=50, n_steps=50, seed=9, initial=Dirac([1.0]))
+    cfg = SimConfig(n_particles=50, n_steps=50, seed=9, initial=AT_ONE)
     path = tmp_path / "thin.csv"
     mflq.result_to_csv(simulate(model, fb, cfg), path, thin=10)
     lines = path.read_text().strip().split("\n")

@@ -7,8 +7,8 @@ import importlib
 import numpy as np
 import pytest
 
-from mflq import (AffineFeedback, Dirac, MeanVarianceParams, MomentState,
-                  SimConfig, SystemicParams, bellman_residual, dpp_check,
+from mflq import (AffineFeedback, FeedbackPerturbation, MeanVarianceParams,
+                  MomentState, SimConfig, SystemicParams, bellman_residual, dpp_check,
                   lq_model, mean_variance_model, optimal_feedback, optimal_gains,
                   propagate_moments, simulate, solve_riccati, systemic_model,
                   with_scaled_lambda)
@@ -44,7 +44,8 @@ def test_transformed_table_is_scaled_base():
     model = tabulated_model()
     sol = solve_riccati(model, 200)
     fb = optimal_feedback(model, sol)
-    law = fb.transformed(k1_scale=0.8, k2_scale=1.2, k_scale=0.9, k_shift=0.5)
+    law = FeedbackPerturbation("p", k1_scale=0.8, k2_scale=1.2, k_scale=0.9,
+                               k_shift=0.5).apply(fb)
     times = stage_times(sol.grid[::10])
     K1, K2, k0 = fb.table(times)
     T1, T2, t0 = law.table(times)
@@ -159,7 +160,7 @@ def test_solvers_make_no_pointwise_calls(monkeypatch):
     bellman_residual(model, sol, 0.37, ms)
     dpp_check(model, sol, 0.2, 0.7, ms, 50)
     simulate(model, law, SimConfig(n_particles=50, n_steps=100, seed=2,
-                                   initial=Dirac([0.5, -0.2])))
+                                   initial=MomentState.dirac([0.5, -0.2])))
     assert counts == {"schedule": 0, "gain": 0}
     law.gains(0.5)  # the counters do see pointwise use
     law.k1(0.5)

@@ -304,8 +304,7 @@ def test_moment_sufficiency():
     # any other representation with the same (mean, cov)
     model = systemic_model(SystemicParams())
     sol = solve_riccati(model, 200)
-    ens = mflq.ParticleEnsemble(np.random.default_rng(2).normal(1.0, 0.7, (500, 1)))
-    ms = mflq.ensemble_moments(ens)
+    ms = mflq.ensemble_moments(np.random.default_rng(2).normal(1.0, 0.7, (500, 1)))
     same = MomentState(ms.mean.copy(), ms.cov.copy())
     assert value(sol, 0.5, ms) == value(sol, 0.5, same)
     assert g_hat(model, ms) == g_hat(model, same)
