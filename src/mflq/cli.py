@@ -97,7 +97,7 @@ def cmd_simulate(args) -> int:
     ms0 = _initial_state(args, model, x0)
     sol = riccati.solve_riccati(model, args.steps)
     fb = optimal_feedback(model, sol)
-    cfg = SimConfig(n_particles=args.particles, n_steps=args.steps or 1000,
+    cfg = SimConfig(n_particles=args.particles, n_steps=sol.n_steps,
                     seed=args.seed, initial=ms0)
     res = simulate(model, fb, cfg)
     if args.out:
@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
-def _verify_battery(model, sol, ms0, seed, n_particles, n_steps):
+def _verify_battery(model, sol, ms0, seed, n_particles):
     """Run all checks; returns a list of (name, measured, tolerance, ok)."""
     rng = np.random.default_rng(seed)
     d = model.dims.d
@@ -157,7 +157,7 @@ def _verify_battery(model, sol, ms0, seed, n_particles, n_steps):
     checks.append(("moment_gap_min", margin, MOMENT_GAP_MIN,
                    margin >= MOMENT_GAP_MIN))
 
-    cfg = SimConfig(n_particles=n_particles, n_steps=n_steps, seed=seed,
+    cfg = SimConfig(n_particles=n_particles, n_steps=sol.n_steps, seed=seed,
                     initial=ms0)
     report = optimality_gap(model, sol, cfg, perts)
     mc_dev = abs(report.optimal_cost - v0)
@@ -177,8 +177,7 @@ def cmd_verify(args) -> int:
     sol = riccati.solve_riccati(model, args.steps)
     if args.corrupt_lambda != 1.0:
         sol = riccati.with_scaled_lambda(sol, args.corrupt_lambda)
-    checks = _verify_battery(model, sol, ms0, args.seed,
-                             args.particles, args.steps or 1000)
+    checks = _verify_battery(model, sol, ms0, args.seed, args.particles)
     width = max(len(name) for name, *_ in checks)
     n_pass = 0
     for name, measured, tol, ok in checks:
@@ -197,17 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "particle Monte Carlo, and verification battery.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, steps_default=None):
+    def common(p):
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--preset", choices=presets.PRESET_NAMES)
         source.add_argument("--config", help="path to a JSON model document")
         p.add_argument("--param", action="append", metavar="NAME=VALUE",
                        help="preset parameter override (repeatable)")
-        p.add_argument("--steps", type=int, default=steps_default,
+        p.add_argument("--steps", type=int,
                        help="time steps (default: solver default)")
 
-    def with_law(p, steps_default=None):
-        common(p, steps_default)
+    def with_law(p):
+        common(p)
         p.add_argument("--mean", help="initial/query mean, JSON number or list")
         p.add_argument("--cov", help="initial/query covariance, JSON")
 
@@ -222,16 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("simulate", help="particle Monte Carlo run")
-    with_law(p, steps_default=1000)
+    with_law(p)
     p.add_argument("--particles", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--thin", type=int, default=1,
-                   help="keep every k-th CSV row")
+                   help="keep every k-th CSV row, k >= 1, and the last")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the validation battery")
-    with_law(p, steps_default=1000)
+    with_law(p)
     p.add_argument("--particles", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt-lambda", type=float, default=1.0,

@@ -20,19 +20,25 @@ the simulator and the pointwise functions. Model objects are immutable.
 through it, and ``as_schedule`` is the one coercion of a raw coefficient.
 Every LqModel is validated when it is constructed (see
 ``LqModel.__post_init__``), so an invalid model never reaches a solver.
+
+The coefficient set is declared once, in the registries ``_DYNAMICS_FIELDS``
+and ``_COST_*_FIELDS`` (name, shape key): ``LqDynamics`` and ``LqCost`` are
+built from them, and the validator, the builder, the documents and
+``LqModel.table``, the one coefficient table every solver reads (its
+docstring gives the layout), iterate over them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InsufficientSampleError, ModelDocumentError, OutOfDomainError, ShapeError
-from .schedules import Schedule, _not_a_number, _shaped, as_schedule
+from .schedules import Schedule, _frozen, _not_a_number, _shaped, as_schedule
 
 SYMMETRY_TOL = 1e-12  # asymmetry below this is repaired, above it is a violation
 COV_EIG_FLOOR = -1e-10
@@ -57,6 +63,13 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def check_count(name: str, n, least: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``n`` is an integer, not a
+    bool, and at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """State dimension d and control dimension m (noise dimension is 1)."""
@@ -66,9 +79,7 @@ class Dimensions:
 
     def __post_init__(self):
         for name in ("d", "m"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError(f"dimension '{name}' must be an integer >= 1, got {n!r}")
+            check_count(f"dimension '{name}'", getattr(self, name), 1)
 
 
 # (field name, shape key) for the two coefficient blocks; shape keys are
@@ -85,6 +96,9 @@ _COST_SCHEDULE_FIELDS = (
 _COST_CONSTANT_FIELDS = (("P2", "dd"), ("P2bar", "dd"), ("p1", "d"), ("p1bar", "d"))
 _COST_FIELDS = _COST_SCHEDULE_FIELDS + _COST_CONSTANT_FIELDS
 _SYMMETRIC_COST = ("Q2", "Q2bar", "R2", "R2bar", "P2", "P2bar")
+# (coefficient, barred term, name of their sum): the Lam and Gam members of a pair
+_PAIRS = (("B", "Bbar", "BpB"), ("C", "Cbar", "CpC"), ("D", "Dbar", "DpD"),
+          ("F", "Fbar", "FpF"), ("Q2", "Q2bar", "QQ"))
 
 
 def _shape_of(key: str, dims: Dimensions) -> tuple:
@@ -92,49 +106,19 @@ def _shape_of(key: str, dims: Dimensions) -> tuple:
             "mm": (dims.m, dims.m), "dm": (dims.d, dims.m)}[key]
 
 
-def _stored(coeff) -> np.ndarray:
-    """The arrays a coefficient stores, stacked on a leading axis: one row
-    for a constant, one per knot for a tabulated schedule."""
-    if isinstance(coeff, Schedule):
-        return coeff.value[None] if coeff.is_constant else coeff.values
-    return np.asarray(coeff, dtype=float)[None]
-
-
 def _asymmetry(mats: np.ndarray) -> float:
     """Largest entrywise |M - M'| over a stack of square matrices."""
     return float(np.max(np.abs(mats - _tr(mats))))
 
 
-@dataclass(frozen=True)
-class LqDynamics:
-    b0: Schedule
-    B: Schedule
-    Bbar: Schedule
-    C: Schedule
-    Cbar: Schedule
-    sigma0: Schedule
-    D: Schedule
-    Dbar: Schedule
-    F: Schedule
-    Fbar: Schedule
-
-
-@dataclass(frozen=True)
-class LqCost:
-    Q2: Schedule
-    Q2bar: Schedule
-    R2: Schedule
-    R2bar: Schedule
-    M2: Schedule
-    M2bar: Schedule
-    q1: Schedule
-    q1bar: Schedule
-    r1: Schedule
-    r1bar: Schedule
-    P2: np.ndarray
-    P2bar: np.ndarray
-    p1: np.ndarray
-    p1bar: np.ndarray
+LqDynamics = make_dataclass(
+    "LqDynamics", [(name, Schedule) for name, _ in _DYNAMICS_FIELDS], frozen=True)
+LqCost = make_dataclass(
+    "LqCost", [(name, Schedule) for name, _ in _COST_SCHEDULE_FIELDS]
+    + [(name, np.ndarray) for name, _ in _COST_CONSTANT_FIELDS], frozen=True)
+# make_dataclass takes no module= before Python 3.12; pickling finds a
+# class by its module
+LqDynamics.__module__ = LqCost.__module__ = __name__
 
 
 @dataclass(frozen=True)
@@ -160,7 +144,9 @@ class LqModel:
                               (self.cost, _COST_FIELDS)):
             for name, key in fields:
                 coeff = getattr(block, name)
-                mats, shape = _stored(coeff), _shape_of(key, self.dims)
+                mats = (coeff.values if isinstance(coeff, Schedule)
+                        else np.asarray(coeff, dtype=float)[None])
+                shape = _shape_of(key, self.dims)
                 if mats.shape[1:] != shape:
                     raise ValueError(f"coefficient '{name}' has shape "
                                      f"{mats.shape[1:]}, expected {shape}")
@@ -179,12 +165,25 @@ class LqModel:
             raise OutOfDomainError(f"t={t} outside [0, {self.horizon}]")
 
     def table(self, times) -> dict:
-        """Every dynamics and running-cost schedule at ``times``: name ->
-        values stacked on a leading time axis (see Schedule.table)."""
-        return {name: getattr(block, name).table(times)
-                for block, fields in ((self.dynamics, _DYNAMICS_FIELDS),
-                                      (self.cost, _COST_SCHEDULE_FIELDS))
-                for name, _ in fields}
+        """Every dynamics and running-cost coefficient at ``times``: name ->
+        values stacked on a leading time axis (see Schedule.table), vectors
+        as columns, the times under "t", and for each X of B, C, D, F, Q2 the
+        (Lam, Gam) pair [X, X+Xbar] stacked on a leading axis under X + "p"
+        ("Bp", ...), whose second member is also "BpB" ("CpC", "DpD", "FpF",
+        "QQ"). Row j (c[name][j], c[name + "p"][:, j]) depends on times[j]
+        alone."""
+        times = np.asarray(times, dtype=float)
+        c = {"t": times}
+        for block, fields in ((self.dynamics, _DYNAMICS_FIELDS),
+                              (self.cost, _COST_SCHEDULE_FIELDS)):
+            for name, key in fields:
+                values = getattr(block, name).table(times)
+                c[name] = values[..., None] if len(key) == 1 else values
+        for name, bar, total in _PAIRS:
+            pair = c[name + "p"] = np.empty((2,) + c[name].shape)
+            pair[0] = c[name]
+            c[total] = np.add(c[name], c[bar], out=pair[1])
+        return c
 
 
 def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
@@ -206,14 +205,13 @@ def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
             sched = as_schedule(coeffs.get(name), _shape_of(key, dims))
         except ValueError as exc:
             raise ValueError(f"coefficient '{name}': {exc}") from exc
-        if name in _SYMMETRIC_COST and _asymmetry(mats := _stored(sched)) <= SYMMETRY_TOL:
-            sched = (Schedule.constant(sym(mats[0])) if sched.is_constant
-                     else Schedule.tabulated(sched.times, sym(mats)))
+        if name in _SYMMETRIC_COST and _asymmetry(sched.values) <= SYMMETRY_TOL:
+            sched = Schedule(sched.times, _frozen(sym(sched.values)))
         built[name] = sched
     for name, _ in _COST_CONSTANT_FIELDS:
         if not built[name].is_constant:
             raise ValueError(f"coefficient '{name}' must be constant in time")
-        built[name] = built[name].value
+        built[name] = built[name].values[0]
     try:
         horizon = float(_shaped(horizon, ()))
     except ValueError as exc:
@@ -234,17 +232,17 @@ def _quad_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _row_terms(c: dict, r: int, X, A, mx, ma):
     """(drift, diffusion, running cost) of states X (N, d) under controls A
-    (N, m) with means mx, ma, at row r of an LqModel.table. Row i of each
-    result depends on row i of X and A alone."""
-    b = (c["b0"][r] + X @ c["B"][r].T + c["Bbar"][r] @ mx
+    (N, m) with means mx, ma, at row r of an LqModel.table (where vectors
+    are columns). Row i of each result depends on row i of X and A alone."""
+    b = (c["b0"][r, :, 0] + X @ c["B"][r].T + c["Bbar"][r] @ mx
          + A @ c["C"][r].T + c["Cbar"][r] @ ma)
-    s = (c["sigma0"][r] + X @ c["D"][r].T + c["Dbar"][r] @ mx
+    s = (c["sigma0"][r, :, 0] + X @ c["D"][r].T + c["Dbar"][r] @ mx
          + A @ c["F"][r].T + c["Fbar"][r] @ ma)
     f = (_quad_rows(X, c["Q2"][r], X) + mx @ c["Q2bar"][r] @ mx
          + _quad_rows(A, c["R2"][r], A) + ma @ c["R2bar"][r] @ ma
          + 2.0 * _quad_rows(X, c["M2"][r], A) + 2.0 * mx @ c["M2bar"][r] @ ma
-         + X @ c["q1"][r] + c["q1bar"][r] @ mx
-         + A @ c["r1"][r] + c["r1bar"][r] @ ma)
+         + X @ c["q1"][r, :, 0] + c["q1bar"][r, :, 0] @ mx
+         + A @ c["r1"][r, :, 0] + c["r1bar"][r, :, 0] @ ma)
     return b, s, f
 
 
@@ -474,7 +472,7 @@ def load_model(path) -> LqModel:
 
 def _schedule_to_json(s: Schedule):
     if s.is_constant:
-        return s.value.tolist()
+        return s.values[0].tolist()
     return {"knots": [[float(t), v.tolist()] for t, v in zip(s.times, s.values)]}
 
 

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovarianceInstabilityError, OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState, _tr, _write_csv, clip_psd
-from .riccati import RiccatiSolution, _rk4, _stage_table
+from .model import (AffineFeedback, LqModel, MomentState, _tr, _write_csv, check_count,
+                    clip_psd)
+from .riccati import RiccatiSolution, _rk4
 from .value import g_hat, optimal_feedback
 from .value import value as value_at
 
@@ -69,7 +70,7 @@ def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
 
     where Hm m + hc = G m + h collects the mean part of the diffusion.
     """
-    c = _stage_table(model, times)
+    c = model.table(times)
     K1, K2, k0 = fb.table(c["t"])
     k0 = k0[..., None]
     F, K2t = c["F"], _tr(K2)
@@ -152,8 +153,7 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     model.check_time(T)
     if T < t0:
         raise OutOfDomainError(f"end time {T} before start {t0}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    check_count("n_steps", n_steps, 1)
     d = model.dims.d
     grid = np.linspace(t0, T, n_steps + 1)
     states = np.empty((n_steps + 1, d + d * d + 1))

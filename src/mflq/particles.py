@@ -36,7 +36,7 @@ from scipy.special import ndtri
 
 from .errors import ShapeError, SimulationDivergedError
 from .model import (AffineFeedback, LqModel, MomentState, _row_terms,
-                    _sample_moments, _terminal_rows, _write_csv)
+                    _sample_moments, _terminal_rows, _write_csv, check_count)
 from .riccati import STAGE_BLOCK, RiccatiSolution
 from .value import optimal_feedback
 
@@ -51,17 +51,14 @@ class SimConfig:
     store_every: int = 0  # 0: keep only the final ensemble snapshot
 
     def validate(self, model: LqModel) -> None:
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be >= 2")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        check_count("n_particles", self.n_particles, 2)
+        check_count("n_steps", self.n_steps, 1)
         if not 0.0 <= self.t0 < model.horizon:
             raise ValueError(f"t0={self.t0} outside [0, {model.horizon})")
         if not isinstance(self.initial, MomentState):
             raise ValueError("initial law must be a MomentState, got "
                              f"{type(self.initial).__name__}")
-        if self.store_every < 0:
-            raise ValueError("store_every must be >= 0")
+        check_count("store_every", self.store_every, 0)
 
 
 @dataclass(frozen=True)
@@ -268,10 +265,11 @@ def optimality_gap(model: LqModel, sol: RiccatiSolution, cfg: SimConfig,
 
 
 def result_to_csv(res: SimResult, path, thin: int = 1) -> None:
-    """Rows "t,emp_mean_*,emp_cov_*,running_cost_mean", one per kept time."""
+    """Rows "t,emp_mean_*,emp_cov_*,running_cost_mean" at every thin-th time and the last."""
+    check_count("thin", thin, 1)
     d = res.mean_path.shape[1]
     last = res.times.size - 1
-    keep = sorted(set(range(0, res.times.size, max(1, thin))) | {last})
+    keep = sorted(set(range(0, res.times.size, thin)) | {last})
     _write_csv(path,
                ["t"] + [f"emp_mean_{i}" for i in range(d)]
                + [f"emp_cov_{i}{j}" for i in range(d) for j in range(d)]

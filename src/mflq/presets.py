@@ -69,8 +69,7 @@ class MeanVarianceParams:
             raise ValueError("eta must be positive")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        vols = ([self.vol.value] if self.vol.is_constant else list(self.vol.values))
-        if any(v.reshape(-1)[0] <= 0 for v in vols):
+        if (self.vol.values <= 0).any():
             raise ValueError("vol must be positive on [0, T]")
 
     def _knots(self):

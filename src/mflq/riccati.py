@@ -31,12 +31,12 @@ sides support cubic Hermite interpolation at arbitrary times, preserving
 
 The Lam and Gam equations share one form: Gam's takes B+Bbar, C+Cbar,
 D+Dbar, F+Fbar, Q2+Q2bar where Lam's takes B, C, D, F, Q2, and adds R2bar
-and M2bar. The stage table holds each such coefficient as a (Lam, Gam)
-pair on one axis, so (U, V), (S, Z) and (Lam', Gam') are each one
-expression, and one eigh of the (U, V) pair per stage serves the
-inversions, the positivity floor and the condition cap (_solved_aux).
-Everything that depends on time alone is tabulated once for each block of
-RK4 stages, grid points and midpoints, and the stepper addresses stages by
+and M2bar. The stage rows come from ``LqModel.table``, which holds each
+such coefficient as a (Lam, Gam) pair on one axis, so (U, V), (S, Z) and
+(Lam', Gam') are each one expression, and one eigh of the (U, V) pair per
+stage serves the inversions, the positivity floor and the condition cap
+(_solved_aux). The coefficients are tabulated once for each block of RK4
+stages, grid points and midpoints, and the stepper addresses stages by
 table row; the same RK4 core drives the forward moment flow. Tables,
 Hermite queries and the stacked check evaluate each row on its own, so a
 row is bitwise the same whichever other times share its batch.
@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfDomainError, RiccatiBreakdownError
-from .model import LqModel, _tr, _write_csv, sym
+from .model import LqModel, _tr, _write_csv, check_count, sym
 
 POSITIVITY_FLOOR = 1e-10
 CONDITION_LIMIT = 1e12
@@ -83,28 +83,6 @@ def terminal_state(model: LqModel) -> RiccatiState:
 
 
 STAGE_BLOCK = 16  # RK4 steps per stage-table block (33 rows): bounds table memory
-_VECTORS = ("b0", "sigma0", "q1", "q1bar", "r1", "r1bar")
-# (coefficient, barred term, name of their sum): the Lam and Gam members of a pair
-_PAIRS = (("B", "Bbar", "BpB"), ("C", "Cbar", "CpC"), ("D", "Dbar", "DpD"),
-          ("F", "Fbar", "FpF"), ("Q2", "Q2bar", "QQ"))
-
-
-def _stage_table(model: LqModel, times) -> dict:
-    """Every coefficient of the model at ``times`` (one row per time), with
-    vectors as columns, plus the (Lam, Gam) pair of each of B, C, D, F, Q2
-    under its name + "p": "Bp" is [B, B+Bbar] stacked on a leading axis,
-    and its Gam member is also "BpB" (so "CpC", "DpD", "FpF", "QQ"). Row j
-    (c[name][j], c[name + "p"][:, j]) depends on times[j] alone."""
-    times = np.asarray(times, dtype=float)
-    c = model.table(times)
-    for name in _VECTORS:
-        c[name] = c[name][..., None]
-    c["t"] = times
-    for name, bar, total in _PAIRS:
-        pair = c[name + "p"] = np.empty((2,) + c[name].shape)
-        pair[0] = c[name]
-        c[total] = np.add(c[name], c[bar], out=pair[1])
-    return c
 
 
 def _rk4(times: np.ndarray, h: float, y: np.ndarray, table, rhs, settle):
@@ -156,8 +134,8 @@ def _aux_arrays(c: dict, j, P: np.ndarray, g: np.ndarray):
 
 
 def _aux_at(model: LqModel, t: float, state: RiccatiState):
-    """(U, V), (S, Z) and the column Y at one time: the one-row stage table."""
-    return _aux_arrays(_stage_table(model, [t]), 0, np.stack((state.Lam, state.Gam)),
+    """(U, V), (S, Z) and the column Y at one time: the one-row table."""
+    return _aux_arrays(model.table([t]), 0, np.stack((state.Lam, state.Gam)),
                        state.gam[:, None])
 
 
@@ -240,8 +218,7 @@ def _rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
 def riccati_rhs(model: LqModel, t: float, state: RiccatiState) -> RiccatiState:
     """Forward-time derivatives (Lam', Gam', gam', chi') at (t, state)."""
     model.check_time(t)
-    dL, dG, dg, dc = _unpack(_rhs(_stage_table(model, [t]), 0, _pack(state)),
-                             model.dims.d)
+    dL, dG, dg, dc = _unpack(_rhs(model.table([t]), 0, _pack(state)), model.dims.d)
     return RiccatiState(Lam=dL, Gam=dG, gam=dg, chi=float(dc))
 
 
@@ -325,9 +302,8 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
     carrying the failure time on positivity loss, ill-conditioning, or a
     non-finite state.
     """
-    K = default_step_count(model.horizon) if n_steps is None else int(n_steps)
-    if K < 1:
-        raise ValueError("n_steps must be >= 1")
+    K = default_step_count(model.horizon) if n_steps is None else n_steps
+    check_count("n_steps", K, 1)
     T = model.horizon
     d = model.dims.d
     grid = np.linspace(0.0, T, K + 1)
@@ -345,7 +321,7 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
         return y
 
     for k, y, f in _rk4(times, -(T / K), _pack(terminal_state(model)),
-                        lambda ts: _stage_table(model, ts), _rhs, settle):
+                        model.table, _rhs, settle):
         states[K - k], derivs[K - k] = y, f
     Lam, Gam, gam, chi = _unpack(states, d)
     dLam, dGam, dgam, dchi = _unpack(derivs, d)
@@ -379,27 +355,23 @@ def check_standard_conditions(model: LqModel, margin: float) -> ConditionReport:
     if not margin > 0:
         raise ValueError("margin must be positive")
     c = model.cost
-
-    def min_eig(mat) -> float:
-        return float(np.linalg.eigvalsh(sym(mat))[0])
-
-    if min_eig(c.P2) < -PSD_TOL:
-        return ConditionReport(False, "P2 not positive semidefinite")
-    if min_eig(c.P2 + c.P2bar) < -PSD_TOL:
-        return ConditionReport(False, "P2 + P2bar not positive semidefinite")
+    for mats, name in ((c.P2, "P2"), (c.P2 + c.P2bar, "P2 + P2bar")):
+        if np.linalg.eigvalsh(sym(mats))[0] < -PSD_TOL:
+            return ConditionReport(False, f"{name} not positive semidefinite")
     times = {0.0, model.horizon}
     for sched in (c.Q2, c.Q2bar, c.R2, c.R2bar):
         times.update(float(t) for t in sched.knot_times())
-    for t in sorted(times):
-        if min_eig(c.Q2(t)) < -PSD_TOL:
-            return ConditionReport(False, f"Q2 not >= 0 at t={t:.6g}")
-        if min_eig(c.Q2(t) + c.Q2bar(t)) < -PSD_TOL:
-            return ConditionReport(False, f"Q2 + Q2bar not >= 0 at t={t:.6g}")
-        if min_eig(c.R2(t)) < margin - PSD_TOL:
-            return ConditionReport(False, f"R2 not >= {margin}*I at t={t:.6g}")
-        if min_eig(c.R2(t) + c.R2bar(t)) < margin - PSD_TOL:
-            return ConditionReport(
-                False, f"R2 + R2bar not >= {margin}*I at t={t:.6g}")
+    times = sorted(times)
+    tab = model.table(times)
+    # (matrices at every time, floor, violation), in the order they are checked
+    conditions = ((tab["Q2"], 0.0, "Q2 not >= 0"), (tab["QQ"], 0.0, "Q2 + Q2bar not >= 0"),
+                  (tab["R2"], margin, f"R2 not >= {margin}*I"),
+                  (tab["R2"] + tab["R2bar"], margin, f"R2 + R2bar not >= {margin}*I"))
+    lows = [np.linalg.eigvalsh(sym(mats))[:, 0] for mats, _, _ in conditions]
+    for i, t in enumerate(times):
+        for (_, floor, violation), low in zip(conditions, lows):
+            if low[i] < floor - PSD_TOL:
+                return ConditionReport(False, f"{violation} at t={t:.6g}")
     return ConditionReport(True)
 
 

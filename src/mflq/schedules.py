@@ -1,22 +1,21 @@
 """Time-dependent coefficient schedules.
 
-A schedule represents one deterministic model coefficient on the horizon:
-either a constant array or a table of (time, array) knots evaluated by
-linear interpolation. Knot evaluation is exact; the stored arrays are
-frozen so schedules can be shared between threads.
+A schedule represents one deterministic model coefficient on the horizon
+as one stack: ``values`` holds its arrays on a leading axis, one row for a
+constant (``times`` is None) and one row per knot for a table of
+(time, array) knots evaluated by linear interpolation. Knot evaluation is
+exact; the stored arrays are frozen so schedules can be shared between
+threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomainError
-
-CONSTANT = "constant"
-TABULATED = "tabulated"
 
 
 def _frozen(a) -> np.ndarray:
@@ -27,21 +26,19 @@ def _frozen(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Matrix- or vector-valued function of time.
+    """Matrix- or vector-valued function of time: the arrays ``values``
+    stacked on a leading axis, at the knot ``times``, or one row and
+    ``times`` None for a constant.
 
     Use :meth:`constant` or :meth:`tabulated` to construct.
     """
 
-    kind: str
-    shape: tuple
-    value: np.ndarray | None = None
-    times: np.ndarray | None = None
-    values: np.ndarray | None = field(default=None, repr=False)
+    times: np.ndarray | None
+    values: np.ndarray
 
     @classmethod
     def constant(cls, value) -> "Schedule":
-        v = _frozen(value)
-        return cls(kind=CONSTANT, shape=v.shape, value=v)
+        return cls(None, _frozen(value)[None])
 
     @classmethod
     def tabulated(cls, times, values) -> "Schedule":
@@ -53,24 +50,24 @@ class Schedule:
         v = _frozen(values)
         if v.shape[0] != t.size:
             raise ValueError("one matrix per knot required")
-        return cls(kind=TABULATED, shape=v.shape[1:], times=t, values=v)
+        return cls(t, v)
+
+    @property
+    def shape(self) -> tuple:
+        return self.values.shape[1:]
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == CONSTANT
+        return self.times is None
 
     def knot_times(self) -> np.ndarray:
-        return self.times if self.kind == TABULATED else np.empty(0)
+        return np.empty(0) if self.times is None else self.times
 
     def spans(self, horizon: float) -> bool:
         """True when the schedule is defined on all of [0, horizon]."""
-        if self.kind == CONSTANT:
-            return True
-        return self.times[0] == 0.0 and self.times[-1] == horizon
+        return self.times is None or (self.times[0] == 0.0 and self.times[-1] == horizon)
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.kind == CONSTANT:
-            return self.value
         return self.table(np.array([t], dtype=float))[0]
 
     def table(self, times) -> np.ndarray:
@@ -82,16 +79,17 @@ class Schedule:
         stored knot arrays.
         """
         t = np.asarray(times, dtype=float)
-        if self.kind == CONSTANT:
-            return np.broadcast_to(self.value, t.shape + self.value.shape)
         knots, values = self.times, self.values
+        if knots is None:
+            v = values[0]
+            return np.broadcast_to(v, t.shape + v.shape)
         outside = ~((t >= knots[0]) & (t <= knots[-1]))
         if outside.any():
             raise OutOfDomainError(
                 f"t={t[outside][0]} outside schedule domain [{knots[0]}, {knots[-1]}]")
         i = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
         w = ((t - knots[i]) / (knots[i + 1] - knots[i])).reshape(
-            t.shape + (1,) * len(self.shape))
+            t.shape + (1,) * (values.ndim - 1))
         out = (1.0 - w) * values[i] + w * values[i + 1]
         at_knot = t == knots[i]
         out[at_knot] = values[i[at_knot]]
@@ -139,7 +137,7 @@ def as_schedule(value, shape) -> Schedule:
     if value is None:
         return Schedule.constant(np.zeros(shape))
     if isinstance(value, Schedule):
-        if tuple(value.shape) != shape:
+        if value.shape != shape:
             raise ValueError(f"schedule shape {value.shape}, expected {shape}")
         return value
     if isinstance(value, dict):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .model import AffineFeedback, LqModel, MomentState
-from .riccati import RiccatiSolution, RiccatiState, _aux_at, _solved_aux, _stage_table
+from .riccati import RiccatiSolution, RiccatiState, _aux_at, _solved_aux
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
@@ -55,11 +55,11 @@ def g_inf(model: LqModel, t: float, state: RiccatiState, ms: MomentState) -> flo
         -tr(S U^{-1} S' Cov) - m'Z V^{-1} Z' m - Y'V^{-1} Z' m - 1/4 Y'V^{-1}Y
     """
     model.check_time(t)
-    return _g_inf(_stage_table(model, [t]), np.stack((state.Lam, state.Gam)), state.gam, ms)
+    return _g_inf(model.table([t]), np.stack((state.Lam, state.Gam)), state.gam, ms)
 
 
 def _g_inf(c: dict, P: np.ndarray, g: np.ndarray, ms: MomentState) -> float:
-    """g_inf at the one-row stage table c, with P = (Lam, Gam) stacked."""
+    """g_inf at the one-row table c, with P = (Lam, Gam) stacked."""
     (S, Z), Y, (Ui_St, Vi_Zt), Vi_Y = _solved_aux(c, 0, P, g[:, None])
     m = ms.mean[:, None]
     return (-np.trace(S @ Ui_St @ ms.cov) - m.T @ Z @ Vi_Zt @ m
@@ -73,13 +73,13 @@ def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
         K1 = -U^{-1}S',  K2 = -V^{-1}Z',  k = -1/2 V^{-1} Y.
 
     The solution's states come from its Hermite table and the coefficients
-    from the stage table; U and V go through the solve's own factorization
+    from the model's table; U and V go through the solve's own factorization
     and check (one stacked eigh of the (U, V) pair), so they pass its
     positivity floor and condition cap at every time. Each row depends on
     its own time alone. A breakdown carries the earliest failing time.
     """
     L, G, g, _ = sol.table(times)
-    _, _, W, Vi_Y = _solved_aux(_stage_table(model, times), ..., np.stack((L, G)), g[..., None])
+    _, _, W, Vi_Y = _solved_aux(model.table(times), ..., np.stack((L, G)), g[..., None])
     return -W[0], -W[1], -0.5 * Vi_Y[..., 0]
 
 
@@ -108,7 +108,7 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     zero. The grouping mirrors the identification that produced the ODE
     system: the Var(.) block, the mean-quadratic block, the mean-linear
     block (including gam'), and the scalar block, plus the minimized inner
-    objective. Coefficients come from the one-row stage table at t, as in
+    objective. Coefficients come from the one-row model table at t, as in
     the solve. The four blocks are summed here, not taken from the solver's
     right-hand side (_rhs): that keeps the residual an independent check
     of a transcription error in _rhs. Only the minimized inner objective
@@ -121,7 +121,7 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     Lam, Gam, gam, chi = sol.table(np.array([t, t + dt, t - dt]))
     dL, dG, dg, dc = ((y[1] - y[2]) / (2.0 * dt) for y in (Lam, Gam, gam, chi))
 
-    c = _stage_table(model, [t])
+    c = model.table([t])
     B, BpB, D, DpD, Q2, Q2bar = (c[n][0] for n in ("B", "BpB", "D", "DpD", "Q2", "Q2bar"))
     b0, s0, q1, q1bar = (c[n][0, :, 0] for n in ("b0", "sigma0", "q1", "q1bar"))
     L, G, g = Lam[0], Gam[0], gam[0]

@@ -155,6 +155,25 @@ def test_simulate_insufficient_particles(capsys):
     assert "n_particles" in stderr
 
 
+@pytest.mark.parametrize("thin", ["0", "-3"])
+def test_simulate_rejects_thin_below_one(tmp_path, capsys, thin):
+    code, _, stderr = run(capsys, "simulate", "--preset", "systemic-risk",
+                          "--particles", "20", "--steps", "10", "--thin", thin,
+                          "--out", str(tmp_path / "f.csv"))
+    assert code == 2
+    assert "thin" in stderr
+
+
+def test_simulate_steps_default_to_the_solver_default(tmp_path, capsys):
+    """Without --steps the simulation runs on the solve's grid: T=2 takes
+    default_step_count(2) = 2000 steps, so the CSV has 2001 data rows."""
+    out = tmp_path / "f.csv"
+    code, _, _ = run(capsys, "simulate", "--preset", "mean-variance", "--param", "T=2",
+                     "--particles", "50", "--out", str(out))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 2001
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_systemic_passes(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from mflq import (MomentState, diffusion, drift, ensemble_moments, lq_model,
 from mflq.errors import (InsufficientSampleError, ModelDocumentError,
                          OutOfDomainError, ShapeError)
 from mflq.schedules import Schedule
+
+from helpers import tabulated_model
 
 
 def zero_model(d=1, m=1, T=1.0):
@@ -263,6 +266,16 @@ def test_document_roundtrip():
         assert np.allclose(getattr(back.dynamics, name)(t),
                            getattr(model.dynamics, name)(t))
     assert np.allclose(back.cost.P2, model.cost.P2)
+
+
+def test_model_pickle_round_trip():
+    """A model with tabulated and constant coefficients survives pickling:
+    its coefficient blocks are found by module and name."""
+    model = tabulated_model()
+    back = pickle.loads(pickle.dumps(model))
+    assert type(back.dynamics) is mflq.LqDynamics and type(back.cost) is mflq.LqCost
+    assert not back.dynamics.B.is_constant and back.dynamics.C.is_constant
+    assert model_to_document(back) == model_to_document(model)
 
 
 def test_document_defaults_and_knots():

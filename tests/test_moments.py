@@ -32,6 +32,13 @@ def test_rhs_systemic_mean_frozen():
         assert abs(dm[0]) <= 1e-12
 
 
+@pytest.mark.parametrize("n_steps", [2.5, True, 0])
+def test_propagate_step_count_must_be_an_integer(n_steps):
+    model = lq_model(d=1, m=1, horizon=1.0, R2=1.0)
+    with pytest.raises(ValueError, match="n_steps"):
+        propagate_moments(model, zero_fb(), 0.0, MomentState([0.0], [[0.25]]), n_steps)
+
+
 def test_rhs_pure_noise_variance_growth():
     model = lq_model(d=1, m=1, horizon=2.0, sigma0=np.array([0.7]), R2=1.0)
     traj = propagate_moments(model, zero_fb(), 0.0, MomentState([0.0], [[0.25]]), 100)

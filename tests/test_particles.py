@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.random import Philox
@@ -189,6 +191,13 @@ def test_invalid_configs():
         simulate(model, fb, SimConfig(10, 10, 0, initial=np.ones(1)))
     with pytest.raises(ValueError, match="store_every"):
         simulate(model, fb, SimConfig(10, 10, 0, initial=AT_ONE, store_every=-1))
+    # run sizes are integers: no float is truncated or rounded, no bool counted
+    for bad, name in (({"n_particles": 10.5}, "n_particles"), ({"n_particles": True}, "n_particles"),
+                      ({"n_steps": 2.5}, "n_steps"), ({"n_steps": True}, "n_steps"),
+                      ({"store_every": 2.5}, "store_every"), ({"store_every": True}, "store_every")):
+        cfg = dataclasses.replace(SimConfig(10, 10, 0, initial=AT_ONE), **bad)
+        with pytest.raises(ValueError, match=name):
+            simulate(model, fb, cfg)
 
 
 def test_divergence_reported_with_step():

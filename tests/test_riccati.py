@@ -8,6 +8,7 @@ from mflq import (MeanVarianceParams, SystemicParams, check_standard_conditions,
                   systemic_model)
 from mflq.errors import RiccatiBreakdownError
 from mflq.riccati import RiccatiState, auxiliary, terminal_state
+from mflq.schedules import Schedule
 
 from helpers import random_standard_model
 
@@ -267,6 +268,58 @@ def test_standard_conditions_mean_variance_violated():
 def test_standard_conditions_zero_model():
     rep = check_standard_conditions(lq_model(d=1, m=1, horizon=1.0), 1e-8)
     assert not rep.holds
+
+
+@pytest.mark.parametrize("n_steps", [2.5, True, 0, -3])
+def test_step_count_must_be_an_integer(n_steps):
+    """A step count is an integer >= 1: 2.5 is not truncated to 2, and True
+    is not one step."""
+    with pytest.raises(ValueError, match="n_steps"):
+        solve_riccati(systemic_model(SystemicParams()), n_steps)
+
+
+def _knots(times, mats):
+    return Schedule.tabulated(times, np.array(mats, dtype=float))
+
+
+_I2, _I1 = np.eye(2), np.eye(1)
+_STANDARD = dict(Q2=_I2, R2=_I1, P2=_I2)
+
+
+@pytest.mark.parametrize("coeffs, report", [
+    (dict(P2=np.diag([1.0, -0.1])), "P2 not positive semidefinite"),
+    (dict(P2bar=-2.0 * _I2), "P2 + P2bar not positive semidefinite"),
+    # violations at an interior knot only: the end points hold
+    (dict(Q2=_knots([0.0, 0.4, 1.0], [_I2, np.diag([1.0, -0.5]), _I2])),
+     "Q2 not >= 0 at t=0.4"),
+    (dict(Q2bar=_knots([0.0, 0.7, 1.0], [0 * _I2, -2.0 * _I2, 0 * _I2])),
+     "Q2 + Q2bar not >= 0 at t=0.7"),
+    (dict(R2=0.3), "R2 not >= 0.5*I at t=0"),
+    (dict(R2=_knots([0.0, 0.25, 1.0], [_I1, 0.2 * _I1, _I1])),
+     "R2 not >= 0.5*I at t=0.25"),
+    (dict(R2bar=_knots([0.0, 0.6, 1.0], [0 * _I1, -0.8 * _I1, 0 * _I1])),
+     "R2 + R2bar not >= 0.5*I at t=0.6"),
+    # the earliest time wins over the order of the conditions
+    (dict(Q2=_knots([0.0, 0.6, 1.0], [_I2, -_I2, _I2]),
+          R2=_knots([0.0, 0.3, 1.0], [_I1, 0.1 * _I1, _I1])),
+     "R2 not >= 0.5*I at t=0.3"),
+    # at one time Q2 is checked before Q2 + Q2bar, and R2 before R2 + R2bar
+    (dict(Q2=_knots([0.0, 0.5, 1.0], [_I2, -_I2, _I2]), R2=0.1),
+     "R2 not >= 0.5*I at t=0"),
+    (dict(Q2=_knots([0.0, 0.5, 1.0], [_I2, -_I2, _I2]),
+          Q2bar=_knots([0.0, 0.5, 1.0], [0 * _I2, -_I2, 0 * _I2])),
+     "Q2 not >= 0 at t=0.5"),
+    (dict(R2=_knots([0.0, 0.5, 1.0], [_I1, 0.1 * _I1, _I1]), R2bar=-0.9),
+     "R2 + R2bar not >= 0.5*I at t=0"),
+])
+def test_standard_conditions_first_violation(coeffs, report):
+    """The report names the first failing condition, scanning the check
+    times in order and, at each, Q2, Q2 + Q2bar, R2, R2 + R2bar."""
+    model = lq_model(d=2, m=1, horizon=1.0, **{**_STANDARD, **coeffs})
+    rep = check_standard_conditions(model, 0.5)
+    assert not rep.holds
+    assert rep.first_violation == report
+    assert check_standard_conditions(lq_model(d=2, m=1, horizon=1.0, **_STANDARD), 0.5).holds
 
 
 # --- breakdown ------------------------------------------------------------------

@@ -127,3 +127,19 @@ def test_table_out_of_domain(case, gap):
     for t in (times[0] - gap, times[-1] + gap, float("nan")):
         with pytest.raises(OutOfDomainError):
             s.table([times[0], t])
+
+
+# --- representation -----------------------------------------------------------
+
+def test_a_schedule_is_one_stack():
+    """A constant stores one row and no times; a tabulated schedule one row
+    per knot; both report the shape of one value."""
+    v = np.arange(6.0).reshape(2, 3)
+    const = Schedule.constant(v)
+    assert const.values.shape == (1,) + v.shape and const.times is None
+    assert const.shape == (2, 3) and const.is_constant
+    assert np.array_equal(const.values[0], v)
+    tab = Schedule.tabulated([0.0, 0.5, 1.0], np.stack((v, 2 * v, 3 * v)))
+    assert tab.values.shape == (3, 2, 3) and tab.times.shape == (3,)
+    assert tab.shape == (2, 3) and not tab.is_constant
+    assert as_schedule(1.5, (1, 1)).shape == (1, 1)
