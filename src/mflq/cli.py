@@ -24,7 +24,7 @@ import numpy as np
 
 from . import presets, riccati
 from .errors import MflqError, RiccatiBreakdownError
-from .model import MomentState, load_model
+from .model import MomentState, check_count, load_model
 from .moments import cost_from_moments, dpp_check
 from .particles import (SimConfig, canonical_perturbations, optimality_gap,
                         result_to_csv, simulate)
@@ -93,6 +93,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    check_count("thin", args.thin, 1)
     model, x0 = _load(args)
     ms0 = _initial_state(args, model, x0)
     sol = riccati.solve_riccati(model, args.steps)

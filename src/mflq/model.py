@@ -14,7 +14,11 @@ Running and terminal costs are the full quadratic forms
 
 where mx, ma denote the state/control means. ``_row_terms`` and
 ``_terminal_rows`` are the one implementation of these formulas, called by
-the simulator and the pointwise functions. Model objects are immutable.
+the simulator and the pointwise functions (one column) on the columns
+z = [x; a] of a component-major (d+m, n) ensemble: one product with the row
+factor H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives B x + C a, D x + F a
+and the cost rows Y, whose form z'Y[:-1] + Y[-1] is the running cost's part
+in z. Model objects are immutable.
 
 ``lq_model`` is the single builder: the presets and the JSON documents go
 through it, and ``as_schedule`` is the one coercion of a raw coefficient.
@@ -133,10 +137,12 @@ class LqModel:
 
     def __post_init__(self):
         """Reject, with a ValueError naming the coefficient, a horizon that
-        is not a finite positive number, a coefficient whose shape does not match
-        ``dims``, a tabulated schedule that does not span exactly [0, T], a
-        non-finite value, and a symmetric cost weight (Q2, Q2bar, R2, R2bar,
-        P2, P2bar) asymmetric by more than SYMMETRY_TOL."""
+        is not a finite positive number, a schedule field that is not a
+        Schedule or a constant field (P2, P2bar, p1, p1bar) that is one, a
+        coefficient whose shape does not match ``dims``, a tabulated
+        schedule that does not span exactly [0, T], a non-finite value, and
+        a symmetric cost weight (Q2, Q2bar, R2, R2bar, P2, P2bar) asymmetric
+        by more than SYMMETRY_TOL."""
         T = self.horizon
         if _not_a_number(T) or not (math.isfinite(T) and T > 0):
             raise ValueError(f"horizon must be finite and positive, got {T!r}")
@@ -144,13 +150,17 @@ class LqModel:
                               (self.cost, _COST_FIELDS)):
             for name, key in fields:
                 coeff = getattr(block, name)
-                mats = (coeff.values if isinstance(coeff, Schedule)
-                        else np.asarray(coeff, dtype=float)[None])
+                scheduled = (name, key) not in _COST_CONSTANT_FIELDS
+                if isinstance(coeff, Schedule) != scheduled:
+                    kind = "a Schedule" if scheduled else "constant, not a Schedule"
+                    raise ValueError(f"coefficient '{name}' must be {kind}, "
+                                     f"got {type(coeff).__name__}")
+                mats = coeff.values if scheduled else np.asarray(coeff, dtype=float)[None]
                 shape = _shape_of(key, self.dims)
                 if mats.shape[1:] != shape:
                     raise ValueError(f"coefficient '{name}' has shape "
                                      f"{mats.shape[1:]}, expected {shape}")
-                if isinstance(coeff, Schedule) and not coeff.spans(T):
+                if scheduled and not coeff.spans(T):
                     raise ValueError(
                         f"coefficient '{name}': knots on [{coeff.times[0]}, "
                         f"{coeff.times[-1]}] do not span exactly [0, {T}]")
@@ -222,34 +232,42 @@ def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
 
 
 # ---------------------------------------------------------------------------
-# the state equation and the costs, on rows of particles (pointwise: one row)
+# the state equation and the costs, on columns of particles (pointwise: one column)
 
 
-def _quad_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise x_i' M y_i."""
-    return np.einsum("ij,jk,ik->i", X, M, Y)
+def _row_factors(c: dict) -> np.ndarray:
+    """The row factor H = [B C; D F; Q2 M2; M2' R2; q1' r1'] and the same of
+    the barred coefficients, stacked, at the rows of an LqModel.table c:
+    shape (2, rows, 3d+m+1, d+m)."""
+    return np.stack([np.block([[c["B" + s], c["C" + s]], [c["D" + s], c["F" + s]],
+                               [c["Q2" + s], c["M2" + s]], [_tr(c["M2" + s]), c["R2" + s]],
+                               [_tr(c["q1" + s]), _tr(c["r1" + s])]]) for s in ("", "bar")])
 
 
-def _row_terms(c: dict, r: int, X, A, mx, ma):
-    """(drift, diffusion, running cost) of states X (N, d) under controls A
-    (N, m) with means mx, ma, at row r of an LqModel.table (where vectors
-    are columns). Row i of each result depends on row i of X and A alone."""
-    b = (c["b0"][r, :, 0] + X @ c["B"][r].T + c["Bbar"][r] @ mx
-         + A @ c["C"][r].T + c["Cbar"][r] @ ma)
-    s = (c["sigma0"][r, :, 0] + X @ c["D"][r].T + c["Dbar"][r] @ mx
-         + A @ c["F"][r].T + c["Fbar"][r] @ ma)
-    f = (_quad_rows(X, c["Q2"][r], X) + mx @ c["Q2bar"][r] @ mx
-         + _quad_rows(A, c["R2"][r], A) + ma @ c["R2bar"][r] @ ma
-         + 2.0 * _quad_rows(X, c["M2"][r], A) + 2.0 * mx @ c["M2bar"][r] @ ma
-         + X @ c["q1"][r, :, 0] + c["q1bar"][r, :, 0] @ mx
-         + A @ c["r1"][r, :, 0] + c["r1bar"][r, :, 0] @ ma)
-    return b, s, f
+def _form(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """z'W z + w'z for each column z of Z, given Y = [W; w'] Z."""
+    return np.einsum("i...,i...->...", Y[:-1], Z) + Y[-1]
+
+
+def _row_terms(c: dict, H: np.ndarray, r: int, Z: np.ndarray, zbar: np.ndarray,
+               Y: np.ndarray | None = None):
+    """(drift, diffusion, running cost) of the columns z = [x; a] of Z
+    (d+m, n) with means zbar = [mx; ma], at row r of an LqModel.table c and
+    of its _row_factors H. The product H z is written into ``Y`` when given,
+    and the drift and diffusion are views of it. Column i of each result
+    depends on column i of Z alone."""
+    d = c["b0"].shape[1]
+    Y, ybar = np.matmul(H[0, r], Z, out=Y), H[1, r] @ zbar
+    b, s = Y[:d], Y[d:2 * d]
+    b += c["b0"][r] + ybar[:d, None]
+    s += c["sigma0"][r] + ybar[d:2 * d, None]
+    return b, s, _form(Y[2 * d:], Z) + _form(ybar[2 * d:], zbar)
 
 
 def _terminal_rows(cost: LqCost, X: np.ndarray, mx: np.ndarray) -> np.ndarray:
-    """Terminal cost of the states X (N, d) against the mean mx."""
-    return (_quad_rows(X, cost.P2, X) + mx @ cost.P2bar @ mx
-            + X @ cost.p1 + cost.p1bar @ mx)
+    """Terminal cost of the columns of X (d, n) against the mean mx."""
+    return (_form(np.vstack([cost.P2, cost.p1]) @ X, X)
+            + _form(np.vstack([cost.P2bar, cost.p1bar]) @ mx, mx))
 
 
 def _vec(x, n: int, name: str) -> np.ndarray:
@@ -262,13 +280,14 @@ def _vec(x, n: int, name: str) -> np.ndarray:
 
 
 def _pointwise(model: LqModel, t: float, x, a, mean_x, mean_a):
-    """_row_terms for one state at time t: row 0 of model.table([t])."""
+    """_row_terms for one column at time t: row 0 of model.table([t])."""
     model.check_time(t)
     d, m = model.dims.d, model.dims.m
-    x, mean_x = _vec(x, d, "x"), _vec(mean_x, d, "mean_x")
-    a, mean_a = _vec(a, m, "a"), _vec(mean_a, m, "mean_a")
-    b, s, f = _row_terms(model.table([t]), 0, x[None], a[None], mean_x, mean_a)
-    return b[0], s[0], float(f[0])
+    z = np.concatenate([_vec(x, d, "x"), _vec(a, m, "a")])
+    zbar = np.concatenate([_vec(mean_x, d, "mean_x"), _vec(mean_a, m, "mean_a")])
+    c = model.table([t])
+    b, s, f = _row_terms(c, _row_factors(c), 0, z[:, None], zbar)
+    return b[:, 0], s[:, 0], float(f[0])
 
 
 def drift(model: LqModel, t: float, x, a, mean_x, mean_a) -> np.ndarray:
@@ -289,7 +308,7 @@ def running_cost(model: LqModel, t: float, x, a, mean_x, mean_a) -> float:
 def terminal_cost(model: LqModel, x, mean_x) -> float:
     """The terminal cost g (see the module docstring)."""
     x, mean_x = _vec(x, model.dims.d, "x"), _vec(mean_x, model.dims.d, "mean_x")
-    return float(_terminal_rows(model.cost, x[None], mean_x)[0])
+    return float(_terminal_rows(model.cost, x[:, None], mean_x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +374,13 @@ class MomentState:
         return cls(point, np.zeros((point.size, point.size)))
 
 
-def _sample_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arithmetic mean and unbiased (N-1) covariance of the rows of X."""
-    mean = X.mean(axis=0)
-    centered = X - mean
-    return mean, sym(centered.T @ centered / (X.shape[0] - 1))
+def _sample_moments(X: np.ndarray, centred: np.ndarray | None = None):
+    """Mean, numpy's pairwise sum over each contiguous row, and unbiased
+    (N-1) covariance of the columns of X (d, N); the centred columns go to
+    ``centred`` when given."""
+    mean = X.mean(axis=1)
+    centred = np.subtract(X, mean[:, None], out=centred)
+    return mean, sym(centred @ centred.T / (X.shape[1] - 1))
 
 
 def ensemble_moments(states) -> MomentState:
@@ -370,7 +391,7 @@ def ensemble_moments(states) -> MomentState:
         raise ShapeError(f"states must be an (N, d) array, got shape {X.shape}")
     if X.shape[0] < 2:
         raise InsufficientSampleError(f"need N >= 2 particles, got {X.shape[0]}")
-    return MomentState(*_sample_moments(X))
+    return MomentState(*_sample_moments(np.ascontiguousarray(X.T)))
 
 
 # ---------------------------------------------------------------------------

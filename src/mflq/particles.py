@@ -4,7 +4,12 @@ estimation.
 The law coupling of the controlled dynamics is replaced by empirical
 means over the ensemble: each step computes the state mean over particles
 in fixed index order, every particle's control against that mean, the
-control mean, then one Euler-Maruyama update per particle.
+control mean, then one Euler-Maruyama update per particle. The ensemble is
+component-major, one (d+m, N) array whose rows are the state and control
+components, so a step is two products over the whole ensemble: the
+controls [K1 0] W of the centred states W (m zero rows keep the inner
+dimension >= 2, so d = 1 stays on BLAS) and one with the row factor of
+``model._row_terms``. Stored ensembles are particle-major, (N, d).
 
 The initial law is a MomentState: the particles are drawn from the
 Gaussian law with its mean and covariance, or all start at the mean (a
@@ -17,8 +22,9 @@ The normal increment for (step k, particle i) is a pure function of
 positioned at counter k << 128, its i-th 64-bit output word is mapped to
 (0, 1), and transformed by the inverse normal CDF. Exactly one normal is
 consumed per particle per step, so results are bit-reproducible and
-independent of execution order or chunking. Empirical means use numpy's
-deterministic pairwise reduction over the fixed particle-index layout.
+independent of execution order or chunking. Empirical means are numpy's
+deterministic pairwise sums over each component's contiguous particle row,
+for every d.
 The initial Gaussian draw comes from a separately keyed stream.
 
 Running costs use the left-endpoint rule, order-matched to the weak
@@ -35,7 +41,7 @@ from numpy.random import Philox, SeedSequence
 from scipy.special import ndtri
 
 from .errors import ShapeError, SimulationDivergedError
-from .model import (AffineFeedback, LqModel, MomentState, _row_terms,
+from .model import (AffineFeedback, LqModel, MomentState, _row_factors, _row_terms,
                     _sample_moments, _terminal_rows, _write_csv, check_count)
 from .riccati import STAGE_BLOCK, RiccatiSolution
 from .value import optimal_feedback
@@ -102,21 +108,25 @@ def _initial_states(initial: MomentState, d: int, n: int,
 def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     """Simulate the interacting particle system under the feedback law.
 
-    Coefficients and gains are read from tables built once per block of
-    steps. Deterministic for fixed (seed, N, K, model, fb). Raises
+    Coefficients, gains and row factors are read from tables built once per
+    block of steps. Deterministic for fixed (seed, N, K, model, fb). Raises
     SimulationDivergedError (with the step index) if any state goes
     non-finite. A block's tables are built before its steps run, so a
     RiccatiBreakdownError of the gains anywhere in a block is raised ahead
     of a divergence at an earlier step of that block.
     """
     cfg.validate(model)
-    d = model.dims.d
+    d, m = model.dims.d, model.dims.m
     n, K = cfg.n_particles, cfg.n_steps
     dt = (model.horizon - cfg.t0) / K
     sqdt = np.sqrt(dt)
     times = cfg.t0 + dt * np.arange(K + 1)
     path_key, init_key = _keys(cfg.seed)
-    X = _initial_states(cfg.initial, d, n, init_key)
+    Z = np.empty((d + m, n))  # component-major ensemble: states X, then controls A
+    X, A = Z[:d], Z[d:]
+    X[...] = _initial_states(cfg.initial, d, n, init_key).T
+    W = np.zeros((d + m, n))  # centred states over m zero rows
+    Y = np.empty((3 * d + m + 1, n))
 
     mean_path = np.empty((K + 1, d))
     cov_path = np.empty((K + 1, d, d))
@@ -125,31 +135,36 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     run = np.zeros(n)
 
     def record(j: int) -> np.ndarray:
-        mean_path[j], cov_path[j] = _sample_moments(X)
+        mean_path[j], cov_path[j] = _sample_moments(X, W[:d])
         running_mean[j] = run.mean()
         if cfg.store_every and j % cfg.store_every == 0:
-            ensembles[j] = X.copy()
+            ensembles[j] = X.T.copy()
         return mean_path[j]
 
     mhat = record(0)
     for j0 in range(0, K, STAGE_BLOCK):
         block = times[j0:min(j0 + STAGE_BLOCK, K)]
         c = model.table(block)
+        H = _row_factors(c)
         K1s, K2s, k0s = fb.table(block)
+        G = np.concatenate([K1s, np.zeros((block.size, m, m))], axis=2)
         for r in range(block.size):
             j = j0 + r
-            A = (X - mhat) @ K1s[r].T + mhat @ K2s[r].T + k0s[r]
-            b, s, f = _row_terms(c, r, X, A, mhat, A.mean(axis=0))
+            np.matmul(G[r], W, out=A)
+            A += (K2s[r] @ mhat + k0s[r])[:, None]
+            b, s, f = _row_terms(c, H, r, Z, np.concatenate([mhat, A.mean(axis=1)]), Y)
             run += dt * f
-            xi = step_normals(path_key, j, n)
-            X = X + dt * b + sqdt * s * xi[:, None]
+            b *= dt
+            X += b
+            s *= sqdt * step_normals(path_key, j, n)
+            X += s
             if not np.isfinite(X).all():
                 raise SimulationDivergedError(
                     f"non-finite particle state after step {j}", step=j)
             mhat = record(j + 1)
 
     per_cost = run + _terminal_rows(model.cost, X, mean_path[K])
-    ensembles[K] = X.copy()
+    ensembles[K] = X.T.copy()
     return SimResult(
         times=times, mean_path=mean_path, cov_path=cov_path,
         running_mean=running_mean, ensembles=ensembles,

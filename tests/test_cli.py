@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mflq import cli
 from mflq.cli import main
 
 
@@ -156,12 +157,17 @@ def test_simulate_insufficient_particles(capsys):
 
 
 @pytest.mark.parametrize("thin", ["0", "-3"])
-def test_simulate_rejects_thin_below_one(tmp_path, capsys, thin):
+def test_simulate_rejects_thin_below_one(tmp_path, capsys, monkeypatch, thin):
+    """--thin is checked before any work: the solve is never reached."""
+    def solve_riccati(*_args):
+        raise AssertionError("the solve ran before --thin was checked")
+
+    monkeypatch.setattr(cli.riccati, "solve_riccati", solve_riccati)
     code, _, stderr = run(capsys, "simulate", "--preset", "systemic-risk",
                           "--particles", "20", "--steps", "10", "--thin", thin,
                           "--out", str(tmp_path / "f.csv"))
     assert code == 2
-    assert "thin" in stderr
+    assert stderr.startswith("error:") and "thin" in stderr
 
 
 def test_simulate_steps_default_to_the_solver_default(tmp_path, capsys):

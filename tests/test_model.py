@@ -65,6 +65,20 @@ def test_invalid_model_rejected(d, name, value, message):
             getattr(base, block), **{name: value})})
 
 
+def test_raw_array_in_a_schedule_field_rejected():
+    base = zero_model()
+    with pytest.raises(ValueError, match="coefficient 'B' must be a Schedule, got ndarray"):
+        dataclasses.replace(base, dynamics=dataclasses.replace(
+            base.dynamics, B=np.eye(1)))
+
+
+def test_schedule_in_a_constant_field_rejected():
+    base = zero_model()
+    with pytest.raises(ValueError, match="coefficient 'P2' must be constant, not a Schedule"):
+        dataclasses.replace(base, cost=dataclasses.replace(
+            base.cost, P2=Schedule.constant(np.eye(1))))
+
+
 @pytest.mark.parametrize("horizon",
                          [0.0, -1.0, np.inf, np.nan, "1.5", True, np.bool_(True)])
 def test_bad_horizon_rejected(horizon):
@@ -166,6 +180,38 @@ def test_time_domain_and_shape_errors():
         drift(model, 0.5, [0.0, 1.0], [0.0], [0.0], [0.0])
     with pytest.raises(ShapeError):
         running_cost(model, 0.5, [0.0], [0.0, 1.0], [0.0], [0.0])
+
+
+def test_pointwise_functions_are_the_documented_formulas():
+    """drift, diffusion, running_cost and terminal_cost at d=3, m=2 with
+    every coefficient nonzero and non-symmetric where allowed, against the
+    formulas of the model module's docstring written out term by term."""
+    rng = np.random.default_rng(31)
+    d, m = 3, 2
+
+    def psd(k):
+        g = rng.standard_normal((k, k))
+        return g @ g.T
+
+    k = {name: rng.standard_normal(shape) for name, shape in (
+        ("b0", d), ("B", (d, d)), ("Bbar", (d, d)), ("C", (d, m)), ("Cbar", (d, m)),
+        ("sigma0", d), ("D", (d, d)), ("Dbar", (d, d)), ("F", (d, m)), ("Fbar", (d, m)),
+        ("M2", (d, m)), ("M2bar", (d, m)), ("q1", d), ("q1bar", d), ("r1", m),
+        ("r1bar", m), ("p1", d), ("p1bar", d))}
+    k.update(Q2=psd(d), Q2bar=psd(d), R2=psd(m), R2bar=psd(m), P2=psd(d), P2bar=psd(d))
+    model = lq_model(d=d, m=m, horizon=1.0, **k)
+    x, mx = rng.standard_normal(d), rng.standard_normal(d)
+    a, ma = rng.standard_normal(m), rng.standard_normal(m)
+    b = k["b0"] + k["B"] @ x + k["Bbar"] @ mx + k["C"] @ a + k["Cbar"] @ ma
+    s = k["sigma0"] + k["D"] @ x + k["Dbar"] @ mx + k["F"] @ a + k["Fbar"] @ ma
+    f = (x @ k["Q2"] @ x + mx @ k["Q2bar"] @ mx + a @ k["R2"] @ a + ma @ k["R2bar"] @ ma
+         + 2 * x @ k["M2"] @ a + 2 * mx @ k["M2bar"] @ ma + k["q1"] @ x
+         + k["q1bar"] @ mx + k["r1"] @ a + k["r1bar"] @ ma)
+    g = x @ k["P2"] @ x + mx @ k["P2bar"] @ mx + k["p1"] @ x + k["p1bar"] @ mx
+    np.testing.assert_allclose(drift(model, 0.4, x, a, mx, ma), b, rtol=1e-12)
+    np.testing.assert_allclose(diffusion(model, 0.4, x, a, mx, ma), s, rtol=1e-12)
+    assert running_cost(model, 0.4, x, a, mx, ma) == pytest.approx(f, rel=1e-12)
+    assert terminal_cost(model, x, mx) == pytest.approx(g, rel=1e-12)
 
 
 # --- affinity / homogeneity properties -------------------------------------

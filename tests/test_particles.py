@@ -8,11 +8,11 @@ from scipy.special import ndtri
 import mflq
 from mflq import (AffineFeedback, FeedbackPerturbation, MomentState, SimConfig,
                   SystemicParams, canonical_perturbations, diffusion, drift,
-                  lq_model, optimal_feedback, optimality_gap, propagate_moments,
-                  running_cost, simulate, solve_riccati, systemic_model,
-                  terminal_cost, value)
+                  ensemble_moments, lq_model, optimal_feedback, optimality_gap,
+                  propagate_moments, running_cost, simulate, solve_riccati,
+                  systemic_model, terminal_cost, value)
 from mflq.errors import ShapeError, SimulationDivergedError
-from mflq.model import _row_terms
+from mflq.model import _row_factors, _row_terms
 from mflq.particles import _keys, step_normals
 
 from helpers import random_standard_model, tabulated_model
@@ -53,53 +53,81 @@ def test_noise_is_standard_normal():
 
 @pytest.mark.parametrize("d, m", [(1, 1), (3, 2), (8, 4)])
 def test_chunk_reproduces_full_ensemble_rows(d, m):
-    """A worker holding particles [i0, i1), i0 a multiple of 4, draws its
-    normals by moving the Philox counter i0 // 4 blocks of four words, and
-    gets the full ensemble's rows from the row evaluator given the full
-    ensemble's means: chunked execution is bitwise the single-lane one."""
-    n, step, i0, i1 = 20_000, 5, 4 * 1237, 4 * 1237 + 3001
+    """A worker holding particles [i0, i1), i0 a multiple of 4 and i1 - i0
+    >= 2, draws its normals by moving the Philox counter i0 // 4 blocks of
+    four words, and gets the full ensemble's columns from the row evaluator
+    given the full ensemble's means: chunked execution is bitwise the
+    single-lane one, whether the chunk is a view of the component-major
+    ensemble or a copy. (A single column is a matrix-vector product, which
+    BLAS may sum in another order.)"""
+    n, step = 20_000, 5
     path_key, _ = _keys(17)
-    raw = Philox(key=path_key, counter=(step << 128) + i0 // 4).random_raw(i1 - i0)
-    normals = ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
-    assert normals.tobytes() == step_normals(path_key, step, n)[i0:i1].tobytes()
-
     rng = np.random.default_rng(d)
     c = random_standard_model(rng, d, m).table([0.4])
-    X, A = rng.standard_normal((n, d)), rng.standard_normal((n, m))
-    mx, ma = X.mean(axis=0), A.mean(axis=0)
-    full = _row_terms(c, 0, X, A, mx, ma)
-    chunk = _row_terms(c, 0, X[i0:i1], A[i0:i1], mx, ma)
-    for f, part in zip(full, chunk):
-        assert part.tobytes() == f[i0:i1].tobytes()
+    H = _row_factors(c)
+    Z = rng.standard_normal((d + m, n))
+    zbar = Z.mean(axis=1)
+    full = _row_terms(c, H, 0, Z, zbar)
+    full_normals = step_normals(path_key, step, n)
+    for i0, i1 in ((4 * 1237, 4 * 1237 + 3001), (0, 2), (8, 15), (4 * 4999, n)):
+        raw = Philox(key=path_key, counter=(step << 128) + i0 // 4).random_raw(i1 - i0)
+        normals = ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
+        assert normals.tobytes() == full_normals[i0:i1].tobytes()
+        for chunk in (Z[:, i0:i1], Z[:, i0:i1].copy()):
+            for f, part in zip(full, _row_terms(c, H, 0, chunk, zbar)):
+                assert part.tobytes() == f[..., i0:i1].tobytes()
 
 
 # --- simulate -------------------------------------------------------------------
 
 def test_step_is_the_pointwise_state_equation():
-    """One simulate step moves each particle by dt drift + sqrt(dt)
-    diffusion xi, and charges dt running_cost + terminal_cost, with the
-    public pointwise functions at the ensemble's means."""
+    """Each of three simulate steps moves each particle by dt drift +
+    sqrt(dt) diffusion xi, and the run charges dt running_cost per step plus
+    terminal_cost, with the public pointwise functions at the ensemble's
+    means; the steps cross the knot of the tabulated schedules at 0.5."""
     model = tabulated_model()
     fb = AffineFeedback.constant([[0.3, -0.2], [0.1, 0.4]], [[0.5, 0.0], [-0.1, 0.2]],
                                  [0.2, -0.3])
-    t0, seed = 0.3, 9
+    t0, seed, n, K = 0.3, 9, 6, 3
     initial = MomentState([0.4, -1.1], [[1.0, 0.3], [0.3, 0.5]])
-    res = simulate(model, fb, SimConfig(n_particles=6, n_steps=1, seed=seed, t0=t0,
+    res = simulate(model, fb, SimConfig(n_particles=n, n_steps=K, seed=seed, t0=t0,
                                         initial=initial, store_every=1))
-    X0 = res.ensembles[0]
-    dt = 1.0 - t0
-    mx = X0.mean(axis=0)
-    A = np.array([fb(t0, x, mx) for x in X0])
-    ma = A.mean(axis=0)
-    xi = step_normals(_keys(seed)[0], 0, 6)
-    X1 = np.array([x + dt * drift(model, t0, x, a, mx, ma)
-                   + np.sqrt(dt) * diffusion(model, t0, x, a, mx, ma) * z
-                   for x, a, z in zip(X0, A, xi)])
-    np.testing.assert_allclose(res.ensembles[1], X1, rtol=1e-12, atol=0.0)
-    mx1 = X1.mean(axis=0)
-    cost = [dt * running_cost(model, t0, x, a, mx, ma) + terminal_cost(model, x1, mx1)
-            for x, a, x1 in zip(X0, A, X1)]
+    dt = (1.0 - t0) / K
+    cost = np.zeros(n)
+    for k in range(K):
+        t, X = res.times[k], res.ensembles[k]
+        mx = X.mean(axis=0)
+        A = np.array([fb(t, x, mx) for x in X])
+        ma = A.mean(axis=0)
+        xi = step_normals(_keys(seed)[0], k, n)
+        X1 = np.array([x + dt * drift(model, t, x, a, mx, ma)
+                       + np.sqrt(dt) * diffusion(model, t, x, a, mx, ma) * z
+                       for x, a, z in zip(X, A, xi)])
+        np.testing.assert_allclose(res.ensembles[k + 1], X1, rtol=1e-12, atol=0.0)
+        cost += [dt * running_cost(model, t, x, a, mx, ma) for x, a in zip(X, A)]
+    XK = res.ensembles[K]
+    cost += [terminal_cost(model, x, XK.mean(axis=0)) for x in XK]
     np.testing.assert_allclose(res.per_particle_cost, cost, rtol=1e-12, atol=0.0)
+
+
+def test_means_are_pairwise_over_the_particle_axis():
+    """Each recorded mean is numpy's pairwise mean of a component's
+    contiguous particle row, and each recorded (mean, covariance) pair is
+    ensemble_moments of the stored ensemble, bit for bit."""
+    d = 3
+    model = random_standard_model(np.random.default_rng(4), d, 2)
+    fb = AffineFeedback.constant(np.full((2, d), 0.2), np.full((2, d), -0.1), [0.3, 0.1])
+    cfg = SimConfig(n_particles=5000, n_steps=6, seed=12, store_every=2,
+                    initial=MomentState(np.arange(d) - 1.0, np.eye(d)))
+    res = simulate(model, fb, cfg)
+    assert sorted(res.ensembles) == [0, 2, 4, 6]
+    for k, ens in res.ensembles.items():
+        assert ens.shape == (5000, d)
+        mean = np.ascontiguousarray(ens.T).mean(axis=1)
+        assert res.mean_path[k].tobytes() == mean.tobytes()
+        ms = ensemble_moments(ens)
+        assert ms.mean.tobytes() == mean.tobytes()
+        assert ms.cov.tobytes() == res.cov_path[k].tobytes()
 
 
 # --- the initial law ------------------------------------------------------------
