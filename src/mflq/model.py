@@ -13,12 +13,12 @@ Running and terminal costs are the full quadratic forms
     g = x'P2 x + mx'P2bar mx + p1.x + p1bar.mx
 
 where mx, ma denote the state/control means. ``_row_terms`` and
-``_terminal_rows`` are the one implementation of these formulas, called by
-the simulator and the pointwise functions (one column) on the columns
-z = [x; a] of a component-major (d+m, n) ensemble: one product with the row
-factor H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives B x + C a, D x + F a
-and the cost rows Y, whose form z'Y[:-1] + Y[-1] is the running cost's part
-in z. Model objects are immutable.
+``_terminal_rows``, the one implementation of these formulas, act on the
+columns z = [x; a] of a component-major (d+m, n) ensemble, for the
+simulator and the pointwise functions (one column) alike: one product with
+H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives B x + C a, D x + F a and the
+cost rows Y, with z'Y[:-1] + Y[-1] the running cost's part in z; its barred
+twin does the same at the means. Model objects are immutable.
 
 ``lq_model`` is the single builder: the presets and the JSON documents go
 through it, and ``as_schedule`` is the one coercion of a raw coefficient.
@@ -136,13 +136,11 @@ class LqModel:
     cost: LqCost
 
     def __post_init__(self):
-        """Reject, with a ValueError naming the coefficient, a horizon that
-        is not a finite positive number, a schedule field that is not a
-        Schedule or a constant field (P2, P2bar, p1, p1bar) that is one, a
-        coefficient whose shape does not match ``dims``, a tabulated
-        schedule that does not span exactly [0, T], a non-finite value, and
-        a symmetric cost weight (Q2, Q2bar, R2, R2bar, P2, P2bar) asymmetric
-        by more than SYMMETRY_TOL."""
+        """Reject, with a ValueError naming the coefficient, a horizon not
+        finite and positive, a schedule field that is not a Schedule or a
+        constant field that is one, a shape other than ``dims`` gives, knots
+        not spanning exactly [0, T], a non-finite value, and a symmetric cost
+        weight asymmetric by more than SYMMETRY_TOL."""
         T = self.horizon
         if _not_a_number(T) or not (math.isfinite(T) and T > 0):
             raise ValueError(f"horizon must be finite and positive, got {T!r}")
@@ -236,9 +234,8 @@ def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
 
 
 def _row_factors(c: dict) -> np.ndarray:
-    """The row factor H = [B C; D F; Q2 M2; M2' R2; q1' r1'] and the same of
-    the barred coefficients, stacked, at the rows of an LqModel.table c:
-    shape (2, rows, 3d+m+1, d+m)."""
+    """H and its barred twin (module docstring) at the rows of an
+    LqModel.table c: shape (2, rows, 3d+m+1, d+m)."""
     return np.stack([np.block([[c["B" + s], c["C" + s]], [c["D" + s], c["F" + s]],
                                [c["Q2" + s], c["M2" + s]], [_tr(c["M2" + s]), c["R2" + s]],
                                [_tr(c["q1" + s]), _tr(c["r1" + s])]]) for s in ("", "bar")])
@@ -251,11 +248,9 @@ def _form(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _row_terms(c: dict, H: np.ndarray, r: int, Z: np.ndarray, zbar: np.ndarray,
                Y: np.ndarray | None = None):
-    """(drift, diffusion, running cost) of the columns z = [x; a] of Z
-    (d+m, n) with means zbar = [mx; ma], at row r of an LqModel.table c and
-    of its _row_factors H. The product H z is written into ``Y`` when given,
-    and the drift and diffusion are views of it. Column i of each result
-    depends on column i of Z alone."""
+    """(drift, diffusion, running cost) of the columns of Z with means zbar
+    at row r of a table c and its _row_factors H; column i of each depends
+    on column i of Z alone. H Z goes into ``Y`` when given; drift and diffusion view it."""
     d = c["b0"].shape[1]
     Y, ybar = np.matmul(H[0, r], Z, out=Y), H[1, r] @ zbar
     b, s = Y[:d], Y[d:2 * d]
@@ -271,9 +266,7 @@ def _terminal_rows(cost: LqCost, X: np.ndarray, mx: np.ndarray) -> np.ndarray:
 
 
 def _vec(x, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape != (n,):
         raise ShapeError(f"{name} has shape {arr.shape}, expected ({n},)")
     return arr
@@ -343,7 +336,7 @@ class MomentState:
         if _not_a_number(mean) or _not_a_number(cov):
             raise ValueError("mean/cov not numeric: a string or a boolean")
         try:
-            mean = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
+            mean = np.atleast_1d(np.asarray(mean, dtype=float))
             cov = np.asarray(cov, dtype=float)
         except TypeError as exc:
             raise ValueError(f"mean/cov not numeric: {exc}") from exc
@@ -359,10 +352,8 @@ class MomentState:
         cov, lo = clip_psd(cov)
         if lo < COV_EIG_FLOOR:
             raise ValueError(f"covariance has eigenvalue {lo} < {COV_EIG_FLOOR}")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "mean", _frozen(mean))
+        object.__setattr__(self, "cov", _frozen(cov))
 
     @property
     def d(self) -> int:
@@ -375,9 +366,8 @@ class MomentState:
 
 
 def _sample_moments(X: np.ndarray, centred: np.ndarray | None = None):
-    """Mean, numpy's pairwise sum over each contiguous row, and unbiased
-    (N-1) covariance of the columns of X (d, N); the centred columns go to
-    ``centred`` when given."""
+    """Mean (pairwise over each row) and unbiased covariance of the columns
+    of X (d, N); the centred columns go to ``centred`` when given."""
     mean = X.mean(axis=1)
     centred = np.subtract(X, mean[:, None], out=centred)
     return mean, sym(centred @ centred.T / (X.shape[1] - 1))
@@ -491,22 +481,18 @@ def load_model(path) -> LqModel:
     return model_from_document(doc)
 
 
-def _schedule_to_json(s: Schedule):
+def _to_json(s):
+    """A constant coefficient as its value, a tabulated one as its knots."""
+    if not isinstance(s, Schedule):
+        return s.tolist()
     if s.is_constant:
         return s.values[0].tolist()
     return {"knots": [[float(t), v.tolist()] for t, v in zip(s.times, s.values)]}
 
 
 def model_to_document(model: LqModel) -> dict:
-    dyn = {name: _schedule_to_json(getattr(model.dynamics, name))
-           for name, _ in _DYNAMICS_FIELDS}
-    cost = {name: _schedule_to_json(getattr(model.cost, name))
-            for name, _ in _COST_SCHEDULE_FIELDS}
-    cost.update({name: getattr(model.cost, name).tolist()
-                 for name, _ in _COST_CONSTANT_FIELDS})
-    return {
-        "dims": {"d": model.dims.d, "m": model.dims.m},
-        "horizon": model.horizon,
-        "dynamics": dyn,
-        "cost": cost,
-    }
+    doc = {"dims": {"d": model.dims.d, "m": model.dims.m}, "horizon": model.horizon}
+    for block, fields in (("dynamics", _DYNAMICS_FIELDS), ("cost", _COST_FIELDS)):
+        doc[block] = {name: _to_json(getattr(getattr(model, block), name))
+                      for name, _ in fields}
+    return doc

@@ -2,18 +2,10 @@
 estimation.
 
 The law coupling of the controlled dynamics is replaced by empirical
-means over the ensemble: each step computes the state mean over particles
-in fixed index order, every particle's control against that mean, the
-control mean, then one Euler-Maruyama update per particle. The ensemble is
-component-major, one (d+m, N) array whose rows are the state and control
-components, so a step is two products over the whole ensemble: the
-controls [K1 0] W of the centred states W (m zero rows keep the inner
-dimension >= 2, so d = 1 stays on BLAS) and one with the row factor of
-``model._row_terms``. Stored ensembles are particle-major, (N, d).
-
-The initial law is a MomentState: the particles are drawn from the
-Gaussian law with its mean and covariance, or all start at the mean (a
-point mass) when the covariance is zero.
+means over the ensemble: each step computes the state mean, every
+particle's control against it, the control mean, then one Euler-Maruyama
+update, on the component-major ensemble of ``model._row_terms``. Stored
+ensembles are particle-major, (N, d).
 
 Randomness
 ----------
@@ -21,11 +13,11 @@ The normal increment for (step k, particle i) is a pure function of
 (seed, k, i): a Philox counter-based generator keyed by the root seed is
 positioned at counter k << 128, its i-th 64-bit output word is mapped to
 (0, 1), and transformed by the inverse normal CDF. Exactly one normal is
-consumed per particle per step, so results are bit-reproducible and
-independent of execution order or chunking. Empirical means are numpy's
-deterministic pairwise sums over each component's contiguous particle row,
-for every d.
-The initial Gaussian draw comes from a separately keyed stream.
+consumed per particle per step, so results are bit-reproducible and the
+noise does not depend on execution order or chunking (README says which
+chunks keep the rows bitwise too). Empirical means are numpy's pairwise
+sums over each component's contiguous particle row. The initial Gaussian
+draw comes from a separately keyed stream.
 
 Running costs use the left-endpoint rule, order-matched to the weak
 order-1 scheme; the terminal cost is added against the final empirical
@@ -108,12 +100,11 @@ def _initial_states(initial: MomentState, d: int, n: int,
 def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     """Simulate the interacting particle system under the feedback law.
 
-    Coefficients, gains and row factors are read from tables built once per
-    block of steps. Deterministic for fixed (seed, N, K, model, fb). Raises
+    Coefficients, gains and row factors are tabulated once per block of
+    steps. Deterministic for fixed (seed, N, K, model, fb). Raises
     SimulationDivergedError (with the step index) if any state goes
-    non-finite. A block's tables are built before its steps run, so a
-    RiccatiBreakdownError of the gains anywhere in a block is raised ahead
-    of a divergence at an earlier step of that block.
+    non-finite; a RiccatiBreakdownError of the gains anywhere in a block is
+    raised before that block's steps run.
     """
     cfg.validate(model)
     d, m = model.dims.d, model.dims.m
@@ -125,7 +116,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     Z = np.empty((d + m, n))  # component-major ensemble: states X, then controls A
     X, A = Z[:d], Z[d:]
     X[...] = _initial_states(cfg.initial, d, n, init_key).T
-    W = np.zeros((d + m, n))  # centred states over m zero rows
+    W = np.zeros((d + m, n))  # centred states over m zero rows: [K1 0] W stays on BLAS at d=1
     Y = np.empty((3 * d + m + 1, n))
 
     mean_path = np.empty((K + 1, d))
@@ -148,8 +139,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
         H = _row_factors(c)
         K1s, K2s, k0s = fb.table(block)
         G = np.concatenate([K1s, np.zeros((block.size, m, m))], axis=2)
-        for r in range(block.size):
-            j = j0 + r
+        for r, j in enumerate(range(j0, j0 + block.size)):
             np.matmul(G[r], W, out=A)
             A += (K2s[r] @ mhat + k0s[r])[:, None]
             b, s, f = _row_terms(c, H, r, Z, np.concatenate([mhat, A.mean(axis=1)]), Y)
@@ -192,10 +182,9 @@ class FeedbackPerturbation:
     def apply(self, fb: AffineFeedback) -> AffineFeedback:
         """The law with gains K1*k1_scale, K2*k2_scale, k*k_scale + k_shift."""
         shift = np.broadcast_to(np.asarray(self.k_shift, dtype=float), (fb.m,))
-        base = fb.table
 
         def table(times):
-            K1, K2, k0 = base(times)
+            K1, K2, k0 = fb.table(times)
             return self.k1_scale * K1, self.k2_scale * K2, self.k_scale * k0 + shift
 
         return AffineFeedback(m=fb.m, d=fb.d, table=table)
@@ -213,20 +202,13 @@ def canonical_perturbations() -> list[FeedbackPerturbation]:
     t-statistic stays near 1 at desk scale. Lone scalings also leave laws
     with a zero gain component unchanged.
     """
-    out = [
-        FeedbackPerturbation("k + 0.5", k_shift=0.5),
-        FeedbackPerturbation("k - 0.5", k_shift=-0.5),
-    ]
-    for s in (0.8, 1.2):
-        for dk in (0.5, -0.5):
-            out.append(FeedbackPerturbation(
-                f"k1 x {s}, k {'+' if dk > 0 else '-'} 0.5",
-                k1_scale=s, k_shift=dk))
-    for s in (0.8, 1.2):
-        for dk in (0.5, -0.5):
-            out.append(FeedbackPerturbation(
-                f"all gains x {s}, k {'+' if dk > 0 else '-'} 0.5",
-                k1_scale=s, k2_scale=s, k_scale=s, k_shift=dk))
+    shifts = ((0.5, "k + 0.5"), (-0.5, "k - 0.5"))
+    out = [FeedbackPerturbation(k, k_shift=dk) for dk, k in shifts]
+    for name, joint in (("k1", False), ("all gains", True)):
+        for s in (0.8, 1.2):
+            g = s if joint else 1.0
+            out += [FeedbackPerturbation(f"{name} x {s}, {k}", k1_scale=s, k2_scale=g,
+                                         k_scale=g, k_shift=dk) for dk, k in shifts]
     return out
 
 

@@ -72,7 +72,10 @@ class MeanVarianceParams:
         if (self.vol.values <= 0).any():
             raise ValueError("vol must be positive on [0, T]")
 
-    def _knots(self):
+    def _knots(self, t: float):
+        """The knot times of r, rho and vol, once t is checked in [0, T]."""
+        if not 0.0 <= t <= self.horizon:
+            raise OutOfDomainError(f"t={t} outside [0, {self.horizon}]")
         out = set()
         for s in (self.r, self.rho, self.vol):
             out.update(float(t) for t in s.knot_times())
@@ -104,10 +107,7 @@ def mean_variance_closed_form(p: MeanVarianceParams, t: float) -> RiccatiState:
         gam(t) = -exp(int_t^T r)
         chi(t) = -(1/2 eta) [exp(int_t^T rho^2/vol^2) - 1]
     """
-    T = p.horizon
-    if not 0.0 <= t <= T:
-        raise OutOfDomainError(f"t={t} outside [0, {T}]")
-    knots = p._knots()
+    T, knots = p.horizon, p._knots(t)
     int_r = _integral(p.rate, t, T, knots)
     int_s = _integral(p.sharpe_sq, t, T, knots)
     lam = 0.5 * p.eta * math.exp(2.0 * int_r - int_s)
@@ -120,10 +120,7 @@ def mean_variance_closed_form(p: MeanVarianceParams, t: float) -> RiccatiState:
 def mean_variance_optimal_control(p: MeanVarianceParams, t: float,
                                   x: float, mean_x: float) -> float:
     """-(rho/vol^2)(x - mean) + (rho/(eta vol^2)) exp(int_t^T rho^2/vol^2 - r)."""
-    T = p.horizon
-    if not 0.0 <= t <= T:
-        raise OutOfDomainError(f"t={t} outside [0, {T}]")
-    knots = p._knots()
+    T, knots = p.horizon, p._knots(t)
     rho, v2 = _at(p.rho, t), _at(p.vol, t) ** 2
     expo = math.exp(_integral(p.sharpe_sq, t, T, knots) - _integral(p.rate, t, T, knots))
     return -(rho / v2) * (x - mean_x) + rho / (p.eta * v2) * expo
@@ -135,10 +132,7 @@ def mean_variance_mean_trajectory(p: MeanVarianceParams, t: float) -> float:
         E[X_t] = x0 exp(int_0^t r)
                + (1/eta) exp(int_t^T rho^2/vol^2 - r) (exp(int_0^t rho^2/vol^2) - 1)
     """
-    T = p.horizon
-    if not 0.0 <= t <= T:
-        raise OutOfDomainError(f"t={t} outside [0, {T}]")
-    knots = p._knots()
+    T, knots = p.horizon, p._knots(t)
     growth = math.exp(_integral(p.rate, 0.0, t, knots))
     tail = math.exp(_integral(p.sharpe_sq, t, T, knots) - _integral(p.rate, t, T, knots))
     return p.x0 * growth + math.expm1(_integral(p.sharpe_sq, 0.0, t, knots)) * tail / p.eta

@@ -1,12 +1,11 @@
 """Alternating benchmark pairs: a base revision against the working tree.
 
-    python3 tools/bench_ab.py --workload simulate --seed 11 --pairs 5 \\
-        [--base HEAD] [--seconds S]
+    python3 tools/bench_ab.py --workload simulate --seed 11 --base HEAD~1 [--pairs 10]
 
 The base revision is extracted with ``git archive`` into a temporary
 directory. Each pair runs ``benchmarks/run.py --trace 0`` once there and
 once in the working tree, alternating which side runs first, with the same
-workload, seed and run length (default: ``run_seconds`` of BENCHMARK.json).
+workload, seed and run length (``run_seconds`` of BENCHMARK.json).
 Prints each pair's end-to-end metrics; then per metric each side's median
 and quartiles, the median ratio change/base and the number of pairs the
 change won (ties count for neither); and the output digests of both sides.
@@ -38,11 +37,11 @@ def extract(rev: str, dest: str) -> None:
         fh.extractall(dest, **safe)
 
 
-def bench(checkout: str, args) -> tuple[dict, str]:
+def bench(checkout: str, args, seconds: float) -> tuple[dict, str]:
     """(end-to-end metric values, output digest) of one benchmark run."""
     proc = subprocess.run(
         [sys.executable, os.path.join("benchmarks", "run.py"), "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+         "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -65,9 +64,8 @@ def main() -> int:
     ap.add_argument("--workload", required=True,
                     choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--base", default="HEAD", help="git revision to compare against")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--base", required=True, help="git revision to compare against")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -81,7 +79,7 @@ def main() -> int:
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                values, digest = bench(checkouts[side], args)
+                values, digest = bench(checkouts[side], args, spec["run_seconds"])
                 runs[side].append(values)
                 digests[side].add(digest)
             print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
