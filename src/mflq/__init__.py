@@ -20,11 +20,10 @@ from .moments import (MomentTrajectory, cost_from_moments, dpp_check,
 from .particles import (CandidateResult, FeedbackPerturbation, GapReport,
                         SimConfig, SimResult, canonical_perturbations,
                         optimality_gap, result_to_csv, simulate)
-from .presets import (LambdaBlowUpError, MeanVarianceParams, SystemicParams,
-                      build_preset, mean_variance_closed_form,
-                      mean_variance_mean_trajectory, mean_variance_model,
-                      mean_variance_optimal_control, systemic_delta,
-                      systemic_lambda_reference, systemic_model,
+from .presets import (MeanVarianceParams, SystemicParams, build_preset,
+                      mean_variance_closed_form, mean_variance_mean_trajectory,
+                      mean_variance_model, mean_variance_optimal_control,
+                      systemic_delta, systemic_lambda_reference, systemic_model,
                       systemic_optimal_control)
 from .riccati import (AuxiliaryMatrices, ConditionReport, RiccatiSolution,
                       RiccatiState, auxiliary, check_standard_conditions,

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientSampleError, ModelDocumentError, OutOfDomainError, ShapeError
-from .schedules import Schedule, _frozen, _not_a_number, _shaped, as_schedule
+from .schedules import Schedule, _frozen, _not_a_number, _numeric, _shaped, as_schedule
 
 SYMMETRY_TOL = 1e-12  # asymmetry below this is repaired, above it is a violation
 COV_EIG_FLOOR = -1e-10
@@ -265,8 +265,19 @@ def _terminal_rows(cost: LqCost, X: np.ndarray, mx: np.ndarray) -> np.ndarray:
             + _form(np.vstack([cost.P2bar, cost.p1bar]) @ mx, mx))
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """_numeric(value) if every entry is finite; a ValueError names ``name``."""
+    try:
+        arr = _numeric(value)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite value")
+    return arr
+
+
 def _vec(x, n: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_finite(x, name))
     if arr.shape != (n,):
         raise ShapeError(f"{name} has shape {arr.shape}, expected ({n},)")
     return arr
@@ -333,20 +344,12 @@ class MomentState:
     cov: np.ndarray
 
     def __init__(self, mean, cov):
-        if _not_a_number(mean) or _not_a_number(cov):
-            raise ValueError("mean/cov not numeric: a string or a boolean")
-        try:
-            mean = np.atleast_1d(np.asarray(mean, dtype=float))
-            cov = np.asarray(cov, dtype=float)
-        except TypeError as exc:
-            raise ValueError(f"mean/cov not numeric: {exc}") from exc
+        mean, cov = np.atleast_1d(_finite(mean, "mean")), _finite(cov, "cov")
         if cov.ndim == 0:
             cov = cov.reshape(1, 1)
         d = mean.shape[0]
         if mean.ndim != 1 or cov.shape != (d, d):
             raise ShapeError(f"mean/cov shapes {mean.shape}/{cov.shape} inconsistent")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean/cov has a non-finite value")
         if np.max(np.abs(cov - cov.T)) > 1e-8:
             raise ValueError("covariance not symmetric")
         cov, lo = clip_psd(cov)
@@ -375,8 +378,8 @@ def _sample_moments(X: np.ndarray, centred: np.ndarray | None = None):
 
 def ensemble_moments(states) -> MomentState:
     """Arithmetic mean and unbiased (N-1) covariance of an (N, d) array of
-    particle states."""
-    X = np.asarray(states, dtype=float)
+    finite particle states."""
+    X = _finite(states, "states")
     if X.ndim != 2:
         raise ShapeError(f"states must be an (N, d) array, got shape {X.shape}")
     if X.shape[0] < 2:
@@ -419,9 +422,9 @@ class AffineFeedback:
 
     @classmethod
     def constant(cls, k1, k2, k0) -> "AffineFeedback":
-        k1 = np.atleast_2d(np.asarray(k1, dtype=float))
-        k2 = np.atleast_2d(np.asarray(k2, dtype=float))
-        k0 = np.atleast_1d(np.asarray(k0, dtype=float))
+        k1 = np.atleast_2d(_finite(k1, "k1"))
+        k2 = np.atleast_2d(_finite(k2, "k2"))
+        k0 = np.atleast_1d(_finite(k0, "k0"))
         m, d = k1.shape
         if k2.shape != (m, d) or k0.shape != (m,):
             raise ShapeError("inconsistent gain shapes")

@@ -48,6 +48,10 @@ class MomentTrajectory:
     running: np.ndarray
     clip_count: int
 
+    def __post_init__(self):
+        for a in (self.grid, self.means, self.covs, self.running):
+            a.setflags(write=False)
+
     def state(self, k: int) -> MomentState:
         return MomentState(self.means[k], self.covs[k])
 

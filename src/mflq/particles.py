@@ -70,6 +70,11 @@ class SimResult:
     cost_mean: float = 0.0
     cost_stderr: float = 0.0
 
+    def __post_init__(self):
+        for a in (self.times, self.mean_path, self.cov_path, self.running_mean,
+                  self.per_particle_cost, *self.ensembles.values()):
+            a.setflags(write=False)
+
 
 def _keys(seed: int) -> tuple[np.ndarray, np.ndarray]:
     words = SeedSequence(seed).generate_state(4, np.uint64)

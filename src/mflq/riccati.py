@@ -25,9 +25,9 @@ and two linear ODEs for the first-order coefficients:
 with terminal data Lam(T) = P2, Gam(T) = P2 + P2bar, gam(T) = p1 + p1bar,
 chi(T) = 0. Integration is classical fixed-step RK4 backward in time; U
 and V must stay positive definite at every stage or the solve fails fast
-with a breakdown error. The stored grid states plus their ODE right-hand
-sides support cubic Hermite interpolation at arbitrary times, preserving
-4th-order accuracy for downstream value and feedback queries.
+with a breakdown error. The solution is the flat RK4 grid: per grid time
+a row (Lam, Gam, gam, chi) of 2d^2+d+1 entries and a row of its derivative,
+and one cubic Hermite expression over the rows answers queries at 4th order.
 
 The Lam and Gam equations share one form: Gam's takes B+Bbar, C+Cbar,
 D+Dbar, F+Fbar, Q2+Q2bar where Lam's takes B, C, D, F, Q2, and adds R2bar
@@ -45,12 +45,13 @@ row is bitwise the same whichever other times share its batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import OutOfDomainError, RiccatiBreakdownError
+from .errors import RiccatiBreakdownError
 from .model import LqModel, _tr, _write_csv, check_count, sym
+from .schedules import _bracket
 
 POSITIVITY_FLOOR = 1e-10
 CONDITION_LIMIT = 1e12
@@ -228,24 +229,29 @@ def default_step_count(horizon: float) -> int:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Grid states of the backward solve plus stored derivatives.
-
-    Queries at grid times return the stored state bitwise; elsewhere a
-    cubic Hermite interpolant built from the stored right-hand sides is
-    used, and Lam, Gam are re-symmetrized after interpolation.
+    """The backward solve as its flat RK4 grid: rows of ``y`` are the states
+    (Lam, Gam, gam, chi) at ``grid``, flattened as in _unpack, rows of ``dy``
+    their derivatives; both are frozen, and Lam, Gam, gam, chi are read-only
+    views of ``y``. Grid times return the stored row bitwise; elsewhere the
+    cubic Hermite interpolant of the rows is used, and Lam, Gam are
+    re-symmetrized after interpolation.
     """
 
     model: LqModel
     grid: np.ndarray
     step: float
-    Lam: np.ndarray
-    Gam: np.ndarray
-    gam: np.ndarray
-    chi: np.ndarray
-    dLam: np.ndarray
-    dGam: np.ndarray
-    dgam: np.ndarray
-    dchi: np.ndarray
+    y: np.ndarray
+    dy: np.ndarray
+    Lam: np.ndarray = field(init=False, repr=False)
+    Gam: np.ndarray = field(init=False, repr=False)
+    gam: np.ndarray = field(init=False, repr=False)
+    chi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for a in (self.grid, self.y, self.dy):
+            a.setflags(write=False)
+        for name, view in zip(("Lam", "Gam", "gam", "chi"), _unpack(self.y, self.model.dims.d)):
+            object.__setattr__(self, name, view)
 
     @property
     def n_steps(self) -> int:
@@ -267,30 +273,20 @@ class RiccatiSolution:
         """(Lam, Gam, gam, chi) at every time in ``times``, stacked on a
         leading axis; each row is interpolated on its own."""
         t = np.asarray(times, dtype=float)
-        grid = self.grid
-        outside = ~((t >= grid[0]) & (t <= grid[-1]))
-        if outside.any():
-            raise OutOfDomainError(f"t={t[outside][0]} outside [0, {grid[-1]}]")
-        i = np.minimum(np.searchsorted(grid, t, side="right") - 1, grid.size - 2)
-        s = (t - grid[i]) / self.step
+        i, hit = _bracket(self.grid, t)
+        s = ((t - self.grid[i]) / self.step)[..., None]
         h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
         h10 = s * (1.0 - s) ** 2
         h01 = s * s * (3.0 - 2.0 * s)
         h11 = s * s * (s - 1.0)
-        dt = self.step
-        hit = np.where(t == grid[-1], grid.size - 1, np.where(t == grid[i], i, -1))
+        out = (h00 * self.y[i] + h01 * self.y[i + 1]
+               + self.step * (h10 * self.dy[i] + h11 * self.dy[i + 1]))
+        views = _unpack(out, self.model.dims.d)
+        for P in views[:2]:
+            P[...] = sym(P)
         on_grid = hit >= 0
-
-        def hermite(y, dy):
-            e = (slice(None),) + (None,) * (y.ndim - 1)  # basis over each row
-            return (h00[e] * y[i] + h01[e] * y[i + 1]
-                    + dt * (h10[e] * dy[i] + h11[e] * dy[i + 1]))
-
-        out = (sym(hermite(self.Lam, self.dLam)), sym(hermite(self.Gam, self.dGam)),
-               hermite(self.gam, self.dgam), hermite(self.chi, self.dchi))
-        for arr, stored in zip(out, (self.Lam, self.Gam, self.gam, self.chi)):
-            arr[on_grid] = stored[hit[on_grid]]
-        return out
+        out[on_grid] = self.y[hit[on_grid]]
+        return views
 
 
 def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution:
@@ -312,9 +308,8 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
     derivs = np.empty_like(states)
 
     def settle(k, y):
-        L, G, _, _ = _unpack(y, d)
-        L[...] = sym(L)
-        G[...] = sym(G)
+        for P in _unpack(y, d)[:2]:
+            P[...] = sym(P)
         if not np.isfinite(y).all():
             raise RiccatiBreakdownError(
                 f"non-finite Riccati state at t={times[k]:.6g}", time=float(times[k]))
@@ -323,17 +318,14 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
     for k, y, f in _rk4(times, -(T / K), _pack(terminal_state(model)),
                         model.table, _rhs, settle):
         states[K - k], derivs[K - k] = y, f
-    Lam, Gam, gam, chi = _unpack(states, d)
-    dLam, dGam, dgam, dchi = _unpack(derivs, d)
-    return RiccatiSolution(model=model, grid=grid, step=T / K,
-                           Lam=Lam, Gam=Gam, gam=gam, chi=chi,
-                           dLam=dLam, dGam=dGam, dgam=dgam, dchi=dchi)
+    return RiccatiSolution(model=model, grid=grid, step=T / K, y=states, dy=derivs)
 
 
 def with_scaled_lambda(sol: RiccatiSolution, factor: float) -> RiccatiSolution:
     """Copy of the solution with the Lam component (and its stored
     derivative) scaled — a fault-injection hook for battery self-tests."""
-    return replace(sol, Lam=factor * sol.Lam, dLam=factor * sol.dLam)
+    scale = np.where(np.arange(sol.y.shape[1]) < sol.model.dims.d ** 2, factor, 1.0)
+    return replace(sol, y=scale * sol.y, dy=scale * sol.dy)
 
 
 @dataclass(frozen=True)
@@ -382,5 +374,4 @@ def solution_to_csv(sol: RiccatiSolution, path) -> None:
                ["t"] + [f"Lambda_{i}{j}" for i in range(d) for j in range(d)]
                + [f"Gamma_{i}{j}" for i in range(d) for j in range(d)]
                + [f"gamma_{i}" for i in range(d)] + ["chi"],
-               ([t, *sol.Lam[k].ravel(), *sol.Gam[k].ravel(), *sol.gam[k], sol.chi[k]]
-                for k, t in enumerate(sol.grid)))
+               ([t, *row] for t, row in zip(sol.grid, sol.y)))

@@ -83,18 +83,25 @@ class Schedule:
         if knots is None:
             v = values[0]
             return np.broadcast_to(v, t.shape + v.shape)
-        outside = ~((t >= knots[0]) & (t <= knots[-1]))
-        if outside.any():
-            raise OutOfDomainError(
-                f"t={t[outside][0]} outside schedule domain [{knots[0]}, {knots[-1]}]")
-        i = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
+        i, hit = _bracket(knots, t, "schedule domain ")
         w = ((t - knots[i]) / (knots[i + 1] - knots[i])).reshape(
             t.shape + (1,) * (values.ndim - 1))
         out = (1.0 - w) * values[i] + w * values[i + 1]
-        at_knot = t == knots[i]
-        out[at_knot] = values[i[at_knot]]
-        out[t == knots[-1]] = values[-1]
+        on_knot = hit >= 0
+        out[on_knot] = values[hit[on_knot]]
         return out
+
+
+def _bracket(knots: np.ndarray, t: np.ndarray, domain: str = ""):
+    """For each of the times ``t``, the index i of the interval [knots[i],
+    knots[i+1]] that holds it and the index of the knot equal to it, or -1;
+    OutOfDomainError, naming ``domain``, outside [knots[0], knots[-1]]."""
+    outside = ~((t >= knots[0]) & (t <= knots[-1]))
+    if outside.any():
+        raise OutOfDomainError(
+            f"t={t[outside][0]} outside {domain}[{knots[0]}, {knots[-1]}]")
+    i = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
+    return i, np.where(t == knots[-1], knots.size - 1, np.where(t == knots[i], i, -1))
 
 
 def _not_a_number(value) -> bool:
@@ -109,15 +116,20 @@ def _not_a_number(value) -> bool:
     return isinstance(value, (str, bytes, bool, np.bool_))
 
 
-def _shaped(value, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of exactly ``shape``; a number fills a
-    one-element shape."""
+def _numeric(value) -> np.ndarray:
+    """``value`` as a float array; ValueError for a string, a boolean or a non-number."""
     if _not_a_number(value):
         raise ValueError("not numeric: a string or a boolean")
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"not numeric: {exc}") from exc
+
+
+def _shaped(value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array (_numeric) of exactly ``shape``; a number
+    fills a one-element shape."""
+    arr = _numeric(value)
     if arr.ndim == 0 and math.prod(shape) == 1:
         arr = np.full(shape, float(arr))
     if arr.shape != shape:

@@ -102,24 +102,26 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     """Residual of the dynamic-programming identity at (t, ms); 0 for the
     exact solution.
 
-    Time derivatives of (Lam, Gam, gam, chi) are centered finite
-    differences with the grid step, so the residual is bounded by the
-    finite-difference plus integrator error rather than being identically
-    zero. The grouping mirrors the identification that produced the ODE
-    system: the Var(.) block, the mean-quadratic block, the mean-linear
-    block (including gam'), and the scalar block, plus the minimized inner
-    objective. Coefficients come from the one-row model table at t, as in
-    the solve. The four blocks are summed here, not taken from the solver's
-    right-hand side (_rhs): that keeps the residual an independent check
-    of a transcription error in _rhs. Only the minimized inner objective
-    (g_inf) shares the solver's U/V inversion.
+    Time derivatives of (Lam, Gam, gam, chi) are fourth-order centered
+    differences (Fornberg 1988) over t +- h, t +- 2h, h the grid step, so t
+    lies at least 2h inside (0, T) and the residual is bounded by the
+    finite-difference plus integrator error, not zero. The grouping mirrors
+    the identification that produced the ODE system: the Var(.) block, the
+    mean-quadratic block, the mean-linear block (including gam'), and the
+    scalar block, plus the minimized inner objective. Coefficients come from
+    the one-row model table at t, as in the solve. The four blocks are
+    summed here, not taken from the solver's right-hand side (_rhs): that
+    keeps the residual an independent check of a transcription error in
+    _rhs. Only the minimized inner objective (g_inf) shares the solver's U/V
+    inversion.
     """
     dt = sol.step
-    if not (t - dt >= 0.0 and t + dt <= sol.horizon):
+    if not (t - 2.0 * dt >= 0.0 and t + 2.0 * dt <= sol.horizon):
         raise OutOfDomainError(
-            f"t={t} must be at least one grid step inside (0, {sol.horizon})")
-    Lam, Gam, gam, chi = sol.table(np.array([t, t + dt, t - dt]))
-    dL, dG, dg, dc = ((y[1] - y[2]) / (2.0 * dt) for y in (Lam, Gam, gam, chi))
+            f"t={t} must be at least two grid steps inside (0, {sol.horizon})")
+    Lam, Gam, gam, chi = sol.table(t + dt * np.array([0.0, 2.0, 1.0, -1.0, -2.0]))
+    dL, dG, dg, dc = ((8.0 * (y[2] - y[3]) - y[1] + y[4]) / (12.0 * dt)
+                      for y in (Lam, Gam, gam, chi))
 
     c = model.table([t])
     B, BpB, D, DpD, Q2, Q2bar = (c[n][0] for n in ("B", "BpB", "D", "DpD", "Q2", "Q2bar"))

@@ -20,9 +20,11 @@ def variance_stderr(samples) -> float:
     return float(np.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n))
 
 
-def random_standard_model(rng, d=2, m=2, barred=True):
+def random_standard_model(rng, d=2, m=2, barred=True, cross=0.0):
     """Random smooth LQ model satisfying the positivity condition (M2 = 0):
-    Q2, P2 (and their barred sums) PSD, R2 (and R2+R2bar) >= 0.5 I."""
+    Q2, P2 (and their barred sums) PSD, R2 (and R2+R2bar) >= 0.5 I. A
+    nonzero ``cross`` draws M2 and M2bar at that scale instead, after every
+    other coefficient, so the rest of the model is the same."""
 
     def psd(n, scale=1.0):
         a = rng.standard_normal((n, n)) * scale
@@ -52,6 +54,8 @@ def random_standard_model(rng, d=2, m=2, barred=True):
             r1bar=rng.standard_normal(m) * 0.3,
             p1bar=rng.standard_normal(d) * 0.3,
         )
+    if cross:
+        kw.update(M2=mat(d, m, cross), M2bar=mat(d, m, cross))
     return lq_model(d=d, m=m, horizon=1.0, **kw)
 
 

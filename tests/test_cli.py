@@ -1,10 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mflq import cli
+from mflq import cli, model_to_document
 from mflq.cli import main
+
+from helpers import random_standard_model
 
 
 def run(capsys, *argv):
@@ -189,6 +194,19 @@ def test_verify_systemic_passes(capsys):
     assert code == 0
 
 
+def test_verify_bellman_passes_generic_d3_model(tmp_path, capsys):
+    """A correct d=3, m=2 model failed only the Bellman check at K=1000
+    while the residual was a two-point difference; only that line is
+    asserted, the Monte Carlo checks are not meaningful at 500 particles."""
+    cfg = tmp_path / "model.json"
+    model = random_standard_model(np.random.default_rng(4), 3, 2)
+    cfg.write_text(json.dumps(model_to_document(model)))
+    _, stdout, _ = run(capsys, "verify", "--config", str(cfg), "--mean", "[0.5, -0.2, 0.1]",
+                       "--particles", "500")
+    bellman = next(l for l in stdout.splitlines() if l.startswith("bellman_residual_max"))
+    assert bellman.endswith("PASS")
+
+
 def test_verify_corrupted_lambda_fails_bellman(capsys):
     code, stdout, _ = run(capsys, "verify", "--preset", "systemic-risk",
                           "--particles", "500", "--steps", "250", "--seed", "1",
@@ -198,3 +216,21 @@ def test_verify_corrupted_lambda_fails_bellman(capsys):
     bellman = next(l for l in lines if l.startswith("bellman_residual_max"))
     assert "FAIL" in bellman
     assert "RESULT" in lines[-1] and "fail=0" not in lines[-1]
+
+
+# --- README -------------------------------------------------------------------
+
+def test_readme_commands_parse():
+    """Every `mflq ...` command in README's sh blocks, continuation lines
+    joined, parses with the CLI's own parser (nothing is run), so renaming
+    a flag or a subcommand cannot leave README stale."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["mflq"]:
+                commands.append(words[1:])
+    assert {argv[0] for argv in commands} == {"riccati", "value", "simulate", "verify"}
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv).func.__name__ == f"cmd_{argv[0]}"

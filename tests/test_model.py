@@ -180,6 +180,23 @@ def test_time_domain_and_shape_errors():
         drift(model, 0.5, [0.0, 1.0], [0.0], [0.0], [0.0])
     with pytest.raises(ShapeError):
         running_cost(model, 0.5, [0.0], [0.0, 1.0], [0.0], [0.0])
+    for args in (("1", True, [1.0], [0.0]), ([0.0], [0.0], [np.nan], [0.0]),
+                 ([0.0], [np.inf], [0.0], [0.0]), (["1"], [0.0], [0.0], [0.0])):
+        for fn in (drift, diffusion, running_cost):
+            with pytest.raises(ValueError, match="not numeric|non-finite"):
+                fn(model, 0.5, *args)
+    for x, mean_x in (("1", [0.0]), ([0.0], [True]), ([np.nan], [0.0])):
+        with pytest.raises(ValueError, match="not numeric|non-finite"):
+            terminal_cost(model, x, mean_x)
+
+
+@pytest.mark.parametrize("x, mean_x", [("2", [True]), ([np.nan], [0.0]), ([0.0], [-np.inf])])
+def test_feedback_rejects_non_numbers(x, mean_x):
+    fb = mflq.AffineFeedback.constant([[1.0]], [[0.0]], [0.0])
+    with pytest.raises(ValueError, match="not numeric|non-finite"):
+        fb(0.5, x, mean_x)
+    with pytest.raises(ValueError, match="not numeric|non-finite"):
+        mflq.AffineFeedback.constant([x], [[0.0]], mean_x)
 
 
 def test_pointwise_functions_are_the_documented_formulas():
@@ -265,6 +282,9 @@ def test_ensemble_moments_requires_two():
         ensemble_moments([[1.0]])
     with pytest.raises(ShapeError):
         ensemble_moments([1.0, 2.0, 3.0])
+    for states in ([["1"], ["2"]], [[True], [False]], [[0.0], [np.nan]], [[np.inf], [0.0]]):
+        with pytest.raises(ValueError, match="not numeric|non-finite"):
+            ensemble_moments(states)
 
 
 def test_ensemble_moments_lln():

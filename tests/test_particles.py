@@ -30,6 +30,22 @@ def systemic_setup(n_steps=400):
     return model, sol, optimal_feedback(model, sol)
 
 
+def test_results_are_read_only():
+    """Solutions, moment flows and simulation results are frozen, so no
+    caller can change what a later query or a shared result returns."""
+    model, sol, fb = systemic_setup(40)
+    traj = propagate_moments(model, fb, 0.0, AT_ONE, 20)
+    res = simulate(model, fb, SimConfig(n_particles=8, n_steps=10, seed=1,
+                                        initial=AT_ONE, store_every=5))
+    before = sol.at(0.0).Lam.copy()
+    for arr in (sol.Lam, sol.y, sol.dy, sol.grid, traj.means, traj.covs, traj.running,
+                res.mean_path, res.cov_path, res.per_particle_cost, res.ensembles[5],
+                res.ensembles[10]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 99.0
+    assert np.array_equal(sol.at(0.0).Lam, before)
+
+
 # --- noise stream contract ----------------------------------------------------
 
 def test_noise_pure_function_of_seed_step_particle():

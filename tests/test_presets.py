@@ -159,6 +159,17 @@ def test_lambda_reference_terminal_and_fixed_point():
     assert np.abs(systemic_lambda_reference(p0, ts)).max() <= 1e-13
 
 
+def test_lambda_reference_large_terminal_penalty_stays_bounded():
+    """With Lam_- < 0 <= c/2 the backward solution decreases from c/2
+    toward Lam_+ = delta_+/2 and never escapes, however large c is."""
+    p = SystemicParams(c=4e8)
+    ts = np.array([0.0, 0.5, 0.9, 0.999, 1.0])
+    lam = systemic_lambda_reference(p, ts)
+    assert np.isfinite(lam).all()
+    assert (lam >= 0.5 * systemic_delta(p)[0]).all() and (lam <= 0.5 * p.c).all()
+    assert (np.diff(lam) > 0).all()
+
+
 def test_lambda_reference_vs_engine():
     p = SystemicParams(kappa=0.5, q=0.5, eta=1.0, c=0.0, sigma=1.0)
     sol = solve_riccati(systemic_model(p), 1000)

@@ -9,7 +9,11 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   control_objective, f_hat_affine, g_hat, g_inf, lq_model,
                   mean_variance_model, optimal_feedback, solve_riccati,
                   systemic_model, value)
+from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
+from mflq.moments import cost_from_moments, dpp_check
 from mflq.riccati import RiccatiState, auxiliary
+
+from helpers import random_standard_model
 
 
 # --- discrete-measure oracles (independent of the moment formulas) ----------
@@ -290,7 +294,9 @@ def test_bellman_residual_detects_corruption():
 def test_chi_shift_moves_value_not_feedback():
     model = systemic_model(SystemicParams())
     sol = solve_riccati(model, 300)
-    shifted = dataclasses.replace(sol, chi=sol.chi + 2.5)
+    y = sol.y.copy()
+    y[:, -1] += 2.5  # the chi column of the flat states
+    shifted = dataclasses.replace(sol, y=y)
     ms = MomentState([0.4], [[1.1]])
     assert value(shifted, 0.3, ms) == pytest.approx(value(sol, 0.3, ms) + 2.5)
     f0, f1 = optimal_feedback(model, sol), optimal_feedback(model, shifted)
@@ -313,5 +319,48 @@ def test_moment_sufficiency():
 def test_bellman_residual_domain():
     model = systemic_model(SystemicParams())
     sol = solve_riccati(model, 100)
-    with pytest.raises(mflq.OutOfDomainError):
-        bellman_residual(model, sol, 0.0, MomentState.dirac([0.0]))
+    for t in (0.0, 1.5 * sol.step, 1.0 - 1.5 * sol.step):  # the stencil reaches t +- 2h
+        with pytest.raises(mflq.OutOfDomainError):
+            bellman_residual(model, sol, t, MomentState.dirac([0.0]))
+    for t in (2.0 * sol.step, 1.0 - 2.0 * sol.step):
+        assert np.isfinite(bellman_residual(model, sol, t, MomentState.dirac([0.0])))
+
+
+def _random_laws(rng, d, n):
+    laws = []
+    for _ in range(n):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        laws.append(MomentState(rng.uniform(-3.0, 3.0, d), (q * rng.uniform(0.0, 5.0, d)) @ q.T))
+    return laws
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_bellman_residual_generic_d3_models(seed):
+    """At K=1000 a two-point difference left residuals of 1e-4 to 6e-4 on
+    these correct models, above the verify tolerance; the fourth-order
+    stencil must pass them with the tolerance unchanged."""
+    model = random_standard_model(np.random.default_rng(seed), 3, 2)
+    sol = solve_riccati(model, 1000)
+    rng = np.random.default_rng(1)
+    times = rng.uniform(2.0 * sol.step, 1.0 - 2.0 * sol.step, 10)
+    worst = max(abs(bellman_residual(model, sol, t, ms))
+                for t in times for ms in _random_laws(rng, 3, 100))
+    assert worst <= BELLMAN_TOL
+
+
+def test_cross_cost_model_meets_every_tolerance():
+    """A d=3, m=2 model with M2 and M2bar nonzero meets the value identity,
+    the DPP split and the Bellman residual at the verify tolerances."""
+    model = random_standard_model(np.random.default_rng(0), 3, 2, cross=0.2)
+    assert model.cost.M2.values.any() and model.cost.M2bar.values.any()
+    sol = solve_riccati(model, 1000)
+    rng = np.random.default_rng(1)
+    laws = _random_laws(rng, 3, 20)
+    fb = optimal_feedback(model, sol)
+    ident = abs(value(sol, 0.0, laws[0]) - cost_from_moments(model, fb, 0.0, laws[0], 1000))
+    assert ident <= IDENTITY_TOL
+    assert max(dpp_check(model, sol, t1, t2, ms, 2000)
+               for t1, t2, ms in ((0.1, 0.6, laws[1]), (0.3, 0.9, laws[2]))) <= DPP_TOL
+    times = rng.uniform(2.0 * sol.step, 1.0 - 2.0 * sol.step, 10)
+    assert max(abs(bellman_residual(model, sol, t, ms))
+               for t in times for ms in laws) <= BELLMAN_TOL
