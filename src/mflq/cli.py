@@ -93,6 +93,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    check_count("n_particles", args.particles, 2)
     check_count("thin", args.thin, 1)
     model, x0 = _load(args)
     ms0 = _initial_state(args, model, x0)
@@ -173,6 +174,7 @@ def _verify_battery(model, sol, ms0, seed, n_particles):
 
 
 def cmd_verify(args) -> int:
+    check_count("n_particles", args.particles, 2)
     model, x0 = _load(args)
     ms0 = _initial_state(args, model, x0)
     sol = riccati.solve_riccati(model, args.steps)
@@ -192,7 +194,7 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mflq",
+        prog="mflq", allow_abbrev=False,
         description="LQ mean-field control: Riccati solve, value evaluation, "
                     "particle Monte Carlo, and verification battery.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -211,17 +213,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mean", help="initial/query mean, JSON number or list")
         p.add_argument("--cov", help="initial/query covariance, JSON")
 
-    p = sub.add_parser("riccati", help="solve and dump the backward system")
+    p = sub.add_parser("riccati", allow_abbrev=False, help="solve and dump the backward system")
     common(p)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_riccati)
 
-    p = sub.add_parser("value", help="evaluate the value function")
+    p = sub.add_parser("value", allow_abbrev=False, help="evaluate the value function")
     with_law(p)
     p.add_argument("--t", type=float, help="query time (default: T)")
     p.set_defaults(func=cmd_value)
 
-    p = sub.add_parser("simulate", help="particle Monte Carlo run")
+    p = sub.add_parser("simulate", allow_abbrev=False, help="particle Monte Carlo run")
     with_law(p)
     p.add_argument("--particles", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the validation battery")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run the validation battery")
     with_law(p)
     p.add_argument("--particles", type=int, default=50000)
     p.add_argument("--seed", type=int, default=0)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,6 +46,8 @@ from .schedules import Schedule, _frozen, _not_a_number, _numeric, _shaped, as_s
 
 SYMMETRY_TOL = 1e-12  # asymmetry below this is repaired, above it is a violation
 COV_EIG_FLOOR = -1e-10
+TABLE_BUDGET = 2 ** 15  # floats of LqModel.table per block of steps: bounds table memory
+MIN_BLOCK_STEPS = 16
 
 
 def _tr(a: np.ndarray) -> np.ndarray:
@@ -134,6 +136,7 @@ class LqModel:
     horizon: float
     dynamics: LqDynamics
     cost: LqCost
+    knot_groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Reject, with a ValueError naming the coefficient, a horizon not
@@ -167,6 +170,7 @@ class LqModel:
                 if name in _SYMMETRIC_COST and (gap := _asymmetry(mats)) > SYMMETRY_TOL:
                     raise ValueError(f"coefficient '{name}' is not symmetric "
                                      f"(asymmetry {gap:.3e})")
+        object.__setattr__(self, "knot_groups", _knot_groups(self))
 
     def check_time(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:
@@ -174,24 +178,62 @@ class LqModel:
 
     def table(self, times) -> dict:
         """Every dynamics and running-cost coefficient at ``times``: name ->
-        values stacked on a leading time axis (see Schedule.table), vectors
-        as columns, the times under "t", and for each X of B, C, D, F, Q2 the
-        (Lam, Gam) pair [X, X+Xbar] stacked on a leading axis under X + "p"
-        ("Bp", ...), whose second member is also "BpB" ("CpC", "DpD", "FpF",
-        "QQ"). Row j (c[name][j], c[name + "p"][:, j]) depends on times[j]
-        alone."""
+        values stacked on a leading time axis, vectors as columns, the times
+        under "t", and for each X of B, C, D, F, Q2 the (Lam, Gam) pair
+        [X, X+Xbar] stacked on a leading axis under X + "p" ("Bp", ...),
+        whose second member is also "BpB" ("CpC", "DpD", "FpF", "QQ").
+
+        Each of ``knot_groups`` is interpolated once (Schedule.table) and its
+        fields are views of that table, so a constant is a read-only
+        broadcast and a knot time returns the stored knot values; outside a
+        knot vector's span Schedule.table raises OutOfDomainError. Row j
+        (c[name][j], c[name + "p"][:, j]) depends on times[j] alone.
+        """
         times = np.asarray(times, dtype=float)
         c = {"t": times}
-        for block, fields in ((self.dynamics, _DYNAMICS_FIELDS),
-                              (self.cost, _COST_SCHEDULE_FIELDS)):
-            for name, key in fields:
-                values = getattr(block, name).table(times)
-                c[name] = values[..., None] if len(key) == 1 else values
+        for sched, layout in self.knot_groups:
+            values = sched.table(times)
+            for name, i0, i1, shape in layout:
+                view = values[..., i0:i1].reshape(times.shape + shape)
+                c[name] = view[..., None] if len(shape) == 1 else view
         for name, bar, total in _PAIRS:
             pair = c[name + "p"] = np.empty((2,) + c[name].shape)
             pair[0] = c[name]
             c[total] = np.add(c[name], c[bar], out=pair[1])
         return c
+
+    @property
+    def block_steps(self) -> int:
+        """Steps per table block: the most whose table, two rows per step
+        (a grid point and a midpoint), fits TABLE_BUDGET floats, and at least
+        MIN_BLOCK_STEPS."""
+        width = {name: i1 - i0 for _, layout in self.knot_groups
+                 for name, i0, i1, _ in layout}
+        row = sum(width.values()) + 2 * sum(width[name] for name, _, _ in _PAIRS)
+        return max(MIN_BLOCK_STEPS, TABLE_BUDGET // (2 * row))
+
+
+def _knot_groups(model: LqModel) -> tuple:
+    """The schedule fields of ``model`` grouped by knot vector, every
+    constant in one group: per group one Schedule whose values hold its
+    fields flattened side by side, and per field (name, first column, end
+    column, shape)."""
+    groups: dict = {}
+    for block, fields in ((model.dynamics, _DYNAMICS_FIELDS),
+                          (model.cost, _COST_SCHEDULE_FIELDS)):
+        for name, _ in fields:
+            sched = getattr(block, name)
+            key = None if sched.is_constant else sched.times.tobytes()
+            groups.setdefault(key, []).append((name, sched))
+    out = []
+    for members in groups.values():
+        flat = [sched.values.reshape(sched.values.shape[0], -1) for _, sched in members]
+        ends = np.cumsum([f.shape[1] for f in flat])
+        layout = tuple((name, int(end) - f.shape[1], int(end), sched.shape)
+                       for (name, sched), f, end in zip(members, flat, ends))
+        out.append((Schedule(members[0][1].times, _frozen(np.concatenate(flat, axis=1))),
+                    layout))
+    return tuple(out)
 
 
 def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:

@@ -19,8 +19,9 @@ for the value identity and the dynamic-programming check.
 Every coefficient of this system depends on time alone once the gains are
 fixed, so propagate_moments tabulates the affine moment coefficients (the
 drift, diffusion and running-cost matrices under the gains, from one
-batched gain query) for each block of RK4 stages and steps the flat state
-(mean, Cov, running cost) with the RK4 core shared with the Riccati solve.
+batched gain query) for each block of RK4 stages (``LqModel.block_steps``
+steps) and steps the flat state (mean, Cov, running cost) with the RK4
+core shared with the Riccati solve.
 """
 
 from __future__ import annotations
@@ -145,12 +146,13 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     accumulating the running cost as an augmented state component.
 
     The gains and every affine moment coefficient are tabulated once per
-    block of stages. The covariance is re-symmetrized every step and
-    eigenvalue-clipped at -1e-9; clipping beyond -1e-6, or a non-finite
-    mean, covariance or running cost, raises CovarianceInstabilityError at
-    that step's time. A block's table is built before its steps
-    run, so a RiccatiBreakdownError of the gains anywhere in a block is
-    raised ahead of an instability at an earlier step of that block.
+    block of model.block_steps steps (546 at d = 1). The covariance is
+    re-symmetrized every step and eigenvalue-clipped at -1e-9; clipping
+    beyond -1e-6, or a non-finite mean, covariance or running cost, raises
+    CovarianceInstabilityError at that step's time. A block's table is
+    built before its steps run, so a RiccatiBreakdownError of the gains
+    anywhere in a block is raised ahead of an instability at an earlier
+    step of that block; an instability in an earlier block raises first.
     """
     model.check_time(t0)
     T = model.horizon if t_end is None else float(t_end)
@@ -184,7 +186,7 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     else:
         for k, y, _ in _rk4(grid, (T - t0) / n_steps, states[0],
                             lambda ts: _moment_table(model, fb, ts),
-                            _moment_rhs, settle):
+                            _moment_rhs, settle, model.block_steps):
             states[k] = y
     return MomentTrajectory(grid=grid, means=states[:, :d],
                             covs=states[:, d:-1].reshape(-1, d, d),

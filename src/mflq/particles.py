@@ -35,7 +35,7 @@ from scipy.special import ndtri
 from .errors import ShapeError, SimulationDivergedError
 from .model import (AffineFeedback, LqModel, MomentState, _row_factors, _row_terms,
                     _sample_moments, _terminal_rows, _write_csv, check_count)
-from .riccati import STAGE_BLOCK, RiccatiSolution
+from .riccati import RiccatiSolution
 from .value import optimal_feedback
 
 
@@ -106,10 +106,12 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     """Simulate the interacting particle system under the feedback law.
 
     Coefficients, gains and row factors are tabulated once per block of
-    steps. Deterministic for fixed (seed, N, K, model, fb). Raises
+    model.block_steps steps (546 at d = 1); no result depends on the block
+    length. Deterministic for fixed (seed, N, K, model, fb). Raises
     SimulationDivergedError (with the step index) if any state goes
     non-finite; a RiccatiBreakdownError of the gains anywhere in a block is
-    raised before that block's steps run.
+    raised before that block's steps run, so ahead of a divergence at an
+    earlier step of the same block.
     """
     cfg.validate(model)
     d, m = model.dims.d, model.dims.m
@@ -138,8 +140,9 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
         return mean_path[j]
 
     mhat = record(0)
-    for j0 in range(0, K, STAGE_BLOCK):
-        block = times[j0:min(j0 + STAGE_BLOCK, K)]
+    steps = model.block_steps
+    for j0 in range(0, K, steps):
+        block = times[j0:min(j0 + steps, K)]
         c = model.table(block)
         H = _row_factors(c)
         K1s, K2s, k0s = fb.table(block)

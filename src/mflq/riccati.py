@@ -37,7 +37,8 @@ such coefficient as a (Lam, Gam) pair on one axis, so (U, V), (S, Z) and
 stage serves the inversions, the positivity floor and the condition cap
 (_solved_aux). The coefficients are tabulated once for each block of RK4
 stages, grid points and midpoints, and the stepper addresses stages by
-table row; the same RK4 core drives the forward moment flow. Tables,
+table row; a block is the model's ``block_steps``, sized by the table's row
+bytes. The same RK4 core drives the forward moment flow. Tables,
 Hermite queries and the stacked check evaluate each row on its own, so a
 row is bitwise the same whichever other times share its batch.
 """
@@ -83,25 +84,23 @@ def terminal_state(model: LqModel) -> RiccatiState:
                         gam=c.p1 + c.p1bar, chi=0.0)
 
 
-STAGE_BLOCK = 16  # RK4 steps per stage-table block (33 rows): bounds table memory
-
-
-def _rk4(times: np.ndarray, h: float, y: np.ndarray, table, rhs, settle):
+def _rk4(times: np.ndarray, h: float, y: np.ndarray, table, rhs, settle, block: int):
     """Classical fixed-step RK4 on a flat state through ``times``, given in
     integration order with signed step ``h``.
 
     Stages are addressed by row: ``table(stage_times)`` tabulates whatever
     depends on time alone at the grid points and midpoints of one block of
-    STAGE_BLOCK steps, so table memory does not grow with the step count,
-    and ``rhs(tab, row, y)`` is the derivative at a stage row.
-    ``settle(k, y)`` checks or projects each new grid state. Yields
-    ``(k, y, f)`` for every grid index k, f being the derivative at
-    (times[k], y).
+    ``block`` steps (the model's ``block_steps``), so table memory does not
+    grow with the step count, and ``rhs(tab, row, y)`` is the derivative at
+    a stage row. Every row depends on its own time alone, so the result does
+    not depend on ``block``. ``settle(k, y)`` checks or projects each new
+    grid state. Yields ``(k, y, f)`` for every grid index k, f being the
+    derivative at (times[k], y).
     """
     n = times.size - 1
     f = None
-    for k0 in range(0, n, STAGE_BLOCK):
-        k1 = min(k0 + STAGE_BLOCK, n)
+    for k0 in range(0, n, block):
+        k1 = min(k0 + block, n)
         stage = np.empty(2 * (k1 - k0) + 1)
         stage[0::2] = times[k0:k1 + 1]
         stage[1::2] = 0.5 * (times[k0:k1] + times[k0 + 1:k1 + 1])
@@ -292,9 +291,10 @@ class RiccatiSolution:
 def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution:
     """Integrate the terminal-value system backward with fixed-step RK4.
 
-    Every coefficient is tabulated once per block of stages; Lam and Gam
-    are re-symmetrized after every step; U and V are checked positive
-    definite at every stage evaluation. Raises RiccatiBreakdownError
+    Every coefficient is tabulated once per block of model.block_steps
+    steps (no result depends on the block length); Lam and Gam are
+    re-symmetrized after every step; U and V are checked positive definite
+    at every stage evaluation. Raises RiccatiBreakdownError
     carrying the failure time on positivity loss, ill-conditioning, or a
     non-finite state.
     """
@@ -316,7 +316,7 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
         return y
 
     for k, y, f in _rk4(times, -(T / K), _pack(terminal_state(model)),
-                        model.table, _rhs, settle):
+                        model.table, _rhs, settle, model.block_steps):
         states[K - k], derivs[K - k] = y, f
     return RiccatiSolution(model=model, grid=grid, step=T / K, y=states, dy=derivs)
 

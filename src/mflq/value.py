@@ -105,11 +105,15 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     Time derivatives of (Lam, Gam, gam, chi) are fourth-order centered
     differences (Fornberg 1988) over t +- h, t +- 2h, h the grid step, so t
     lies at least 2h inside (0, T) and the residual is bounded by the
-    finite-difference plus integrator error, not zero. The grouping mirrors
-    the identification that produced the ODE system: the Var(.) block, the
-    mean-quadratic block, the mean-linear block (including gam'), and the
-    scalar block, plus the minimized inner objective. Coefficients come from
-    the one-row model table at t, as in the solve. The four blocks are
+    finite-difference plus integrator error, not zero. Within 2h of an
+    interior knot of the model's knot groups, where the second derivative
+    of the solution jumps, the difference is the one-sided fourth-order one
+    over t, t + sh, ..., t + 4sh on the side s that holds no knot
+    (_knot_free_side). The grouping mirrors the identification that
+    produced the ODE system: the Var(.) block, the mean-quadratic block,
+    the mean-linear block (including gam'), and the scalar block, plus the
+    minimized inner objective. Coefficients come from the one-row model
+    table at t, as in the solve. The four blocks are
     summed here, not taken from the solver's right-hand side (_rhs): that
     keeps the residual an independent check of a transcription error in
     _rhs. Only the minimized inner objective (g_inf) shares the solver's U/V
@@ -119,9 +123,17 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     if not (t - 2.0 * dt >= 0.0 and t + 2.0 * dt <= sol.horizon):
         raise OutOfDomainError(
             f"t={t} must be at least two grid steps inside (0, {sol.horizon})")
-    Lam, Gam, gam, chi = sol.table(t + dt * np.array([0.0, 2.0, 1.0, -1.0, -2.0]))
-    dL, dG, dg, dc = ((8.0 * (y[2] - y[3]) - y[1] + y[4]) / (12.0 * dt)
-                      for y in (Lam, Gam, gam, chi))
+    side = _knot_free_side(model, t, dt, sol.horizon)
+
+    def derivative(y):
+        if side:
+            return (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3]
+                    - 3.0 * y[4]) / (12.0 * side * dt)
+        return (8.0 * (y[2] - y[3]) - y[1] + y[4]) / (12.0 * dt)
+
+    rows = sol.table(t + dt * (side * np.arange(5.0) if side
+                               else np.array([0.0, 2.0, 1.0, -1.0, -2.0])))
+    (Lam, Gam, gam, chi), (dL, dG, dg, dc) = rows, map(derivative, rows)
 
     c = model.table([t])
     B, BpB, D, DpD, Q2, Q2bar = (c[n][0] for n in ("B", "BpB", "D", "DpD", "Q2", "Q2bar"))
@@ -135,3 +147,17 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     scalar = dc + g @ b0 + s0 @ (L @ s0)
     return float(np.trace(var_block @ cov) + m @ mean_quad @ m
                  + mean_lin @ m + scalar + _g_inf(c, np.stack((L, G)), g, ms))
+
+
+def _knot_free_side(model: LqModel, t: float, h: float, horizon: float) -> float:
+    """0 when no interior knot lies within 2h of t; otherwise the side s, +1
+    or -1, whose interval from t to t + 4sh holds no knot inside it and lies
+    in [0, horizon], or 0 when neither side does."""
+    knots = np.concatenate([sched.knot_times()[1:-1] for sched, _ in model.knot_groups])
+    if not (np.abs(knots - t) < 2.0 * h).any():
+        return 0.0
+    for side in (1.0, -1.0):
+        lo, hi = sorted((t, t + 4.0 * side * h))
+        if lo >= 0.0 and hi <= horizon and not ((knots > lo) & (knots < hi)).any():
+            return side
+    return 0.0

@@ -1,0 +1,32 @@
+"""The per-metric verdict of tools/bench_ab.py."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).resolve().parents[1] / "tools" / "bench_ab.py"
+_spec = importlib.util.spec_from_file_location("bench_ab", _path)
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+
+@pytest.mark.parametrize("pairs, direction, bound, expected", [
+    ([(10.0, 8.0)] * 10, "lower", 0.25, "gain"),
+    # 9 of 10 wins is enough, 8 is not
+    ([(10.0, 8.0)] * 9 + [(10.0, 10.5)], "lower", 0.25, "gain"),
+    ([(10.0, 8.0)] * 8 + [(10.0, 10.5)] * 2, "lower", 0.25, "within bound"),
+    # every pair won, but the median gap (1.1) is inside the base spread (2)
+    ([(10.0 + i % 3, 9.9) for i in range(10)], "lower", 0.25, "within bound"),
+    # base spread wider than the bound
+    ([(10.0 + 5 * (i % 3), 16.0) for i in range(10)], "lower", 0.25, "unresolved"),
+    # ... unless every change run beats every base run
+    ([(10.0 + 5 * (i % 3), 9.9) for i in range(10)], "lower", 0.25, "within bound"),
+    ([(10.0, 13.0)] * 10, "lower", 0.25, "worse"),
+    ([(10.0, 12.0)] * 10, "lower", 0.25, "within bound"),
+    ([(1.0, 1.0)] * 10, "higher", 0.01, "within bound"),
+    ([(1.0, 0.9)] * 10, "higher", 0.01, "worse"),
+    ([(0.9, 1.0)] * 10, "higher", 0.01, "gain"),
+])
+def test_verdict(pairs, direction, bound, expected):
+    assert bench_ab.verdict(pairs, direction, bound) == expected

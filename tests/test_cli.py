@@ -175,6 +175,32 @@ def test_simulate_rejects_thin_below_one(tmp_path, capsys, monkeypatch, thin):
     assert stderr.startswith("error:") and "thin" in stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_particles_checked_before_any_work(capsys, monkeypatch, command):
+    """--particles below 2 is rejected before the solve runs."""
+    def solve_riccati(*_args):
+        raise AssertionError("the solve ran before --particles was checked")
+
+    monkeypatch.setattr(cli.riccati, "solve_riccati", solve_riccati)
+    code, _, stderr = run(capsys, command, "--preset", "systemic-risk",
+                          "--particles", "1", "--steps", "10")
+    assert code == 2
+    assert stderr.startswith("error:") and "n_particles" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--preset", "systemic-risk", "--particle", "5"),
+    ("value", "--preset", "systemic-risk", "--ste", "100"),
+    ("riccati", "--pre", "systemic-risk"),
+])
+def test_abbreviated_flags_rejected(capsys, argv):
+    """A prefix of a flag is not the flag: each is a usage error."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_steps_default_to_the_solver_default(tmp_path, capsys):
     """Without --steps the simulation runs on the solve's grid: T=2 takes
     default_step_count(2) = 2000 steps, so the CSV has 2001 data rows."""

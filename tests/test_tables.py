@@ -12,10 +12,12 @@ from mflq import (AffineFeedback, FeedbackPerturbation, MeanVarianceParams,
                   lq_model, mean_variance_model, optimal_feedback, optimal_gains,
                   propagate_moments, simulate, solve_riccati, systemic_model,
                   with_scaled_lambda)
-from mflq.errors import RiccatiBreakdownError
+from mflq import model as model_module
+from mflq.errors import OutOfDomainError, RiccatiBreakdownError
+from mflq.model import MIN_BLOCK_STEPS, _COST_SCHEDULE_FIELDS, _DYNAMICS_FIELDS, _PAIRS
 from mflq.schedules import Schedule
 
-from helpers import tabulated_model
+from helpers import random_standard_model, tabulated_model
 
 
 def stage_times(grid):
@@ -183,3 +185,102 @@ def test_pointwise_gains_are_one_synthesis(monkeypatch):
     fb.gains(0.3)
     fb(0.3, [0.1, 0.2], [0.0, 0.1])
     assert queried == [1, 1]
+
+
+def retabulated(model, knots_of):
+    """``model`` with each schedule field named in ``knots_of`` tabulated on
+    the knot vector given there: its constant value times 1, 0.5, 1.5, ...
+    at the knots."""
+    blocks = {"dynamics": {}, "cost": {}}
+    for block, changes in blocks.items():
+        for name, knots in knots_of.items():
+            if hasattr(getattr(model, block), name):
+                value = getattr(getattr(model, block), name).values[0]
+                scale = (1.0, 0.5, 1.5, 0.8, 1.2)[:len(knots)]
+                changes[name] = Schedule.tabulated(knots, [value * f for f in scale])
+    return dataclasses.replace(model, **{block: dataclasses.replace(getattr(model, block), **changes)
+                                         for block, changes in blocks.items()})
+
+
+def table_models():
+    """(name, model, number of knot groups): every field constant, every
+    field on one shared knot vector, every field on one of two knot
+    vectors, and constants mixed with two knot vectors."""
+    base = random_standard_model(np.random.default_rng(6), 3, 2, cross=0.3)
+    schedule_fields = [name for name, _ in _DYNAMICS_FIELDS + _COST_SCHEDULE_FIELDS]
+    k1, k2 = [0.0, 0.5, 1.0], [0.0, 0.3, 0.7, 1.0]
+    return [("constant", base, 1),
+            ("shared", retabulated(base, dict.fromkeys(schedule_fields, k1)), 1),
+            ("two", retabulated(base, {name: (k1, k2)[i % 2]
+                                       for i, name in enumerate(schedule_fields)}), 2),
+            ("mixed", retabulated(base, {"B": k1, "Q2": k1, "sigma0": k2, "R2bar": k2}), 3)]
+
+
+@pytest.mark.parametrize("name, model, n_groups", table_models(),
+                         ids=[name for name, *_ in table_models()])
+def test_table_is_the_per_field_schedule_tables(monkeypatch, name, model, n_groups):
+    """LqModel.table interpolates each knot group once and is bitwise the
+    per-field Schedule.table plus the (Lam, Gam) pairs, at knots, between
+    knots and at random times; outside [0, T] a knot group raises."""
+    assert len(model.knot_groups) == n_groups
+    times = np.concatenate([[0.0, 0.3, 0.5, 0.7, 1.0, 0.15, 0.4, 0.6, 0.85],
+                            np.random.default_rng(2).uniform(0.0, 1.0, 20)])
+    expected = {"t": times}
+    for block, fields in ((model.dynamics, _DYNAMICS_FIELDS),
+                          (model.cost, _COST_SCHEDULE_FIELDS)):
+        for field, key in fields:
+            values = getattr(block, field).table(times)
+            expected[field] = values[..., None] if len(key) == 1 else values
+    for field, bar, total in _PAIRS:
+        expected[field + "p"] = np.stack([expected[field], expected[field] + expected[bar]])
+        expected[total] = expected[field + "p"][1]
+    calls = []
+    schedule_table = Schedule.table
+
+    def counted(self, t):
+        calls.append(self)
+        return schedule_table(self, t)
+
+    monkeypatch.setattr(Schedule, "table", counted)
+    table = model.table(times)
+    assert len(calls) == n_groups
+    assert table.keys() == expected.keys()
+    for key, values in expected.items():
+        assert table[key].shape == values.shape and table[key].tobytes() == values.tobytes(), key
+    if name != "constant":
+        for outside in ([-0.1], [0.5, 1.1], [np.nan]):
+            with pytest.raises(OutOfDomainError):
+                model.table(outside)
+
+
+def test_block_length_from_row_size():
+    """A block is as many steps as fit TABLE_BUDGET floats, two table rows
+    per step, and never fewer than 16."""
+    rng = np.random.default_rng(0)
+    assert systemic_model(SystemicParams()).block_steps == 546
+    assert random_standard_model(rng, 3, 2).block_steps == 85
+    assert random_standard_model(rng, 16, 8).block_steps == MIN_BLOCK_STEPS == 16
+
+
+@pytest.mark.parametrize("d, m, K", [(1, 1, 1200), (3, 2, 200)])
+def test_results_do_not_depend_on_block_length(monkeypatch, d, m, K):
+    """The solve, the moment flow and the simulation are bitwise the same
+    with the derived blocks and with forced 16-step blocks."""
+    model = random_standard_model(np.random.default_rng(d), d, m, cross=0.2)
+    ms = MomentState(np.linspace(-1.0, 1.0, d), 0.5 * np.eye(d))
+
+    def run():
+        sol = solve_riccati(model, K)
+        fb = optimal_feedback(model, sol)
+        flow = propagate_moments(model, fb, 0.05, ms, K)
+        sim = simulate(model, fb, SimConfig(n_particles=40, n_steps=K, seed=5, initial=ms))
+        return [sol.y, sol.dy, flow.means, flow.covs, flow.running, sim.mean_path,
+                sim.cov_path, sim.running_mean, sim.per_particle_cost]
+
+    derived = model.block_steps
+    assert 2 * derived < K
+    outputs = run()
+    monkeypatch.setattr(model_module, "TABLE_BUDGET", 0)
+    assert model.block_steps == MIN_BLOCK_STEPS < derived
+    for a, b in zip(outputs, run()):
+        assert a.tobytes() == b.tobytes()

@@ -13,7 +13,7 @@ from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
 from mflq.moments import cost_from_moments, dpp_check
 from mflq.riccati import RiccatiState, auxiliary
 
-from helpers import random_standard_model
+from helpers import random_standard_model, tabulated_model
 
 
 # --- discrete-measure oracles (independent of the moment formulas) ----------
@@ -364,3 +364,16 @@ def test_cross_cost_model_meets_every_tolerance():
     times = rng.uniform(2.0 * sol.step, 1.0 - 2.0 * sol.step, 10)
     assert max(abs(bellman_residual(model, sol, t, ms))
                for t in times for ms in laws) <= BELLMAN_TOL
+
+
+def test_bellman_residual_across_a_knot():
+    """tabulated_model() has a knot at 0.5, where the solution's second
+    derivative jumps. Within 2h of it the centered stencil straddled the
+    jump and this state read 6.3e-4 at 0.5 +- 0.5h and +- 1.5h and 1.0e-2 at
+    the knot; the one-sided stencil on the knot-free side must pass it at
+    the unchanged tolerance."""
+    model = tabulated_model()
+    sol = solve_riccati(model, 1000)
+    ms = MomentState([2.0, 1.0], [[2.0, 0.0], [0.0, 2.0]])
+    for offset in (0.0, 0.5, -0.5, 1.5, -1.5):
+        assert abs(bellman_residual(model, sol, 0.5 + offset * sol.step, ms)) <= BELLMAN_TOL

@@ -7,8 +7,19 @@ directory. Each pair runs ``benchmarks/run.py --trace 0`` once there and
 once in the working tree, alternating which side runs first, with the same
 workload, seed and run length (``run_seconds`` of BENCHMARK.json).
 Prints each pair's end-to-end metrics; then per metric each side's median
-and quartiles, the median ratio change/base and the number of pairs the
-change won (ties count for neither); and the output digests of both sides.
+and quartiles, the median ratio change/base, the number of pairs the
+change won (ties count for neither) and a verdict against the metric's
+``bound`` in BENCHMARK.json; and the output digests of both sides. The
+verdicts, in the order they are tested:
+
+- gain: the change won at least nine tenths of the pairs and its median is
+  better than the base median by more than the base quartile spread;
+- unresolved: the base quartile spread, relative to the base median, is
+  wider than the bound, and not every change run beats every base run;
+- worse: the change median is worse than the base median by more than the
+  bound, relative to the base median;
+- within bound: otherwise.
+
 Uses the standard library only.
 """
 
@@ -51,10 +62,30 @@ def bench(checkout: str, args, seconds: float) -> tuple[dict, str]:
     return values, record["output_digest"]
 
 
+def quartiles(values: list) -> list:
+    return (statistics.quantiles(values, n=4, method="inclusive")
+            if len(values) > 1 else values * 3)
+
+
 def summary(values: list) -> str:
-    q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                  if len(values) > 1 else values * 3)
+    q1, q2, q3 = quartiles(values)
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdict(pairs: list, direction: str, bound: float) -> str:
+    """The verdict (module docstring) on (base, change) value pairs of a
+    metric whose better ``direction`` is "lower" or "higher"."""
+    sign = 1.0 if direction == "lower" else -1.0  # sign * (base - change) > 0: change better
+    base = [b for b, _ in pairs]
+    q1, median, q3 = quartiles(base)
+    gap = sign * (median - statistics.median([c for _, c in pairs]))
+    wins = sum(sign * (b - c) > 0 for b, c in pairs)
+    if 10 * wins >= 9 * len(pairs) and gap > q3 - q1:
+        return "gain"
+    scale = abs(median) or 1.0
+    if (q3 - q1) / scale > bound and not all(sign * (b - c) > 0 for b in base for _, c in pairs):
+        return "unresolved"
+    return "worse" if -gap / scale > bound else "within bound"
 
 
 def main() -> int:
@@ -70,6 +101,7 @@ def main() -> int:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     runs = {"base": [], "change": []}
     digests = {"base": set(), "change": set()}
@@ -95,7 +127,8 @@ def main() -> int:
         median = f"{statistics.median(ratios):.3f}" if ratios else "n/a"
         print(f"{name:12s} base {summary([b for b, _ in pairs])}  "
               f"change {summary([c for _, c in pairs])}  median ratio {median}  "
-              f"change better in {wins}/{len(pairs)}")
+              f"change better in {wins}/{len(pairs)}  "
+              f"{verdict(pairs, direction, bounds[name])}")
     for side in ("base", "change"):
         print(f"output_digest {side}: {', '.join(sorted(digests[side]))}")
     return 0
