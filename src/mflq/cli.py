@@ -175,6 +175,8 @@ def _verify_battery(model, sol, ms0, seed, n_particles):
 
 def cmd_verify(args) -> int:
     check_count("n_particles", args.particles, 2)
+    if args.steps is not None:  # the Bellman check needs t at least 2h inside (0, T)
+        check_count("n_steps", args.steps, 4)
     model, x0 = _load(args)
     ms0 = _initial_state(args, model, x0)
     sol = riccati.solve_riccati(model, args.steps)

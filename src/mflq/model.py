@@ -176,6 +176,10 @@ class LqModel:
         if not 0.0 <= t <= self.horizon:
             raise OutOfDomainError(f"t={t} outside [0, {self.horizon}]")
 
+    def check_law(self, law: "MomentState") -> None:
+        if law.d != self.dims.d:
+            raise ShapeError(f"law has dimension {law.d}, the model has d={self.dims.d}")
+
     def table(self, times) -> dict:
         """Every dynamics and running-cost coefficient at ``times``: name ->
         values stacked on a leading time axis, vectors as columns, the times

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovarianceInstabilityError, OutOfDomainError
-from .model import (AffineFeedback, LqModel, MomentState, _tr, _write_csv, check_count,
-                    clip_psd)
+from .model import AffineFeedback, LqModel, MomentState, _tr, check_count, clip_psd
 from .riccati import RiccatiSolution, _rk4
 from .value import g_hat, optimal_feedback
 from .value import value as value_at
@@ -116,29 +115,6 @@ def _moment_rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def moment_rhs(model: LqModel, fb: AffineFeedback, t: float,
-               ms: MomentState) -> tuple[np.ndarray, np.ndarray]:
-    """(m', Cov') of the closed moment system at (t, ms)."""
-    model.check_time(t)
-    d = model.dims.d
-    f = _moment_rhs(_moment_table(model, fb, [t]), 0,
-                    np.concatenate((ms.mean, ms.cov.ravel(), [0.0])))
-    return f[:d], f[d:-1].reshape(d, d)
-
-
-def f_hat_affine(model: LqModel, t: float, fb: AffineFeedback,
-                 ms: MomentState) -> float:
-    """Lifted running cost of an affine feedback, in moment-closed form.
-
-    With a = K1(x-m) + K2 m + k the control law has mean K2 m + k and
-    covariance K1 Cov K1', and the state-control cross term reduces to
-    2 tr(M2 K1 Cov); collected by powers of the moments this is
-    tr(W Cov) + m'P m + p.m + p0 (see _moment_table).
-    """
-    model.check_time(t)
-    return float(_running(_moment_table(model, fb, [t]), 0, ms.mean, ms.cov))
-
-
 def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
                       ms0: MomentState, n_steps: int,
                       t_end: float | None = None) -> MomentTrajectory:
@@ -154,6 +130,7 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     anywhere in a block is raised ahead of an instability at an earlier
     step of that block; an instability in an earlier block raises first.
     """
+    model.check_law(ms0)
     model.check_time(t0)
     T = model.horizon if t_end is None else float(t_end)
     model.check_time(T)
@@ -219,12 +196,3 @@ def dpp_check(model: LqModel, sol: RiccatiSolution, t: float, theta: float,
     traj = propagate_moments(model, fb, t, ms, n_steps, t_end=theta)
     return abs(value_at(sol, t, ms) - traj.final_running
                - value_at(sol, theta, traj.final_state))
-
-
-def trajectory_to_csv(traj: MomentTrajectory, path) -> None:
-    d = traj.means.shape[1]
-    _write_csv(path,
-               ["t"] + [f"m_{i}" for i in range(d)]
-               + [f"Sigma_{i}{j}" for i in range(d) for j in range(d)] + ["running"],
-               ([t, *traj.means[k], *traj.covs[k].ravel(), traj.running[k]]
-                for k, t in enumerate(traj.grid)))

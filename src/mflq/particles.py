@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import Philox, SeedSequence
 from scipy.special import ndtri
 
-from .errors import ShapeError, SimulationDivergedError
+from .errors import SimulationDivergedError
 from .model import (AffineFeedback, LqModel, MomentState, _row_factors, _row_terms,
                     _sample_moments, _terminal_rows, _write_csv, check_count)
 from .riccati import RiccatiSolution
@@ -88,18 +88,17 @@ def step_normals(path_key: np.ndarray, step: int, n: int) -> np.ndarray:
     return ndtri(u)
 
 
-def _initial_states(initial: MomentState, d: int, n: int,
+def _initial_states(model: LqModel, initial: MomentState, n: int,
                     init_key: np.ndarray) -> np.ndarray:
     """N rows drawn from the Gaussian law with the moments of ``initial``,
     or the mean tiled, with no draw, when its covariance is zero."""
-    if initial.d != d:
-        raise ShapeError(f"initial law has dimension {initial.d}, the model has d={d}")
+    model.check_law(initial)
     if not initial.cov.any():
         return np.tile(initial.mean, (n, 1))
     rng = np.random.Generator(Philox(key=init_key))
     w, q = np.linalg.eigh(initial.cov)  # PSD square root (cov may be singular)
     root = q * np.sqrt(np.clip(w, 0.0, None))
-    return initial.mean + rng.standard_normal((n, d)) @ root.T
+    return initial.mean + rng.standard_normal((n, initial.d)) @ root.T
 
 
 def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
@@ -122,7 +121,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     path_key, init_key = _keys(cfg.seed)
     Z = np.empty((d + m, n))  # component-major ensemble: states X, then controls A
     X, A = Z[:d], Z[d:]
-    X[...] = _initial_states(cfg.initial, d, n, init_key).T
+    X[...] = _initial_states(model, cfg.initial, n, init_key).T
     W = np.zeros((d + m, n))  # centred states over m zero rows: [K1 0] W stays on BLAS at d=1
     Y = np.empty((3 * d + m + 1, n))
 

@@ -69,15 +69,6 @@ class RiccatiState:
     chi: float
 
 
-@dataclass(frozen=True)
-class AuxiliaryMatrices:
-    U: np.ndarray
-    V: np.ndarray
-    S: np.ndarray
-    Z: np.ndarray
-    Y: np.ndarray
-
-
 def terminal_state(model: LqModel) -> RiccatiState:
     c = model.cost
     return RiccatiState(Lam=c.P2.copy(), Gam=c.P2 + c.P2bar,
@@ -131,19 +122,6 @@ def _aux_arrays(c: dict, j, P: np.ndarray, g: np.ndarray):
     Y = (_tr(c["CpC"][j]) @ g + c["r1"][j] + c["r1bar"][j]
          + 2.0 * _tr(c["FpF"][j]) @ (P[0] @ c["sigma0"][j]))
     return sym(UV), SZ, Y
-
-
-def _aux_at(model: LqModel, t: float, state: RiccatiState):
-    """(U, V), (S, Z) and the column Y at one time: the one-row table."""
-    return _aux_arrays(model.table([t]), 0, np.stack((state.Lam, state.Gam)),
-                       state.gam[:, None])
-
-
-def auxiliary(model: LqModel, t: float, state: RiccatiState) -> AuxiliaryMatrices:
-    """Assemble (U, V, S, Z, Y); positivity of U, V is not checked here."""
-    model.check_time(t)
-    (U, V), (S, Z), Y = _aux_at(model, t, state)
-    return AuxiliaryMatrices(U=U, V=V, S=S, Z=Z, Y=Y[:, 0])
 
 
 def _spectrum_error(w: np.ndarray, t: float, name: str):
@@ -213,13 +191,6 @@ def _rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
            + 2.0 * Dp[1].T @ (L @ s0) + 2.0 * P[1] @ b0)
     dc = -(-0.25 * (Y.T @ Vi_Y) + g.T @ b0 + s0.T @ (L @ s0))
     return np.concatenate((dP.ravel(), dg.ravel(), dc.ravel()))
-
-
-def riccati_rhs(model: LqModel, t: float, state: RiccatiState) -> RiccatiState:
-    """Forward-time derivatives (Lam', Gam', gam', chi') at (t, state)."""
-    model.check_time(t)
-    dL, dG, dg, dc = _unpack(_rhs(model.table([t]), 0, _pack(state)), model.dims.d)
-    return RiccatiState(Lam=dL, Gam=dG, gam=dg, chi=float(dc))
 
 
 def default_step_count(horizon: float) -> int:
@@ -322,8 +293,10 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
 
 
 def with_scaled_lambda(sol: RiccatiSolution, factor: float) -> RiccatiSolution:
-    """Copy of the solution with the Lam component (and its stored
-    derivative) scaled — a fault-injection hook for battery self-tests."""
+    """Copy of the solution with Lam (and its stored derivative) scaled by a
+    finite factor — a fault-injection hook for battery self-tests."""
+    if not math.isfinite(factor):
+        raise ValueError(f"Lambda scale factor must be finite, got {factor}")
     scale = np.where(np.arange(sol.y.shape[1]) < sol.model.dims.d ** 2, factor, 1.0)
     return replace(sol, y=scale * sol.y, dy=scale * sol.dy)
 

@@ -4,9 +4,10 @@ Bellman residual check.
 Measures enter only through (mean, covariance): for a law with those
 moments, Var(mu)(M) = tr(M Cov), so every expression here is a closed
 moment form. The Bellman residual re-assembles the identity the Riccati
-system was derived from, with time derivatives taken by centered finite
-differences of the stored solution — an independent consistency check
-(using the ODE right-hand sides would make it zero by construction).
+system was derived from, with time derivatives taken by fourth-order
+finite differences of the stored solution, centered, or one-sided near a
+knot of the coefficients — an independent consistency check (using the ODE
+right-hand sides would make it zero by construction).
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .model import AffineFeedback, LqModel, MomentState
-from .riccati import RiccatiSolution, RiccatiState, _aux_at, _solved_aux
+from .riccati import RiccatiSolution, _solved_aux
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
     """tr(Lam(t) Cov) + mean'Gam(t) mean + gam(t).mean + chi(t)."""
+    sol.model.check_law(ms)
     st = sol.at(t)
     m = ms.mean
     return float(np.trace(st.Lam @ ms.cov) + m @ st.Gam @ m + st.gam @ m + st.chi)
@@ -27,39 +29,19 @@ def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
 
 def g_hat(model: LqModel, ms: MomentState) -> float:
     """Lifted terminal cost tr(P2 Cov) + mean'(P2+P2bar) mean + (p1+p1bar).mean."""
+    model.check_law(ms)
     c = model.cost
     m = ms.mean
     return float(np.trace(c.P2 @ ms.cov) + m @ (c.P2 + c.P2bar) @ m
                  + (c.p1 + c.p1bar) @ m)
 
 
-def control_objective(model: LqModel, t: float, state: RiccatiState,
-                      fb: AffineFeedback, ms: MomentState) -> float:
-    """The inner minimization target over feedback laws, in moment form:
-
-        tr(U K1 Cov K1') + abar'V abar + 2 tr(S K1 Cov) + 2 m'Z abar + Y.abar
-    """
-    model.check_time(t)
-    (U, V), (S, Z), Y = _aux_at(model, t, state)
-    K1, K2, k0 = fb.gains(t)
-    m = ms.mean
-    abar = K2 @ m + k0
-    K1S = K1 @ ms.cov
-    return float(np.trace(U @ K1S @ K1.T) + abar @ V @ abar
-                 + 2.0 * np.trace(S @ K1S) + 2.0 * m @ Z @ abar + Y[:, 0] @ abar)
-
-
-def g_inf(model: LqModel, t: float, state: RiccatiState, ms: MomentState) -> float:
-    """Value of the inner minimization at its argmin:
+def _g_inf(c: dict, P: np.ndarray, g: np.ndarray, ms: MomentState) -> float:
+    """Value of the inner minimization over feedback laws at its argmin, at
+    the one-row table c, with P = (Lam, Gam) stacked:
 
         -tr(S U^{-1} S' Cov) - m'Z V^{-1} Z' m - Y'V^{-1} Z' m - 1/4 Y'V^{-1}Y
     """
-    model.check_time(t)
-    return _g_inf(model.table([t]), np.stack((state.Lam, state.Gam)), state.gam, ms)
-
-
-def _g_inf(c: dict, P: np.ndarray, g: np.ndarray, ms: MomentState) -> float:
-    """g_inf at the one-row table c, with P = (Lam, Gam) stacked."""
     (S, Z), Y, (Ui_St, Vi_Zt), Vi_Y = _solved_aux(c, 0, P, g[:, None])
     m = ms.mean[:, None]
     return (-np.trace(S @ Ui_St @ ms.cov) - m.T @ Z @ Vi_Zt @ m
@@ -116,9 +98,10 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     table at t, as in the solve. The four blocks are
     summed here, not taken from the solver's right-hand side (_rhs): that
     keeps the residual an independent check of a transcription error in
-    _rhs. Only the minimized inner objective (g_inf) shares the solver's U/V
-    inversion.
+    _rhs. Only the minimized inner objective (_g_inf) shares the solver's
+    U/V inversion.
     """
+    model.check_law(ms)
     dt = sol.step
     if not (t - 2.0 * dt >= 0.0 and t + 2.0 * dt <= sol.horizon):
         raise OutOfDomainError(

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 
 from mflq import lq_model
+from mflq.riccati import _aux_arrays
 from mflq.schedules import Schedule
 
 
@@ -18,6 +19,14 @@ def variance_stderr(samples) -> float:
     s2 = (c @ c) / (n - 1)
     m4 = np.mean(c ** 4)
     return float(np.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n))
+
+
+def aux_at(model, t, state):
+    """U, V, S, Z and Y (a vector) at (t, state), from _aux_arrays on the
+    one-row model table at t."""
+    (U, V), (S, Z), Y = _aux_arrays(model.table([t]), 0, np.stack((state.Lam, state.Gam)),
+                                    state.gam[:, None])
+    return U, V, S, Z, Y[:, 0]
 
 
 def random_standard_model(rng, d=2, m=2, barred=True, cross=0.0):

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,17 +176,25 @@ def test_simulate_rejects_thin_below_one(tmp_path, capsys, monkeypatch, thin):
     assert stderr.startswith("error:") and "thin" in stderr
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_particles_checked_before_any_work(capsys, monkeypatch, command):
-    """--particles below 2 is rejected before the solve runs."""
+@pytest.mark.parametrize("argv,name", [
+    pytest.param(("simulate", "--particles", "1", "--steps", "10"), "n_particles",
+                 id="simulate"),
+    pytest.param(("verify", "--particles", "1", "--steps", "10"), "n_particles",
+                 id="verify"),
+    pytest.param(("verify", "--steps", "3"), "n_steps", id="verify-steps-3"),
+    pytest.param(("verify", "--steps", "1"), "n_steps", id="verify-steps-1"),
+])
+def test_particles_checked_before_any_work(capsys, monkeypatch, argv, name):
+    """--particles below 2, and for verify --steps below 4 (the Bellman
+    check needs two grid steps on each side of a time inside (0, T)), are
+    rejected before the solve runs."""
     def solve_riccati(*_args):
-        raise AssertionError("the solve ran before --particles was checked")
+        raise AssertionError(f"the solve ran before {name} was checked")
 
     monkeypatch.setattr(cli.riccati, "solve_riccati", solve_riccati)
-    code, _, stderr = run(capsys, command, "--preset", "systemic-risk",
-                          "--particles", "1", "--steps", "10")
+    code, _, stderr = run(capsys, argv[0], "--preset", "systemic-risk", *argv[1:])
     assert code == 2
-    assert stderr.startswith("error:") and "n_particles" in stderr
+    assert stderr.startswith("error:") and name in stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -242,6 +251,20 @@ def test_verify_corrupted_lambda_fails_bellman(capsys):
     bellman = next(l for l in lines if l.startswith("bellman_residual_max"))
     assert "FAIL" in bellman
     assert "RESULT" in lines[-1] and "fail=0" not in lines[-1]
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_corrupt_lambda(capsys, factor):
+    """A non-finite Lambda scale is an invalid input, not a breakdown of the
+    solve: exit 2 with the factor named, and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "verify", "--preset", "systemic-risk",
+                                   "--particles", "1000", "--steps", "200", "--seed", "1",
+                                   f"--corrupt-lambda={factor}")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and f"got {factor}" in stderr
 
 
 # --- README -------------------------------------------------------------------

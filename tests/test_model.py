@@ -172,6 +172,31 @@ def test_terminal_cost():
     assert terminal_cost(one, [3.0], [0.0]) == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("entry", ["value", "g_hat", "bellman_residual",
+                                   "propagate_moments", "cost_from_moments",
+                                   "dpp_check", "simulate"])
+def test_law_of_the_wrong_dimension_is_a_shape_error(entry):
+    """A d=2 law on the d=1 systemic preset raises ShapeError naming both
+    dimensions at every entry point that takes a law (LqModel.check_law),
+    not a numpy broadcasting error from inside the computation."""
+    model = mflq.systemic_model(mflq.SystemicParams())
+    sol = mflq.solve_riccati(model, 40)
+    fb = mflq.optimal_feedback(model, sol)
+    ms = MomentState([1.0, 2.0], np.eye(2))
+    calls = {
+        "value": lambda: mflq.value(sol, 0.5, ms),
+        "g_hat": lambda: mflq.g_hat(model, ms),
+        "bellman_residual": lambda: mflq.bellman_residual(model, sol, 0.5, ms),
+        "propagate_moments": lambda: mflq.propagate_moments(model, fb, 0.0, ms, 10),
+        "cost_from_moments": lambda: mflq.cost_from_moments(model, fb, 0.0, ms, 10),
+        "dpp_check": lambda: mflq.dpp_check(model, sol, 0.2, 0.6, ms, 10),
+        "simulate": lambda: mflq.simulate(model, fb, mflq.SimConfig(
+            n_particles=10, n_steps=10, seed=0, initial=ms)),
+    }
+    with pytest.raises(ShapeError, match="law has dimension 2, the model has d=1"):
+        calls[entry]()
+
+
 def test_time_domain_and_shape_errors():
     model = zero_model()
     with pytest.raises(OutOfDomainError):

@@ -1,24 +1,33 @@
 import numpy as np
 import pytest
 
-import mflq
 from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   SystemicParams, canonical_perturbations, cost_from_moments,
                   dpp_check, lq_model, mean_variance_mean_trajectory,
-                  mean_variance_model, moment_rhs, optimal_feedback,
+                  mean_variance_model, optimal_feedback,
                   propagate_moments, solve_riccati, systemic_model, value)
 from mflq.errors import CovarianceInstabilityError, OutOfDomainError
+from mflq.moments import _moment_rhs, _moment_table
 
 
 def zero_fb(d=1, m=1):
     return AffineFeedback.constant(np.zeros((m, d)), np.zeros((m, d)), np.zeros(m))
 
 
+def moment_rhs_at(model, fb, t, ms):
+    """(m', Cov') at (t, ms), from _moment_rhs on the one-row moment table
+    at t."""
+    d = model.dims.d
+    f = _moment_rhs(_moment_table(model, fb, [t]), 0,
+                    np.concatenate((ms.mean, ms.cov.ravel(), [0.0])))
+    return f[:d], f[d:-1].reshape(d, d)
+
+
 # --- right-hand side ----------------------------------------------------------
 
 def test_rhs_zero():
     model = lq_model(d=1, m=1, horizon=1.0)
-    dm, dS = moment_rhs(model, zero_fb(), 0.5, MomentState([1.0], [[2.0]]))
+    dm, dS = moment_rhs_at(model, zero_fb(), 0.5, MomentState([1.0], [[2.0]]))
     assert np.abs(dm).max() == 0.0 and np.abs(dS).max() == 0.0
 
 
@@ -28,7 +37,7 @@ def test_rhs_systemic_mean_frozen():
     fb = optimal_feedback(model, sol)
     for t, ms in ((0.1, MomentState([2.0], [[0.5]])),
                   (0.8, MomentState([-1.0], [[3.0]]))):
-        dm, _ = moment_rhs(model, fb, t, ms)
+        dm, _ = moment_rhs_at(model, fb, t, ms)
         assert abs(dm[0]) <= 1e-12
 
 
@@ -199,15 +208,3 @@ def test_dpp_fourth_order_then_saturation():
     assert r[4] / r[8] >= 12.0
     assert r[8] / r[16] >= 12.0
     assert max(r[500], r[1000], r[2000]) <= 1e-10
-
-
-def test_trajectory_csv(tmp_path):
-    model = systemic_model(SystemicParams())
-    sol = solve_riccati(model, 100)
-    fb = optimal_feedback(model, sol)
-    traj = propagate_moments(model, fb, 0.0, MomentState.dirac([1.0]), 8)
-    path = tmp_path / "traj.csv"
-    mflq.trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,m_0,Sigma_00,running"
-    assert len(lines) == 10

@@ -4,18 +4,23 @@ import pytest
 import mflq
 from mflq import (MeanVarianceParams, SystemicParams, check_standard_conditions,
                   lq_model, mean_variance_closed_form, mean_variance_model,
-                  riccati_rhs, solve_riccati, systemic_lambda_reference,
-                  systemic_model)
+                  solve_riccati, systemic_lambda_reference, systemic_model)
 from mflq.errors import RiccatiBreakdownError
-from mflq.riccati import RiccatiState, auxiliary, terminal_state
+from mflq.riccati import RiccatiState, _pack, _rhs, _unpack, terminal_state
 from mflq.schedules import Schedule
 
-from helpers import random_standard_model
+from helpers import aux_at, random_standard_model
 
 
 def state(lam, gam, gamma, chi=0.0):
     return RiccatiState(Lam=np.array([[float(lam)]]), Gam=np.array([[float(gam)]]),
                         gam=np.array([float(gamma)]), chi=float(chi))
+
+
+def rhs_at(model, t, st):
+    """(Lam', Gam', gam', chi') at (t, st), from _rhs on the one-row model
+    table at t."""
+    return _unpack(_rhs(model.table([t]), 0, _pack(st)), model.dims.d)
 
 
 # --- auxiliary matrices -----------------------------------------------------
@@ -24,34 +29,34 @@ def test_auxiliary_mean_variance():
     p = MeanVarianceParams(r=0.03, rho=0.4, vol=0.5, eta=1.5)
     model = mean_variance_model(p)
     lam, g, c = 0.8, 0.3, -1.2
-    aux = auxiliary(model, 0.4, state(lam, g, c))
-    assert aux.U[0, 0] == pytest.approx(0.25 * lam)
-    assert aux.V[0, 0] == pytest.approx(0.25 * lam)
-    assert aux.S[0, 0] == pytest.approx(lam * 0.4)
-    assert aux.Z[0, 0] == pytest.approx(g * 0.4)
-    assert aux.Y[0] == pytest.approx(0.4 * c)
+    U, V, S, Z, Y = aux_at(model, 0.4, state(lam, g, c))
+    assert U[0, 0] == pytest.approx(0.25 * lam)
+    assert V[0, 0] == pytest.approx(0.25 * lam)
+    assert S[0, 0] == pytest.approx(lam * 0.4)
+    assert Z[0, 0] == pytest.approx(g * 0.4)
+    assert Y[0] == pytest.approx(0.4 * c)
 
 
 def test_auxiliary_systemic():
     p = SystemicParams(kappa=0.5, q=0.5, eta=1.0)
     model = systemic_model(p)
     lam, g, c = 0.2, 0.7, 0.4
-    aux = auxiliary(model, 0.1, state(lam, g, c))
-    assert aux.U[0, 0] == pytest.approx(0.5)
-    assert aux.V[0, 0] == pytest.approx(0.5)
-    assert aux.S[0, 0] == pytest.approx(lam + 0.25)
-    assert aux.Z[0, 0] == pytest.approx(g)
-    assert aux.Y[0] == pytest.approx(c)
+    U, V, S, Z, Y = aux_at(model, 0.1, state(lam, g, c))
+    assert U[0, 0] == pytest.approx(0.5)
+    assert V[0, 0] == pytest.approx(0.5)
+    assert S[0, 0] == pytest.approx(lam + 0.25)
+    assert Z[0, 0] == pytest.approx(g)
+    assert Y[0] == pytest.approx(c)
 
 
 def test_auxiliary_trivial():
     model = lq_model(d=2, m=2, horizon=1.0, R2=np.eye(2))
-    aux = auxiliary(model, 0.5, RiccatiState(np.eye(2), np.eye(2), np.zeros(2), 0.0))
-    assert np.allclose(aux.U, np.eye(2))
-    assert np.allclose(aux.V, np.eye(2))
-    assert np.allclose(aux.S, 0.0)
-    assert np.allclose(aux.Z, 0.0)
-    assert np.allclose(aux.Y, 0.0)
+    U, V, S, Z, Y = aux_at(model, 0.5, RiccatiState(np.eye(2), np.eye(2), np.zeros(2), 0.0))
+    assert np.allclose(U, np.eye(2))
+    assert np.allclose(V, np.eye(2))
+    assert np.allclose(S, 0.0)
+    assert np.allclose(Z, 0.0)
+    assert np.allclose(Y, 0.0)
 
 
 # --- right-hand side reductions ---------------------------------------------
@@ -60,32 +65,32 @@ def test_rhs_mean_variance_reduction():
     r, rho, vol = 0.03, 0.4, 0.5
     model = mean_variance_model(MeanVarianceParams(r=r, rho=rho, vol=vol, eta=1.5))
     lam, g, c = 0.8, 0.3, -1.2
-    d = riccati_rhs(model, 0.4, state(lam, g, c, 0.5))
+    dL, dG, dg, dc = rhs_at(model, 0.4, state(lam, g, c, 0.5))
     s2 = rho ** 2 / vol ** 2
-    assert d.Lam[0, 0] == pytest.approx((s2 - 2 * r) * lam)
-    assert d.Gam[0, 0] == pytest.approx(s2 * g * g / lam - 2 * r * g)
-    assert d.gam[0] == pytest.approx(-r * c + c * s2 * g / lam)
-    assert d.chi == pytest.approx(s2 * c * c / (4 * lam))
+    assert dL[0, 0] == pytest.approx((s2 - 2 * r) * lam)
+    assert dG[0, 0] == pytest.approx(s2 * g * g / lam - 2 * r * g)
+    assert dg[0] == pytest.approx(-r * c + c * s2 * g / lam)
+    assert dc == pytest.approx(s2 * c * c / (4 * lam))
 
 
 def test_rhs_systemic_reduction():
     kappa, q, eta, sigma = 0.5, 0.5, 1.0, 1.3
     model = systemic_model(SystemicParams(kappa=kappa, q=q, eta=eta, sigma=sigma))
     lam, g, c = 0.2, 0.7, 0.4
-    d = riccati_rhs(model, 0.6, state(lam, g, c))
-    assert d.Lam[0, 0] == pytest.approx(2 * (kappa + q) * lam + 2 * lam ** 2
-                                        + 0.5 * (q ** 2 - eta))
-    assert d.Gam[0, 0] == pytest.approx(2 * g * g)
-    assert d.gam[0] == pytest.approx(2 * c * g)
-    assert d.chi == pytest.approx(0.5 * c * c - sigma ** 2 * lam)
+    dL, dG, dg, dc = rhs_at(model, 0.6, state(lam, g, c))
+    assert dL[0, 0] == pytest.approx(2 * (kappa + q) * lam + 2 * lam ** 2
+                                     + 0.5 * (q ** 2 - eta))
+    assert dG[0, 0] == pytest.approx(2 * g * g)
+    assert dg[0] == pytest.approx(2 * c * g)
+    assert dc == pytest.approx(0.5 * c * c - sigma ** 2 * lam)
 
 
 def test_rhs_stationary_zero():
     model = lq_model(d=2, m=1, horizon=1.0, R2=1.0, P2=np.eye(2))
     st = terminal_state(model)
-    d = riccati_rhs(model, 0.3, st)
-    assert np.allclose(d.Lam, 0.0) and np.allclose(d.Gam, 0.0)
-    assert np.allclose(d.gam, 0.0) and d.chi == 0.0
+    dL, dG, dg, dc = rhs_at(model, 0.3, st)
+    assert np.allclose(dL, 0.0) and np.allclose(dG, 0.0)
+    assert np.allclose(dg, 0.0) and dc == 0.0
 
 
 # --- solving -----------------------------------------------------------------
@@ -224,8 +229,10 @@ def test_ode_residual_via_finite_differences():
     worst = 0.0
     for k in range(10, K - 10, 17):
         fd = (sol.Lam[k + 1] - sol.Lam[k - 1]) / (2 * dt)
-        rhs = riccati_rhs(model, float(sol.grid[k]), sol.state(k))
-        worst = max(worst, np.linalg.norm(fd - rhs.Lam))
+        rhs = _rhs(model.table([sol.grid[k]]), 0, sol.y[k])
+        np.testing.assert_array_equal(sol.dy[k], rhs)
+        dL = _unpack(sol.dy[k], model.dims.d)[0]
+        worst = max(worst, np.linalg.norm(fd - dL))
     assert worst <= 10.0 * dt ** 2
 
 

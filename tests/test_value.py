@@ -5,15 +5,15 @@ import pytest
 
 import mflq
 from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
-                  SystemicParams, bellman_residual,
-                  control_objective, f_hat_affine, g_hat, g_inf, lq_model,
+                  SystemicParams, bellman_residual, g_hat, lq_model,
                   mean_variance_model, optimal_feedback, solve_riccati,
                   systemic_model, value)
 from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
-from mflq.moments import cost_from_moments, dpp_check
-from mflq.riccati import RiccatiState, auxiliary
+from mflq.moments import _moment_table, _running, cost_from_moments, dpp_check
+from mflq.riccati import RiccatiState
+from mflq.value import _g_inf
 
-from helpers import random_standard_model, tabulated_model
+from helpers import aux_at, random_standard_model, tabulated_model
 
 
 # --- discrete-measure oracles (independent of the moment formulas) ----------
@@ -37,16 +37,24 @@ def f_hat_discrete(model, t, atoms, weights, controls):
 
 def objective_discrete(model, t, state, atoms, weights, controls):
     """Inner objective by direct summation over a discrete measure."""
-    aux = auxiliary(model, t, state)
+    U, V, S, Z, Y = aux_at(model, t, state)
     atoms = np.asarray(atoms, float)
     controls = np.asarray(controls, float)
     w = np.asarray(weights, float)
     mx = w @ atoms
     ma = w @ controls
-    var_u = w @ [a @ aux.U @ a for a in controls] - ma @ aux.U @ ma
-    cross = w @ [(x - mx) @ aux.S @ a for x, a in zip(atoms, controls)]
-    return (var_u + ma @ aux.V @ ma + 2.0 * cross
-            + 2.0 * mx @ aux.Z @ ma + aux.Y @ ma)
+    var_u = w @ [a @ U @ a for a in controls] - ma @ U @ ma
+    cross = w @ [(x - mx) @ S @ a for x, a in zip(atoms, controls)]
+    return var_u + ma @ V @ ma + 2.0 * cross + 2.0 * mx @ Z @ ma + Y @ ma
+
+
+def affine_objective_discrete(model, t, state, fb, ms):
+    """Inner objective of the affine law fb by direct summation over the
+    two-atom measure mean +- sqrt(var), which has the moments of ms (d = 1)."""
+    s = np.sqrt(ms.cov[0, 0])
+    atoms = [ms.mean - s, ms.mean + s]
+    controls = [fb(t, x, ms.mean) for x in atoms]
+    return objective_discrete(model, t, state, atoms, [0.5, 0.5], controls)
 
 
 def minimize_discrete(model, t, state, atoms, weights):
@@ -69,6 +77,18 @@ def minimize_discrete(model, t, state, atoms, weights):
             H[i, j] = H[j, i] = G(e[i] + e[j]) - G(e[i]) - G(e[j]) + g0
     a_star = np.linalg.solve(H, -b)
     return g0 + b @ a_star + 0.5 * a_star @ H @ a_star
+
+
+def g_inf_at(model, t, state, ms):
+    """The inner minimum at (t, state, ms), from _g_inf on the one-row
+    model table at t."""
+    return _g_inf(model.table([t]), np.stack((state.Lam, state.Gam)), state.gam, ms)
+
+
+def f_hat_at(model, t, fb, ms):
+    """Lifted running cost of the affine law fb at (t, ms), from _running on
+    the one-row moment table at t."""
+    return _running(_moment_table(model, fb, [t]), 0, ms.mean, ms.cov)
 
 
 def population_moments(atoms, weights):
@@ -118,7 +138,7 @@ def test_g_hat():
     assert g_hat(one, MomentState([2.0], [[3.0]])) == pytest.approx(7.0)
 
 
-# --- f_hat_affine --------------------------------------------------------------
+# --- lifted running cost of an affine law ----------------------------------------
 
 def test_f_hat_zero_feedback():
     model = lq_model(d=2, m=1, horizon=1.0, Q2=np.eye(2) * 1.5,
@@ -126,7 +146,7 @@ def test_f_hat_zero_feedback():
     fb = AffineFeedback.constant(np.zeros((1, 2)), np.zeros((1, 2)), [0.0])
     ms = MomentState([1.0, -1.0], np.diag([0.5, 2.0]))
     expect = 1.5 * np.trace(ms.cov) + ms.mean @ np.eye(2) @ ms.mean
-    assert f_hat_affine(model, 0.3, fb, ms) == pytest.approx(expect)
+    assert f_hat_at(model, 0.3, fb, ms) == pytest.approx(expect)
 
 
 def test_f_hat_matches_two_point_measure():
@@ -141,7 +161,7 @@ def test_f_hat_matches_two_point_measure():
     controls = [fb(t, x, [m]) for x in atoms]
     direct = f_hat_discrete(model, t, atoms, weights, controls)
     ms = population_moments(atoms, weights)
-    assert f_hat_affine(model, t, fb, ms) == pytest.approx(direct, abs=1e-12)
+    assert f_hat_at(model, t, fb, ms) == pytest.approx(direct, abs=1e-12)
 
 
 def test_f_hat_dirac_collapse():
@@ -155,7 +175,7 @@ def test_f_hat_dirac_collapse():
         fb = AffineFeedback.constant([[k1]], [[k2]], [k0])
         ms = MomentState.dirac([m])
         a = k2 * m + k0
-        assert f_hat_affine(model, 0.5, fb, ms) == pytest.approx(
+        assert f_hat_at(model, 0.5, fb, ms) == pytest.approx(
             mflq.running_cost(model, 0.5, [m], [a], [m], [a]), abs=1e-12)
 
 
@@ -164,7 +184,7 @@ def test_f_hat_dirac_collapse():
 def test_g_inf_zero_when_no_coupling():
     model = lq_model(d=1, m=1, horizon=1.0, R2=1.0)
     st = RiccatiState(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), 0.0)
-    assert g_inf(model, 0.5, st, MomentState([2.0], [[3.0]])) == 0.0
+    assert g_inf_at(model, 0.5, st, MomentState([2.0], [[3.0]])) == 0.0
 
 
 def test_g_inf_matches_discrete_minimization():
@@ -184,7 +204,7 @@ def test_g_inf_matches_discrete_minimization():
         t = 0.37
         st = sol.at(t)
         direct_min = minimize_discrete(model, t, st, atoms, weights)
-        assert g_inf(model, t, st, ms) == pytest.approx(direct_min, abs=1e-10)
+        assert g_inf_at(model, t, st, ms) == pytest.approx(direct_min, abs=1e-10)
 
 
 def test_g_inf_lower_bounds_affine_objectives():
@@ -195,10 +215,10 @@ def test_g_inf_lower_bounds_affine_objectives():
     rng = np.random.default_rng(9)
     for _ in range(20):
         ms = MomentState(rng.normal(size=1), [[rng.uniform(0.1, 4.0)]])
-        floor = g_inf(model, t, st, ms)
+        floor = g_inf_at(model, t, st, ms)
         fb = AffineFeedback.constant(rng.normal(size=(1, 1)),
                                      rng.normal(size=(1, 1)), rng.normal(size=1))
-        assert control_objective(model, t, st, fb, ms) >= floor - 1e-9
+        assert affine_objective_discrete(model, t, st, fb, ms) >= floor - 1e-9
 
 
 def test_minimizer_attains_g_inf():
@@ -208,8 +228,8 @@ def test_minimizer_attains_g_inf():
     t = 0.25
     st = sol.at(t)
     ms = MomentState([1.2], [[0.9]])
-    assert control_objective(model, t, st, fb, ms) == pytest.approx(
-        g_inf(model, t, st, ms), abs=1e-12)
+    assert affine_objective_discrete(model, t, st, fb, ms) == pytest.approx(
+        g_inf_at(model, t, st, ms), abs=1e-12)
 
 
 # --- optimal feedback ------------------------------------------------------------
