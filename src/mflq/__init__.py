@@ -6,14 +6,13 @@ cross-validates value and control against closed forms, a deterministic
 moment-flow oracle, and an interacting-particle Monte Carlo simulator.
 """
 
-from .errors import (CovarianceInstabilityError, InsufficientSampleError,
-                     MflqError, ModelDocumentError, OutOfDomainError,
+from .errors import (CovarianceInstabilityError, MflqError,
+                     ModelDocumentError, OutOfDomainError,
                      RiccatiBreakdownError, ShapeError,
                      SimulationDivergedError)
 from .model import (AffineFeedback, Dimensions, LqCost, LqDynamics, LqModel,
-                    MomentState, diffusion, drift, ensemble_moments,
-                    load_model, lq_model, model_from_document,
-                    model_to_document, running_cost, terminal_cost)
+                    MomentState, load_model, lq_model, model_from_document,
+                    model_to_document)
 from .moments import (MomentTrajectory, cost_from_moments, dpp_check,
                       propagate_moments)
 from .particles import (CandidateResult, FeedbackPerturbation, GapReport,

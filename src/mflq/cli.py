@@ -65,8 +65,7 @@ def _initial_state(args, model, x0) -> MomentState:
         raise ValueError("--mean required for --config models")
     cov = json.loads(args.cov) if args.cov else np.zeros((d, d))
     ms = MomentState(mean, cov)  # validates shapes, symmetry and PSD
-    if ms.d != d:
-        raise ValueError(f"--mean/--cov have dimension {ms.d}, the model has d={d}")
+    model.check_law(ms)
     return ms
 
 
@@ -86,8 +85,9 @@ def cmd_riccati(args) -> int:
 def cmd_value(args) -> int:
     model, x0 = _load(args)
     ms = _initial_state(args, model, x0)
-    sol = riccati.solve_riccati(model, args.steps)
     t = model.horizon if args.t is None else args.t
+    model.check_time(t)
+    sol = riccati.solve_riccati(model, args.steps)
     print(f"{value_fn(sol, t, ms):.12g}")
     return 0
 

@@ -13,10 +13,6 @@ class ShapeError(MflqError):
     """An array argument does not have the shape the model dictates."""
 
 
-class InsufficientSampleError(MflqError):
-    """An empirical statistic was requested from fewer than 2 particles."""
-
-
 class ModelDocumentError(MflqError):
     """A JSON model document is malformed; the message names the field."""
 

@@ -14,11 +14,11 @@ Running and terminal costs are the full quadratic forms
 
 where mx, ma denote the state/control means. ``_row_terms`` and
 ``_terminal_rows``, the one implementation of these formulas, act on the
-columns z = [x; a] of a component-major (d+m, n) ensemble, for the
-simulator and the pointwise functions (one column) alike: one product with
-H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives B x + C a, D x + F a and the
-cost rows Y, with z'Y[:-1] + Y[-1] the running cost's part in z; its barred
-twin does the same at the means. Model objects are immutable.
+columns z = [x; a] of the particle simulator's component-major (d+m, n)
+ensemble: one product with H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives
+B x + C a, D x + F a and the cost rows Y, with z'Y[:-1] + Y[-1] the running
+cost's part in z; its barred twin does the same at the means. Model objects
+are immutable.
 
 ``lq_model`` is the single builder: the presets and the JSON documents go
 through it, and ``as_schedule`` is the one coercion of a raw coefficient.
@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientSampleError, ModelDocumentError, OutOfDomainError, ShapeError
+from .errors import ModelDocumentError, OutOfDomainError, ShapeError
 from .schedules import Schedule, _frozen, _not_a_number, _numeric, _shaped, as_schedule
 
 SYMMETRY_TOL = 1e-12  # asymmetry below this is repaired, above it is a violation
@@ -276,7 +276,7 @@ def lq_model(d: int, m: int, horizon: float, **coeffs) -> LqModel:
 
 
 # ---------------------------------------------------------------------------
-# the state equation and the costs, on columns of particles (pointwise: one column)
+# the state equation and the costs, on the columns of a particle ensemble
 
 
 def _row_factors(c: dict) -> np.ndarray:
@@ -327,38 +327,6 @@ def _vec(x, n: int, name: str) -> np.ndarray:
     if arr.shape != (n,):
         raise ShapeError(f"{name} has shape {arr.shape}, expected ({n},)")
     return arr
-
-
-def _pointwise(model: LqModel, t: float, x, a, mean_x, mean_a):
-    """_row_terms for one column at time t: row 0 of model.table([t])."""
-    model.check_time(t)
-    d, m = model.dims.d, model.dims.m
-    z = np.concatenate([_vec(x, d, "x"), _vec(a, m, "a")])
-    zbar = np.concatenate([_vec(mean_x, d, "mean_x"), _vec(mean_a, m, "mean_a")])
-    c = model.table([t])
-    b, s, f = _row_terms(c, _row_factors(c), 0, z[:, None], zbar)
-    return b[:, 0], s[:, 0], float(f[0])
-
-
-def drift(model: LqModel, t: float, x, a, mean_x, mean_a) -> np.ndarray:
-    """b0 + B x + Bbar mean_x + C a + Cbar mean_a at time t."""
-    return _pointwise(model, t, x, a, mean_x, mean_a)[0]
-
-
-def diffusion(model: LqModel, t: float, x, a, mean_x, mean_a) -> np.ndarray:
-    """sigma0 + D x + Dbar mean_x + F a + Fbar mean_a at time t."""
-    return _pointwise(model, t, x, a, mean_x, mean_a)[1]
-
-
-def running_cost(model: LqModel, t: float, x, a, mean_x, mean_a) -> float:
-    """The running cost f at time t (see the module docstring)."""
-    return _pointwise(model, t, x, a, mean_x, mean_a)[2]
-
-
-def terminal_cost(model: LqModel, x, mean_x) -> float:
-    """The terminal cost g (see the module docstring)."""
-    x, mean_x = _vec(x, model.dims.d, "x"), _vec(mean_x, model.dims.d, "mean_x")
-    return float(_terminal_rows(model.cost, x[:, None], mean_x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +388,6 @@ def _sample_moments(X: np.ndarray, centred: np.ndarray | None = None):
     mean = X.mean(axis=1)
     centred = np.subtract(X, mean[:, None], out=centred)
     return mean, sym(centred @ centred.T / (X.shape[1] - 1))
-
-
-def ensemble_moments(states) -> MomentState:
-    """Arithmetic mean and unbiased (N-1) covariance of an (N, d) array of
-    finite particle states."""
-    X = _finite(states, "states")
-    if X.ndim != 2:
-        raise ShapeError(f"states must be an (N, d) array, got shape {X.shape}")
-    if X.shape[0] < 2:
-        raise InsufficientSampleError(f"need N >= 2 particles, got {X.shape[0]}")
-    return MomentState(*_sample_moments(np.ascontiguousarray(X.T)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,9 @@ class MomentTrajectory:
         for a in (self.grid, self.means, self.covs, self.running):
             a.setflags(write=False)
 
-    def state(self, k: int) -> MomentState:
-        return MomentState(self.means[k], self.covs[k])
-
     @property
     def final_state(self) -> MomentState:
-        return self.state(self.grid.size - 1)
+        return MomentState(self.means[-1], self.covs[-1])
 
     @property
     def final_running(self) -> float:
@@ -190,8 +187,6 @@ def dpp_check(model: LqModel, sol: RiccatiSolution, t: float, theta: float,
     """
     if theta < t:
         raise OutOfDomainError(f"need t <= theta, got t={t}, theta={theta}")
-    if theta == t:
-        return 0.0
     fb = optimal_feedback(model, sol)
     traj = propagate_moments(model, fb, t, ms, n_steps, t_end=theta)
     return abs(value_at(sol, t, ms) - traj.final_running

@@ -44,15 +44,12 @@ class SimConfig:
     n_particles: int
     n_steps: int
     seed: int
-    t0: float = 0.0
     initial: MomentState | None = None
     store_every: int = 0  # 0: keep only the final ensemble snapshot
 
-    def validate(self, model: LqModel) -> None:
+    def validate(self) -> None:
         check_count("n_particles", self.n_particles, 2)
         check_count("n_steps", self.n_steps, 1)
-        if not 0.0 <= self.t0 < model.horizon:
-            raise ValueError(f"t0={self.t0} outside [0, {model.horizon})")
         if not isinstance(self.initial, MomentState):
             raise ValueError("initial law must be a MomentState, got "
                              f"{type(self.initial).__name__}")
@@ -112,12 +109,12 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     raised before that block's steps run, so ahead of a divergence at an
     earlier step of the same block.
     """
-    cfg.validate(model)
+    cfg.validate()
     d, m = model.dims.d, model.dims.m
     n, K = cfg.n_particles, cfg.n_steps
-    dt = (model.horizon - cfg.t0) / K
+    dt = model.horizon / K
     sqdt = np.sqrt(dt)
-    times = cfg.t0 + dt * np.arange(K + 1)
+    times = np.linspace(0.0, model.horizon, K + 1)
     path_key, init_key = _keys(cfg.seed)
     Z = np.empty((d + m, n))  # component-major ensemble: states X, then controls A
     X, A = Z[:d], Z[d:]

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 
 from mflq import lq_model
+from mflq.model import _row_factors, _row_terms, _terminal_rows
 from mflq.riccati import _aux_arrays
 from mflq.schedules import Schedule
 
@@ -27,6 +28,17 @@ def aux_at(model, t, state):
     (U, V), (S, Z), Y = _aux_arrays(model.table([t]), 0, np.stack((state.Lam, state.Gam)),
                                     state.gam[:, None])
     return U, V, S, Z, Y[:, 0]
+
+
+def row_at(model, t, x, a, mx, ma):
+    """Drift, diffusion and running cost of one particle (x, a) against the
+    means (mx, ma) at time t, from _row_terms on the one-row model table at
+    t, and the terminal cost of x against mx from _terminal_rows."""
+    x, a, mx, ma = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, a, mx, ma))
+    c = model.table([t])
+    b, s, f = _row_terms(c, _row_factors(c), 0, np.concatenate([x, a])[:, None],
+                         np.concatenate([mx, ma]))
+    return b[:, 0], s[:, 0], float(f[0]), float(_terminal_rows(model.cost, x[:, None], mx)[0])
 
 
 def random_standard_model(rng, d=2, m=2, barred=True, cross=0.0):

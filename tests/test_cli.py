@@ -183,10 +183,14 @@ def test_simulate_rejects_thin_below_one(tmp_path, capsys, monkeypatch, thin):
                  id="verify"),
     pytest.param(("verify", "--steps", "3"), "n_steps", id="verify-steps-3"),
     pytest.param(("verify", "--steps", "1"), "n_steps", id="verify-steps-1"),
+    pytest.param(("value", "--mean", "[1, 2]", "--cov", "[[1, 0], [0, 1]]"),
+                 "law has dimension 2, the model has d=1", id="value-law-dimension"),
+    pytest.param(("value", "--t", "2"), "t=2.0 outside [0, 1.0]", id="value-t-outside"),
 ])
 def test_particles_checked_before_any_work(capsys, monkeypatch, argv, name):
-    """--particles below 2, and for verify --steps below 4 (the Bellman
-    check needs two grid steps on each side of a time inside (0, T)), are
+    """--particles below 2, for verify --steps below 4 (the Bellman check
+    needs two grid steps on each side of a time inside (0, T)), a law whose
+    dimension is not the model's and a value --t outside [0, T] are
     rejected before the solve runs."""
     def solve_riccati(*_args):
         raise AssertionError(f"the solve ran before {name} was checked")

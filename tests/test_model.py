@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mflq
-from mflq import (MomentState, diffusion, drift, ensemble_moments, lq_model,
-                  model_from_document, model_to_document, running_cost,
-                  terminal_cost)
-from mflq.errors import (InsufficientSampleError, ModelDocumentError,
-                         OutOfDomainError, ShapeError)
+from mflq import MomentState, lq_model, model_from_document, model_to_document
+from mflq.errors import ModelDocumentError, ShapeError
+from mflq.model import _sample_moments
 from mflq.schedules import Schedule
 
-from helpers import tabulated_model
+from helpers import row_at, tabulated_model
 
 
 def zero_model(d=1, m=1, T=1.0):
@@ -118,63 +116,61 @@ def test_string_or_bool_coefficient_rejected(d, name, value):
 
 def test_drift_zero_model():
     model = zero_model()
-    assert drift(model, 0.3, [1.0], [2.0], [3.0], [4.0]) == pytest.approx([0.0])
+    assert row_at(model, 0.3, 1.0, 2.0, 3.0, 4.0)[0] == pytest.approx([0.0])
 
 
 def test_drift_mean_variance_numbers():
     model = lq_model(d=1, m=1, horizon=1.0, B=0.1, C=0.5)
-    out = drift(model, 0.2, [2.0], [3.0], [0.0], [0.0])
-    assert out == pytest.approx([0.2 + 1.5])
+    b = row_at(model, 0.2, 2.0, 3.0, 0.0, 0.0)[0]
+    assert b == pytest.approx([0.2 + 1.5])
 
 
 def test_drift_systemic_numbers():
     p = mflq.SystemicParams(kappa=1.0)
     model = mflq.systemic_model(p)
-    out = drift(model, 0.5, [2.0], [0.5], [1.0], [0.0])
+    b = row_at(model, 0.5, 2.0, 0.5, 1.0, 0.0)[0]
     # kappa (mean - x) + a = -2 + 1 + 0.5
-    assert out == pytest.approx([-0.5])
+    assert b == pytest.approx([-0.5])
 
 
 def test_diffusion_presets():
     mv = lq_model(d=1, m=1, horizon=1.0, F=0.3)
-    assert diffusion(mv, 0.1, [9.0], [2.0], [0.0], [0.0]) == pytest.approx([0.6])
+    assert row_at(mv, 0.1, 9.0, 2.0, 0.0, 0.0)[1] == pytest.approx([0.6])
     sy = mflq.systemic_model(mflq.SystemicParams(sigma=1.0))
-    assert diffusion(sy, 0.9, [5.0], [7.0], [1.0], [2.0]) == pytest.approx([1.0])
-    assert diffusion(zero_model(), 0.5, [1.0], [1.0], [1.0], [1.0]) == pytest.approx([0.0])
+    assert row_at(sy, 0.9, 5.0, 7.0, 1.0, 2.0)[1] == pytest.approx([1.0])
+    assert row_at(zero_model(), 0.5, 1.0, 1.0, 1.0, 1.0)[1] == pytest.approx([0.0])
 
 
 def test_running_cost_zero_and_systemic():
-    assert running_cost(zero_model(), 0.5, [1.0], [2.0], [3.0], [4.0]) == 0.0
+    assert row_at(zero_model(), 0.5, 1.0, 2.0, 3.0, 4.0)[2] == 0.0
     model = mflq.systemic_model(mflq.SystemicParams(eta=1.0, q=0.5))
-    got = running_cost(model, 0.1, [1.0], [2.0], [0.0], [0.0])
-    assert got == pytest.approx(3.5)
+    assert row_at(model, 0.1, 1.0, 2.0, 0.0, 0.0)[2] == pytest.approx(3.5)
     # the encoding matches 0.5 a^2 - q a (m - x) + eta/2 (m - x)^2 in
     # population average (the two differ pointwise by mean-only terms)
     xs, as_ = np.array([0.7, -0.9]), np.array([-1.3, 0.4])
     mb, ab = xs.mean(), as_.mean()
     direct = np.mean(0.5 * as_ ** 2 - 0.5 * as_ * (mb - xs) + 0.5 * (mb - xs) ** 2)
-    encoded = np.mean([running_cost(model, 0.1, [x], [a], [mb], [ab])
-                       for x, a in zip(xs, as_)])
+    encoded = np.mean([row_at(model, 0.1, x, a, mb, ab)[2] for x, a in zip(xs, as_)])
     assert encoded == pytest.approx(direct)
 
 
 def test_running_cost_means_collapse():
     model = lq_model(d=1, m=1, horizon=1.0, Q2=2.0, Q2bar=3.0)
     x = 1.7
-    assert running_cost(model, 0.2, [x], [0.5], [x], [0.5]) == pytest.approx(5.0 * x * x)
+    assert row_at(model, 0.2, x, 0.5, x, 0.5)[2] == pytest.approx(5.0 * x * x)
 
 
 def test_terminal_cost():
-    assert terminal_cost(zero_model(), [2.0], [1.0]) == 0.0
+    assert row_at(zero_model(), 0.0, 2.0, 0.0, 1.0, 0.0)[3] == 0.0
     mv = mflq.mean_variance_model(mflq.MeanVarianceParams(eta=2.0))
-    assert terminal_cost(mv, [2.0], [1.0]) == pytest.approx(4.0 - 1.0 - 1.0)
+    assert row_at(mv, 0.0, 2.0, 0.0, 1.0, 0.0)[3] == pytest.approx(4.0 - 1.0 - 1.0)
     one = lq_model(d=1, m=1, horizon=1.0, P2=1.0)
-    assert terminal_cost(one, [3.0], [0.0]) == pytest.approx(9.0)
+    assert row_at(one, 0.0, 3.0, 0.0, 0.0, 0.0)[3] == pytest.approx(9.0)
 
 
 @pytest.mark.parametrize("entry", ["value", "g_hat", "bellman_residual",
                                    "propagate_moments", "cost_from_moments",
-                                   "dpp_check", "simulate"])
+                                   "dpp_check", "dpp_check_theta_equal_t", "simulate"])
 def test_law_of_the_wrong_dimension_is_a_shape_error(entry):
     """A d=2 law on the d=1 systemic preset raises ShapeError naming both
     dimensions at every entry point that takes a law (LqModel.check_law),
@@ -190,29 +186,12 @@ def test_law_of_the_wrong_dimension_is_a_shape_error(entry):
         "propagate_moments": lambda: mflq.propagate_moments(model, fb, 0.0, ms, 10),
         "cost_from_moments": lambda: mflq.cost_from_moments(model, fb, 0.0, ms, 10),
         "dpp_check": lambda: mflq.dpp_check(model, sol, 0.2, 0.6, ms, 10),
+        "dpp_check_theta_equal_t": lambda: mflq.dpp_check(model, sol, 0.4, 0.4, ms, 10),
         "simulate": lambda: mflq.simulate(model, fb, mflq.SimConfig(
             n_particles=10, n_steps=10, seed=0, initial=ms)),
     }
     with pytest.raises(ShapeError, match="law has dimension 2, the model has d=1"):
         calls[entry]()
-
-
-def test_time_domain_and_shape_errors():
-    model = zero_model()
-    with pytest.raises(OutOfDomainError):
-        drift(model, 1.5, [0.0], [0.0], [0.0], [0.0])
-    with pytest.raises(ShapeError):
-        drift(model, 0.5, [0.0, 1.0], [0.0], [0.0], [0.0])
-    with pytest.raises(ShapeError):
-        running_cost(model, 0.5, [0.0], [0.0, 1.0], [0.0], [0.0])
-    for args in (("1", True, [1.0], [0.0]), ([0.0], [0.0], [np.nan], [0.0]),
-                 ([0.0], [np.inf], [0.0], [0.0]), (["1"], [0.0], [0.0], [0.0])):
-        for fn in (drift, diffusion, running_cost):
-            with pytest.raises(ValueError, match="not numeric|non-finite"):
-                fn(model, 0.5, *args)
-    for x, mean_x in (("1", [0.0]), ([0.0], [True]), ([np.nan], [0.0])):
-        with pytest.raises(ValueError, match="not numeric|non-finite"):
-            terminal_cost(model, x, mean_x)
 
 
 @pytest.mark.parametrize("x, mean_x", [("2", [True]), ([np.nan], [0.0]), ([0.0], [-np.inf])])
@@ -225,9 +204,10 @@ def test_feedback_rejects_non_numbers(x, mean_x):
 
 
 def test_pointwise_functions_are_the_documented_formulas():
-    """drift, diffusion, running_cost and terminal_cost at d=3, m=2 with
-    every coefficient nonzero and non-symmetric where allowed, against the
-    formulas of the model module's docstring written out term by term."""
+    """Drift, diffusion, running cost and terminal cost of one column of
+    _row_terms and _terminal_rows at d=3, m=2 with every coefficient nonzero
+    and non-symmetric where allowed, against the formulas of the model
+    module's docstring written out term by term."""
     rng = np.random.default_rng(31)
     d, m = 3, 2
 
@@ -250,10 +230,11 @@ def test_pointwise_functions_are_the_documented_formulas():
          + 2 * x @ k["M2"] @ a + 2 * mx @ k["M2bar"] @ ma + k["q1"] @ x
          + k["q1bar"] @ mx + k["r1"] @ a + k["r1bar"] @ ma)
     g = x @ k["P2"] @ x + mx @ k["P2bar"] @ mx + k["p1"] @ x + k["p1bar"] @ mx
-    np.testing.assert_allclose(drift(model, 0.4, x, a, mx, ma), b, rtol=1e-12)
-    np.testing.assert_allclose(diffusion(model, 0.4, x, a, mx, ma), s, rtol=1e-12)
-    assert running_cost(model, 0.4, x, a, mx, ma) == pytest.approx(f, rel=1e-12)
-    assert terminal_cost(model, x, mx) == pytest.approx(g, rel=1e-12)
+    got_b, got_s, got_f, got_g = row_at(model, 0.4, x, a, mx, ma)
+    np.testing.assert_allclose(got_b, b, rtol=1e-12)
+    np.testing.assert_allclose(got_s, s, rtol=1e-12)
+    assert got_f == pytest.approx(f, rel=1e-12)
+    assert got_g == pytest.approx(g, rel=1e-12)
 
 
 # --- affinity / homogeneity properties -------------------------------------
@@ -264,9 +245,9 @@ def test_pointwise_functions_are_the_documented_formulas():
 def test_drift_affine(x, a, mx, ma, s):
     model = lq_model(d=1, m=1, horizon=1.0, b0=np.array([0.7]), B=1.1, Bbar=-0.4,
                      C=0.3, Cbar=0.2)
-    f0 = drift(model, 0.5, [0.0], [0.0], [0.0], [0.0])
-    f1 = drift(model, 0.5, [x], [a], [mx], [ma])
-    fs = drift(model, 0.5, [s * x], [s * a], [s * mx], [s * ma])
+    f0 = row_at(model, 0.5, 0.0, 0.0, 0.0, 0.0)[0]
+    f1 = row_at(model, 0.5, x, a, mx, ma)[0]
+    fs = row_at(model, 0.5, s * x, s * a, s * mx, s * ma)[0]
     assert fs - f0 == pytest.approx(s * (f1 - f0), abs=1e-9)
 
 
@@ -280,9 +261,9 @@ def test_running_cost_quadratic_part_homogeneous(x, a, mx, ma, s):
 
     def quad(u):
         # even part minus constant isolates the degree-2 term exactly
-        f = running_cost(model, 0.5, [u * x], [u * a], [u * mx], [u * ma])
-        g = running_cost(model, 0.5, [-u * x], [-u * a], [-u * mx], [-u * ma])
-        f0 = running_cost(model, 0.5, [0.0], [0.0], [0.0], [0.0])
+        f = row_at(model, 0.5, u * x, u * a, u * mx, u * ma)[2]
+        g = row_at(model, 0.5, -u * x, -u * a, -u * mx, -u * ma)[2]
+        f0 = row_at(model, 0.5, 0.0, 0.0, 0.0, 0.0)[2]
         return 0.5 * (f + g) - f0
 
     assert quad(s) == pytest.approx(s * s * quad(1.0), abs=1e-9 * (1 + abs(quad(1.0))))
@@ -291,42 +272,32 @@ def test_running_cost_quadratic_part_homogeneous(x, a, mx, ma, s):
 # --- ensembles --------------------------------------------------------------
 
 def test_ensemble_moments_degenerate():
-    ms = ensemble_moments(np.full((5, 2), 3.0))
-    assert ms.mean == pytest.approx([3.0, 3.0])
-    assert ms.cov == pytest.approx(np.zeros((2, 2)))
+    mean, cov = _sample_moments(np.full((2, 5), 3.0))
+    assert mean == pytest.approx([3.0, 3.0])
+    assert cov == pytest.approx(np.zeros((2, 2)))
 
 
 def test_ensemble_moments_two_points():
-    ms = ensemble_moments([[0.0], [2.0]])
-    assert ms.mean[0] == pytest.approx(1.0)
-    assert ms.cov[0, 0] == pytest.approx(2.0)
-
-
-def test_ensemble_moments_requires_two():
-    with pytest.raises(InsufficientSampleError):
-        ensemble_moments([[1.0]])
-    with pytest.raises(ShapeError):
-        ensemble_moments([1.0, 2.0, 3.0])
-    for states in ([["1"], ["2"]], [[True], [False]], [[0.0], [np.nan]], [[np.inf], [0.0]]):
-        with pytest.raises(ValueError, match="not numeric|non-finite"):
-            ensemble_moments(states)
+    mean, cov = _sample_moments(np.array([[0.0, 2.0]]))
+    assert mean[0] == pytest.approx(1.0)
+    assert cov[0, 0] == pytest.approx(2.0)
 
 
 def test_ensemble_moments_lln():
     n = 10 ** 5
-    draws = np.random.default_rng(7).standard_normal((n, 1))
-    ms = ensemble_moments(draws)
-    assert abs(ms.mean[0]) <= 4.0 / np.sqrt(n)
-    assert abs(ms.cov[0, 0] - 1.0) <= 4.0 * np.sqrt(2.0 / n)
+    draws = np.random.default_rng(7).standard_normal((1, n))
+    mean, cov = _sample_moments(draws)
+    assert abs(mean[0]) <= 4.0 / np.sqrt(n)
+    assert abs(cov[0, 0] - 1.0) <= 4.0 * np.sqrt(2.0 / n)
 
 
 def test_ensemble_union_bookkeeping():
     states = np.random.default_rng(11).standard_normal((40, 2))
-    single = ensemble_moments(states)
-    union = ensemble_moments(np.vstack([states, states]))
+    single = _sample_moments(np.ascontiguousarray(states.T))
+    union = _sample_moments(np.ascontiguousarray(np.vstack([states, states]).T))
     n = 40
-    assert union.mean == pytest.approx(single.mean)
-    assert union.cov == pytest.approx(single.cov * (2 * n - 2) / (2 * n - 1))
+    assert union[0] == pytest.approx(single[0])
+    assert union[1] == pytest.approx(single[1] * (2 * n - 2) / (2 * n - 1))
 
 
 def test_moment_state_validation():

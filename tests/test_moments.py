@@ -179,6 +179,16 @@ def test_dpp_ordering_error():
         dpp_check(model, sol, 0.7, 0.3, MomentState.dirac([1.0]), 100)
 
 
+def test_dpp_theta_equal_t_checks_its_inputs():
+    """t = theta still checks the time, the step count and the law."""
+    model = systemic_model(SystemicParams())
+    sol = solve_riccati(model, 100)
+    with pytest.raises(OutOfDomainError):
+        dpp_check(model, sol, 5.0, 5.0, MomentState.dirac([1.0]), 100)
+    with pytest.raises(ValueError, match="n_steps"):
+        dpp_check(model, sol, 0.3, 0.3, MomentState.dirac([1.0]), 0)
+
+
 def test_dpp_theta_T_equals_cost_identity():
     p = MeanVarianceParams()
     model = mean_variance_model(p)

@@ -7,15 +7,14 @@ from scipy.special import ndtri
 
 import mflq
 from mflq import (AffineFeedback, FeedbackPerturbation, MomentState, SimConfig,
-                  SystemicParams, canonical_perturbations, diffusion, drift,
-                  ensemble_moments, lq_model, optimal_feedback, optimality_gap,
-                  propagate_moments, running_cost, simulate, solve_riccati,
-                  systemic_model, terminal_cost, value)
+                  SystemicParams, canonical_perturbations, lq_model, optimal_feedback,
+                  optimality_gap, propagate_moments, simulate, solve_riccati,
+                  systemic_model, value)
 from mflq.errors import ShapeError, SimulationDivergedError
-from mflq.model import _row_factors, _row_terms
+from mflq.model import _row_factors, _row_terms, _sample_moments
 from mflq.particles import _keys, step_normals
 
-from helpers import random_standard_model, tabulated_model
+from helpers import random_standard_model, row_at, tabulated_model
 
 AT_ONE = MomentState.dirac([1.0])  # every particle starts at x = 1
 
@@ -97,18 +96,19 @@ def test_chunk_reproduces_full_ensemble_rows(d, m):
 # --- simulate -------------------------------------------------------------------
 
 def test_step_is_the_pointwise_state_equation():
-    """Each of three simulate steps moves each particle by dt drift +
-    sqrt(dt) diffusion xi, and the run charges dt running_cost per step plus
-    terminal_cost, with the public pointwise functions at the ensemble's
-    means; the steps cross the knot of the tabulated schedules at 0.5."""
+    """Each of three simulate steps, at t = 0, 1/3 and 2/3, moves each
+    particle by dt drift + sqrt(dt) diffusion xi, and the run charges dt
+    running cost per step plus the terminal cost, from one particle's column
+    of the table-row functions at the ensemble's means; the steps cross the
+    knot of the tabulated schedules at 0.5."""
     model = tabulated_model()
     fb = AffineFeedback.constant([[0.3, -0.2], [0.1, 0.4]], [[0.5, 0.0], [-0.1, 0.2]],
                                  [0.2, -0.3])
-    t0, seed, n, K = 0.3, 9, 6, 3
+    seed, n, K = 9, 6, 3
     initial = MomentState([0.4, -1.1], [[1.0, 0.3], [0.3, 0.5]])
-    res = simulate(model, fb, SimConfig(n_particles=n, n_steps=K, seed=seed, t0=t0,
+    res = simulate(model, fb, SimConfig(n_particles=n, n_steps=K, seed=seed,
                                         initial=initial, store_every=1))
-    dt = (1.0 - t0) / K
+    dt = 1.0 / K
     cost = np.zeros(n)
     for k in range(K):
         t, X = res.times[k], res.ensembles[k]
@@ -116,20 +116,29 @@ def test_step_is_the_pointwise_state_equation():
         A = np.array([fb(t, x, mx) for x in X])
         ma = A.mean(axis=0)
         xi = step_normals(_keys(seed)[0], k, n)
-        X1 = np.array([x + dt * drift(model, t, x, a, mx, ma)
-                       + np.sqrt(dt) * diffusion(model, t, x, a, mx, ma) * z
-                       for x, a, z in zip(X, A, xi)])
+        rows = [row_at(model, t, x, a, mx, ma) for x, a in zip(X, A)]
+        X1 = np.array([x + dt * b + np.sqrt(dt) * s * z
+                       for x, (b, s, _, _), z in zip(X, rows, xi)])
         np.testing.assert_allclose(res.ensembles[k + 1], X1, rtol=1e-12, atol=0.0)
-        cost += [dt * running_cost(model, t, x, a, mx, ma) for x, a in zip(X, A)]
+        cost += [dt * f for _, _, f, _ in rows]
     XK = res.ensembles[K]
-    cost += [terminal_cost(model, x, XK.mean(axis=0)) for x in XK]
+    cost += [row_at(model, 1.0, x, np.zeros(2), XK.mean(axis=0), np.zeros(2))[3] for x in XK]
     np.testing.assert_allclose(res.per_particle_cost, cost, rtol=1e-12, atol=0.0)
+
+
+def test_times_are_the_solve_grid():
+    """The simulation times are the Riccati grid, ending at T exactly
+    (K = 49 at T = 1, where dt * arange(K + 1) ends below 1)."""
+    model, sol, fb = systemic_setup(49)
+    res = simulate(model, fb, SimConfig(n_particles=4, n_steps=49, seed=0, initial=AT_ONE))
+    assert res.times.tobytes() == sol.grid.tobytes()
+    assert res.times[-1] == 1.0
 
 
 def test_means_are_pairwise_over_the_particle_axis():
     """Each recorded mean is numpy's pairwise mean of a component's
     contiguous particle row, and each recorded (mean, covariance) pair is
-    ensemble_moments of the stored ensemble, bit for bit."""
+    _sample_moments of the stored ensemble, bit for bit."""
     d = 3
     model = random_standard_model(np.random.default_rng(4), d, 2)
     fb = AffineFeedback.constant(np.full((2, d), 0.2), np.full((2, d), -0.1), [0.3, 0.1])
@@ -141,9 +150,9 @@ def test_means_are_pairwise_over_the_particle_axis():
         assert ens.shape == (5000, d)
         mean = np.ascontiguousarray(ens.T).mean(axis=1)
         assert res.mean_path[k].tobytes() == mean.tobytes()
-        ms = ensemble_moments(ens)
-        assert ms.mean.tobytes() == mean.tobytes()
-        assert ms.cov.tobytes() == res.cov_path[k].tobytes()
+        got_mean, got_cov = _sample_moments(np.ascontiguousarray(ens.T))
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_cov.tobytes() == res.cov_path[k].tobytes()
 
 
 # --- the initial law ------------------------------------------------------------
@@ -227,8 +236,6 @@ def test_invalid_configs():
         simulate(model, fb, SimConfig(1, 10, 0, initial=AT_ONE))
     with pytest.raises(ValueError):
         simulate(model, fb, SimConfig(10, 0, 0, initial=AT_ONE))
-    with pytest.raises(ValueError):
-        simulate(model, fb, SimConfig(10, 10, 0, t0=1.0, initial=AT_ONE))
     with pytest.raises(ValueError):
         simulate(model, fb, SimConfig(10, 10, 0))
     with pytest.raises(ValueError, match="ndarray"):

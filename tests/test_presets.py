@@ -13,6 +13,8 @@ from mflq import (MeanVarianceParams, SystemicParams, build_preset,
                   systemic_optimal_control)
 from mflq.schedules import Schedule
 
+from helpers import row_at
+
 
 # --- model builders -----------------------------------------------------------
 
@@ -31,18 +33,16 @@ def test_mean_variance_coefficients():
     assert model.cost.p1bar[0] == -1.0
     ms = mflq.MomentState([1.5], [[2.0]])
     assert mflq.g_hat(model, ms) == pytest.approx(0.5 * 2.0 - 1.5)
-    assert mflq.drift(model, 0.1, [2.0], [3.0], [0.0], [0.0]) \
-        == pytest.approx([0.05 * 2 + 0.2 * 3])
+    assert row_at(model, 0.1, 2.0, 3.0, 0.0, 0.0)[0] == pytest.approx([0.05 * 2 + 0.2 * 3])
 
 
 def test_systemic_coefficients():
     p = SystemicParams(kappa=0.7, q=0.4, eta=1.2, c=0.3, sigma=0.9)
     model = systemic_model(p)
-    assert mflq.drift(model, 0.2, [2.0], [0.5], [1.0], [0.0]) \
-        == pytest.approx([0.7 * (1.0 - 2.0) + 0.5])
-    assert mflq.diffusion(model, 0.2, [2.0], [0.5], [1.0], [0.0]) \
-        == pytest.approx([0.9])
-    assert mflq.running_cost(model, 0.2, [1.0], [2.0], [0.0], [0.0]) \
+    b, s, _, _ = row_at(model, 0.2, 2.0, 0.5, 1.0, 0.0)
+    assert b == pytest.approx([0.7 * (1.0 - 2.0) + 0.5])
+    assert s == pytest.approx([0.9])
+    assert row_at(model, 0.2, 1.0, 2.0, 0.0, 0.0)[2] \
         == pytest.approx(0.6 * 1 + 0.5 * 4 + 2 * 0.2 * 2)
 
 

@@ -9,11 +9,12 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   mean_variance_model, optimal_feedback, solve_riccati,
                   systemic_model, value)
 from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
+from mflq.model import _sample_moments
 from mflq.moments import _moment_table, _running, cost_from_moments, dpp_check
 from mflq.riccati import RiccatiState
 from mflq.value import _g_inf
 
-from helpers import aux_at, random_standard_model, tabulated_model
+from helpers import aux_at, random_standard_model, row_at, tabulated_model
 
 
 # --- discrete-measure oracles (independent of the moment formulas) ----------
@@ -176,7 +177,7 @@ def test_f_hat_dirac_collapse():
         ms = MomentState.dirac([m])
         a = k2 * m + k0
         assert f_hat_at(model, 0.5, fb, ms) == pytest.approx(
-            mflq.running_cost(model, 0.5, [m], [a], [m], [a]), abs=1e-12)
+            row_at(model, 0.5, m, a, m, a)[2], abs=1e-12)
 
 
 # --- inner objective and its minimum -------------------------------------------
@@ -330,7 +331,7 @@ def test_moment_sufficiency():
     # any other representation with the same (mean, cov)
     model = systemic_model(SystemicParams())
     sol = solve_riccati(model, 200)
-    ms = mflq.ensemble_moments(np.random.default_rng(2).normal(1.0, 0.7, (500, 1)))
+    ms = MomentState(*_sample_moments(np.random.default_rng(2).normal(1.0, 0.7, (1, 500))))
     same = MomentState(ms.mean.copy(), ms.cov.copy())
     assert value(sol, 0.5, ms) == value(sol, 0.5, same)
     assert g_hat(model, ms) == g_hat(model, same)
