@@ -94,6 +94,7 @@ def cmd_value(args) -> int:
 
 def cmd_simulate(args) -> int:
     check_count("n_particles", args.particles, 2)
+    check_count("seed", args.seed, 0)
     check_count("thin", args.thin, 1)
     model, x0 = _load(args)
     ms0 = _initial_state(args, model, x0)
@@ -175,6 +176,7 @@ def _verify_battery(model, sol, ms0, seed, n_particles):
 
 def cmd_verify(args) -> int:
     check_count("n_particles", args.particles, 2)
+    check_count("seed", args.seed, 0)
     if args.steps is not None:  # the Bellman check needs t at least 2h inside (0, T)
         check_count("n_steps", args.steps, 4)
     model, x0 = _load(args)

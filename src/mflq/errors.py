@@ -17,17 +17,9 @@ class ModelDocumentError(MflqError):
     """A JSON model document is malformed; the message names the field."""
 
 
-class RiccatiBreakdownError(MflqError):
-    """The backward Riccati integration failed (positivity loss, singular
-    U/V, or a non-finite state).
-
-    Attributes
-    ----------
-    time : float
-        Time at which the failure was detected.
-    eigenvalue : float or None
-        Offending smallest eigenvalue of U or V, when applicable.
-    """
+class _BreakdownError(MflqError):
+    """A failure at time ``time``; ``eigenvalue`` is the offending smallest
+    eigenvalue, or None when there is none (a non-finite state)."""
 
     def __init__(self, message: str, time: float, eigenvalue: float | None = None):
         super().__init__(message)
@@ -35,14 +27,14 @@ class RiccatiBreakdownError(MflqError):
         self.eigenvalue = eigenvalue
 
 
-class CovarianceInstabilityError(MflqError):
+class RiccatiBreakdownError(_BreakdownError):
+    """The backward Riccati integration failed (positivity loss, singular
+    U/V, or a non-finite state); ``eigenvalue`` is that of U or V."""
+
+
+class CovarianceInstabilityError(_BreakdownError):
     """Moment propagation produced a covariance eigenvalue below -1e-6, or
     a non-finite state (then ``eigenvalue`` is None), at grid time ``time``."""
-
-    def __init__(self, message: str, time: float, eigenvalue: float | None = None):
-        super().__init__(message)
-        self.time = time
-        self.eigenvalue = eigenvalue
 
 
 class SimulationDivergedError(MflqError):

@@ -180,6 +180,11 @@ class LqModel:
         if law.d != self.dims.d:
             raise ShapeError(f"law has dimension {law.d}, the model has d={self.dims.d}")
 
+    def check_gains(self, K1: np.ndarray) -> None:
+        if K1.shape[-2:] != (self.dims.m, self.dims.d):
+            raise ShapeError(f"law has K1 gains of shape {K1.shape[-2:]}, the model "
+                             f"has m={self.dims.m}, d={self.dims.d}")
+
     def table(self, times) -> dict:
         """Every dynamics and running-cost coefficient at ``times``: name ->
         values stacked on a leading time axis, vectors as columns, the times
@@ -408,11 +413,10 @@ class AffineFeedback:
     simulator and :meth:`gains` read gains only through it. ``k1``, ``k2``,
     ``k0`` are pointwise views of single table rows for callers that want
     one gain; replacing one of them does not change the law. Build laws
-    with :meth:`constant` or from a gain table.
+    with :meth:`constant` or from a gain table. The moment flow and the
+    simulator reject K1 gains that are not m x d (LqModel.check_gains).
     """
 
-    m: int
-    d: int
     table: Callable[[np.ndarray], tuple]
     k1: Callable[[float], np.ndarray] | None = None
     k2: Callable[[float], np.ndarray] | None = None
@@ -432,8 +436,7 @@ class AffineFeedback:
         if k2.shape != (m, d) or k0.shape != (m,):
             raise ShapeError("inconsistent gain shapes")
         k1, k2, k0 = (Schedule.constant(k) for k in (k1, k2, k0))
-        return cls(m=m, d=d, table=lambda times: (k1.table(times), k2.table(times),
-                                                  k0.table(times)))
+        return cls(table=lambda times: (k1.table(times), k2.table(times), k0.table(times)))
 
     def gains(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(K1, K2, k) at t: the one-row table, so one evaluation."""
@@ -441,9 +444,9 @@ class AffineFeedback:
         return K1[0], K2[0], k0[0]
 
     def __call__(self, t: float, x, mean_x) -> np.ndarray:
-        x = _vec(x, self.d, "x")
-        mean_x = _vec(mean_x, self.d, "mean_x")
         g1, g2, g0 = self.gains(t)
+        x = _vec(x, g1.shape[1], "x")
+        mean_x = _vec(mean_x, g1.shape[1], "mean_x")
         return g1 @ (x - mean_x) + g2 @ mean_x + g0
 
 

@@ -73,6 +73,7 @@ def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
     """
     c = model.table(times)
     K1, K2, k0 = fb.table(c["t"])
+    model.check_gains(K1)
     k0 = k0[..., None]
     F, K2t = c["F"], _tr(K2)
     RR, MM = c["R2"] + c["R2bar"], c["M2"] + c["M2bar"]

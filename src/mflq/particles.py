@@ -50,6 +50,7 @@ class SimConfig:
     def validate(self) -> None:
         check_count("n_particles", self.n_particles, 2)
         check_count("n_steps", self.n_steps, 1)
+        check_count("seed", self.seed, 0)
         if not isinstance(self.initial, MomentState):
             raise ValueError("initial law must be a MomentState, got "
                              f"{type(self.initial).__name__}")
@@ -142,6 +143,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
         c = model.table(block)
         H = _row_factors(c)
         K1s, K2s, k0s = fb.table(block)
+        model.check_gains(K1s)
         G = np.concatenate([K1s, np.zeros((block.size, m, m))], axis=2)
         for r, j in enumerate(range(j0, j0 + block.size)):
             np.matmul(G[r], W, out=A)
@@ -185,13 +187,13 @@ class FeedbackPerturbation:
 
     def apply(self, fb: AffineFeedback) -> AffineFeedback:
         """The law with gains K1*k1_scale, K2*k2_scale, k*k_scale + k_shift."""
-        shift = np.broadcast_to(np.asarray(self.k_shift, dtype=float), (fb.m,))
+        shift = np.asarray(self.k_shift, dtype=float)
 
         def table(times):
             K1, K2, k0 = fb.table(times)
             return self.k1_scale * K1, self.k2_scale * K2, self.k_scale * k0 + shift
 
-        return AffineFeedback(m=fb.m, d=fb.d, table=table)
+        return AffineFeedback(table=table)
 
 
 def canonical_perturbations() -> list[FeedbackPerturbation]:

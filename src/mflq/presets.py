@@ -11,10 +11,9 @@ Two classical mean-field LQ problems from finance:
   first-order coefficients vanish and the quadratic one solves a scalar
   Riccati equation.
 
-The systemic quadratic coefficient is referenced against a high-accuracy
-adaptive integration of its scalar ODE (tolerance 1e-12). A tanh-type
-closed form exists but is easy to mis-transcribe (sign conventions differ
-across sources), so the ODE integration is the ground truth here.
+The systemic quadratic coefficient is referenced by the exact solution of
+its constant-coefficient scalar Riccati equation, in a form with no
+cancellation next to T, even for a terminal penalty c of 4e8.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
-from .errors import MflqError, OutOfDomainError
+from .errors import OutOfDomainError
 from .model import LqModel, lq_model
 from .riccati import RiccatiSolution, RiccatiState
 from .schedules import Schedule, as_schedule
@@ -50,6 +49,24 @@ def _integral(fn, a: float, b: float, knots=()) -> float:
     return val
 
 
+def _check_params(params, positive, nonnegative=()) -> None:
+    """Raise a ValueError naming the first parameter of ``params`` with a
+    non-finite value, then the first of ``positive`` not > 0 and of
+    ``nonnegative`` < 0; a schedule is checked at every knot."""
+    values = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        values[f.name] = np.asarray(value.values if isinstance(value, Schedule) else value)
+        if not np.isfinite(values[f.name]).all():
+            raise ValueError(f"{f.name} has a non-finite value")
+    for name in positive:
+        if (values[name] <= 0).any():
+            raise ValueError(f"{name} must be positive")
+    for name in nonnegative:
+        if (values[name] < 0).any():
+            raise ValueError(f"{name} must be nonnegative")
+
+
 @dataclass(frozen=True)
 class MeanVarianceParams:
     """Interest rate r, excess return rho, volatility vol (scalars or 1x1
@@ -65,21 +82,17 @@ class MeanVarianceParams:
     def __post_init__(self):
         for name in ("r", "rho", "vol"):
             object.__setattr__(self, name, as_schedule(getattr(self, name), (1, 1)))
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        if (self.vol.values <= 0).any():
-            raise ValueError("vol must be positive on [0, T]")
+        _check_params(self, positive=("eta", "horizon", "vol"))
 
-    def _knots(self, t: float):
-        """The knot times of r, rho and vol, once t is checked in [0, T]."""
+    def _integrals(self, t: float):
+        """(int r, int rho^2/vol^2) on [0, t] and on [t, T], once t is
+        checked in [0, T]; quadrature splits at the knots of r, rho, vol."""
         if not 0.0 <= t <= self.horizon:
             raise OutOfDomainError(f"t={t} outside [0, {self.horizon}]")
-        out = set()
-        for s in (self.r, self.rho, self.vol):
-            out.update(float(t) for t in s.knot_times())
-        return sorted(out)
+        knots = sorted({float(u) for s in (self.r, self.rho, self.vol)
+                        for u in s.knot_times()})
+        return tuple((_integral(self.rate, a, b, knots), _integral(self.sharpe_sq, a, b, knots))
+                     for a, b in ((0.0, t), (t, self.horizon)))
 
     def rate(self, t: float) -> float:
         return _at(self.r, t)
@@ -107,9 +120,7 @@ def mean_variance_closed_form(p: MeanVarianceParams, t: float) -> RiccatiState:
         gam(t) = -exp(int_t^T r)
         chi(t) = -(1/2 eta) [exp(int_t^T rho^2/vol^2) - 1]
     """
-    T, knots = p.horizon, p._knots(t)
-    int_r = _integral(p.rate, t, T, knots)
-    int_s = _integral(p.sharpe_sq, t, T, knots)
+    _, (int_r, int_s) = p._integrals(t)
     lam = 0.5 * p.eta * math.exp(2.0 * int_r - int_s)
     gam = -math.exp(int_r)
     chi = -(math.expm1(int_s)) / (2.0 * p.eta)
@@ -120,9 +131,9 @@ def mean_variance_closed_form(p: MeanVarianceParams, t: float) -> RiccatiState:
 def mean_variance_optimal_control(p: MeanVarianceParams, t: float,
                                   x: float, mean_x: float) -> float:
     """-(rho/vol^2)(x - mean) + (rho/(eta vol^2)) exp(int_t^T rho^2/vol^2 - r)."""
-    T, knots = p.horizon, p._knots(t)
+    _, (int_r, int_s) = p._integrals(t)
     rho, v2 = _at(p.rho, t), _at(p.vol, t) ** 2
-    expo = math.exp(_integral(p.sharpe_sq, t, T, knots) - _integral(p.rate, t, T, knots))
+    expo = math.exp(int_s - int_r)
     return -(rho / v2) * (x - mean_x) + rho / (p.eta * v2) * expo
 
 
@@ -132,16 +143,15 @@ def mean_variance_mean_trajectory(p: MeanVarianceParams, t: float) -> float:
         E[X_t] = x0 exp(int_0^t r)
                + (1/eta) exp(int_t^T rho^2/vol^2 - r) (exp(int_0^t rho^2/vol^2) - 1)
     """
-    T, knots = p.horizon, p._knots(t)
-    growth = math.exp(_integral(p.rate, 0.0, t, knots))
-    tail = math.exp(_integral(p.sharpe_sq, t, T, knots) - _integral(p.rate, t, T, knots))
-    return p.x0 * growth + math.expm1(_integral(p.sharpe_sq, 0.0, t, knots)) * tail / p.eta
+    (head_r, head_s), (int_r, int_s) = p._integrals(t)
+    tail = math.exp(int_s - int_r)
+    return p.x0 * math.exp(head_r) + math.expm1(head_s) * tail / p.eta
 
 
 @dataclass(frozen=True)
 class SystemicParams:
     """Mean-reversion kappa >= 0, volatility sigma > 0, lending incentive
-    q > 0, running penalty eta > 0, terminal penalty c >= 0."""
+    q > 0, running penalty eta > 0, terminal penalty c >= 0; all finite."""
 
     kappa: float = 0.5
     sigma: float = 1.0
@@ -152,20 +162,8 @@ class SystemicParams:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.q > 0:
-            raise ValueError("q must be positive")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        if (self.kappa + self.q) ** 2 + (self.eta - self.q ** 2) < 0:
-            raise ValueError("(kappa+q)^2 + (eta - q^2) must be nonnegative")
+        _check_params(self, positive=("sigma", "q", "eta", "horizon"),
+                      nonnegative=("kappa", "c"))
 
 
 def systemic_model(p: SystemicParams) -> LqModel:
@@ -181,46 +179,35 @@ def systemic_model(p: SystemicParams) -> LqModel:
     )
 
 
+def _systemic_root(p: SystemicParams) -> float:
+    """sqrt((kappa+q)^2 + (eta - q^2)), summed without cancellation; > 0."""
+    return math.sqrt(p.kappa ** 2 + 2.0 * p.kappa * p.q + p.eta)
+
+
 def systemic_delta(p: SystemicParams) -> tuple[float, float]:
     """Roots delta_+/- = -(kappa+q) +- sqrt((kappa+q)^2 + (eta - q^2))."""
-    disc = (p.kappa + p.q) ** 2 + (p.eta - p.q ** 2)
-    if disc < 0:
-        raise ValueError(f"negative discriminant {disc}")
-    root = math.sqrt(disc)
+    root = _systemic_root(p)
     return -(p.kappa + p.q) + root, -(p.kappa + p.q) - root
 
 
 def systemic_lambda_reference(p: SystemicParams, t):
-    """Ground-truth quadratic coefficient from adaptive backward
-    integration (tolerance 1e-12) of
+    """Exact solution of Lam' = 2(kappa+q) Lam + 2 Lam^2 + (q^2 - eta)/2
+    = 2(Lam - a)(Lam - b), Lam(T) = y = c/2, a, b = delta_+/2, delta_-/2:
 
-        Lam' = 2(kappa+q) Lam + 2 Lam^2 + (q^2 - eta)/2,   Lam(T) = c/2.
+        Lam(t) = (y(a-b) + b(y-a) e) / ((a-b) + (y-a) e),  e = 1 - exp(2(a-b)(t-T))
 
-    ``t`` may be a scalar or an array of times in [0, T]; the return
-    matches the input shape.
+    with e by expm1, a - b the root itself (not a difference of the deltas)
+    and y exactly at t = T. ``t`` is a scalar or an array of times in
+    [0, T]; the return matches its shape.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    scalar = np.ndim(t) == 0
-    T = p.horizon
-    if ts.size == 0:
-        return ts
-    if ts.min() < 0.0 or ts.max() > T:
-        raise OutOfDomainError(f"times outside [0, {T}]")
-    kq, rhs_const = p.kappa + p.q, 0.5 * (p.q ** 2 - p.eta)
-
-    def rhs(_t, y):
-        return 2.0 * kq * y + 2.0 * y * y + rhs_const
-
-    values = {T: 0.5 * p.c}
-    below = sorted({float(u) for u in ts if u < T}, reverse=True)
-    if below:
-        res = solve_ivp(rhs, (T, below[-1]), [0.5 * p.c], method="DOP853",
-                        t_eval=np.asarray(below), rtol=1e-12, atol=1e-14)
-        if not res.success:
-            raise MflqError(f"reference integration failed: {res.message}")
-        values.update(zip(res.t, res.y[0]))
-    out = np.array([values[float(u)] for u in ts])
-    return float(out[0]) if scalar else out.reshape(np.shape(t))
+    ts = np.asarray(t, dtype=float)
+    if not ((ts >= 0.0) & (ts <= p.horizon)).all():
+        raise OutOfDomainError(f"times outside [0, {p.horizon}]")
+    a, b = (0.5 * delta for delta in systemic_delta(p))
+    gap, y = _systemic_root(p), 0.5 * p.c
+    e = -np.expm1(2.0 * gap * (ts - p.horizon))
+    lam = np.where(e == 0.0, y, (y * gap + b * (y - a) * e) / (gap + (y - a) * e))
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def systemic_optimal_control(p: SystemicParams, sol: RiccatiSolution,

@@ -75,8 +75,7 @@ def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
     K2, k inherit the integrator's accuracy at every t, not only at grid
     knots. A pointwise gain is the one-row batch.
     """
-    return AffineFeedback(m=model.dims.m, d=model.dims.d,
-                          table=lambda times: optimal_gains(model, sol, times))
+    return AffineFeedback(table=lambda times: optimal_gains(model, sol, times))
 
 
 def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,

@@ -135,6 +135,20 @@ def test_value_rejects_malformed_law(capsys, law):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("preset, param", [("systemic-risk", "kappa=nan"),
+                                           ("mean-variance", "eta=inf"),
+                                           ("mean-variance", "rho=-inf")])
+def test_non_finite_preset_parameter_exits_2(capsys, preset, param):
+    """A non-finite --param is rejected by the preset's parameters, with a
+    message that names it and without a numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, stderr = run(capsys, "riccati", "--preset", preset, "--param", param)
+    assert code == 2
+    name = param.split("=")[0]
+    assert stderr == f"error: {name} has a non-finite value\n"
+
+
 def test_value_rejects_unknown_param(capsys):
     code, _, stderr = run(capsys, "value", "--preset", "systemic-risk", "--param", "foo=1")
     assert code == 2
@@ -181,6 +195,8 @@ def test_simulate_rejects_thin_below_one(tmp_path, capsys, monkeypatch, thin):
                  id="simulate"),
     pytest.param(("verify", "--particles", "1", "--steps", "10"), "n_particles",
                  id="verify"),
+    pytest.param(("simulate", "--particles", "100", "--seed", "-1"), "seed", id="simulate-seed"),
+    pytest.param(("verify", "--particles", "100", "--seed", "-1"), "seed", id="verify-seed"),
     pytest.param(("verify", "--steps", "3"), "n_steps", id="verify-steps-3"),
     pytest.param(("verify", "--steps", "1"), "n_steps", id="verify-steps-1"),
     pytest.param(("value", "--mean", "[1, 2]", "--cov", "[[1, 0], [0, 1]]"),
@@ -188,10 +204,10 @@ def test_simulate_rejects_thin_below_one(tmp_path, capsys, monkeypatch, thin):
     pytest.param(("value", "--t", "2"), "t=2.0 outside [0, 1.0]", id="value-t-outside"),
 ])
 def test_particles_checked_before_any_work(capsys, monkeypatch, argv, name):
-    """--particles below 2, for verify --steps below 4 (the Bellman check
-    needs two grid steps on each side of a time inside (0, T)), a law whose
-    dimension is not the model's and a value --t outside [0, T] are
-    rejected before the solve runs."""
+    """--particles below 2, a negative --seed, for verify --steps below 4
+    (the Bellman check needs two grid steps on each side of a time inside
+    (0, T)), a law whose dimension is not the model's and a value --t
+    outside [0, T] are rejected before the solve runs."""
     def solve_riccati(*_args):
         raise AssertionError(f"the solve ran before {name} was checked")
 

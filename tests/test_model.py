@@ -194,6 +194,24 @@ def test_law_of_the_wrong_dimension_is_a_shape_error(entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize("entry", ["propagate_moments", "cost_from_moments", "simulate"])
+def test_law_gains_of_the_wrong_shape_are_a_shape_error(entry):
+    """A feedback law with d=1 gains, started from a d=2 MomentState on a
+    d=2 model, raises ShapeError where its gains meet the coefficients
+    (LqModel.check_gains), not a trajectory, a cost or a numpy error."""
+    model = lq_model(2, 1, 1.0, R2=1.0)
+    fb = mflq.AffineFeedback.constant([[1.0]], [[0.0]], [0.0])
+    ms = MomentState([1.0, 2.0], np.eye(2))
+    calls = {
+        "propagate_moments": lambda: mflq.propagate_moments(model, fb, 0.0, ms, 10),
+        "cost_from_moments": lambda: mflq.cost_from_moments(model, fb, 0.0, ms, 10),
+        "simulate": lambda: mflq.simulate(model, fb, mflq.SimConfig(
+            n_particles=10, n_steps=10, seed=0, initial=ms)),
+    }
+    with pytest.raises(ShapeError, match=r"K1 gains of shape \(1, 1\), the model has m=1, d=2"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("x, mean_x", [("2", [True]), ([np.nan], [0.0]), ([0.0], [-np.inf])])
 def test_feedback_rejects_non_numbers(x, mean_x):
     fb = mflq.AffineFeedback.constant([[1.0]], [[0.0]], [0.0])

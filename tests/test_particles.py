@@ -242,10 +242,12 @@ def test_invalid_configs():
         simulate(model, fb, SimConfig(10, 10, 0, initial=np.ones(1)))
     with pytest.raises(ValueError, match="store_every"):
         simulate(model, fb, SimConfig(10, 10, 0, initial=AT_ONE, store_every=-1))
-    # run sizes are integers: no float is truncated or rounded, no bool counted
+    # run sizes and the seed are integers: no float is truncated or rounded,
+    # no bool counted, no negative seed reaches numpy
     for bad, name in (({"n_particles": 10.5}, "n_particles"), ({"n_particles": True}, "n_particles"),
                       ({"n_steps": 2.5}, "n_steps"), ({"n_steps": True}, "n_steps"),
-                      ({"store_every": 2.5}, "store_every"), ({"store_every": True}, "store_every")):
+                      ({"store_every": 2.5}, "store_every"), ({"store_every": True}, "store_every"),
+                      ({"seed": -1}, "seed")):
         cfg = dataclasses.replace(SimConfig(10, 10, 0, initial=AT_ONE), **bad)
         with pytest.raises(ValueError, match=name):
             simulate(model, fb, cfg)

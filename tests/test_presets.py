@@ -170,6 +170,70 @@ def test_lambda_reference_large_terminal_penalty_stays_bounded():
     assert (np.diff(lam) > 0).all()
 
 
+@pytest.mark.parametrize("c", [0.0, 0.8, 4e8] + list(np.random.default_rng(8).uniform(0.0, 5.0, 20)))
+def test_lambda_reference_is_exactly_half_c_at_terminal_time(c):
+    p = SystemicParams(kappa=0.3, q=0.7, eta=1.9, c=c, horizon=2.0)
+    assert systemic_lambda_reference(p, 2.0) == 0.5 * c
+    assert systemic_lambda_reference(p, np.array([0.0, 2.0]))[1] == 0.5 * c
+
+
+def test_lambda_reference_solves_its_riccati_equation():
+    """Centred differences of the closed form against the right-hand side
+    2(kappa+q) Lam + 2 Lam^2 + (q^2 - eta)/2 at interior times, relative to
+    the largest of its three terms: a transcription error in the formula
+    fails this without any other solver."""
+    rng = np.random.default_rng(21)
+    h = 1e-5
+    for _ in range(40):
+        p = SystemicParams(kappa=rng.uniform(0.0, 3.0), q=rng.uniform(0.05, 2.0),
+                           eta=rng.uniform(0.01, 4.0), c=rng.choice([0.0, rng.uniform(0.0, 5.0)]),
+                           horizon=rng.choice([1.0, 3.0]))
+        ts = rng.uniform(h, p.horizon - h, 5)
+        lam = systemic_lambda_reference(p, ts)
+        slope = (systemic_lambda_reference(p, ts + h)
+                 - systemic_lambda_reference(p, ts - h)) / (2.0 * h)
+        terms = np.stack([2.0 * (p.kappa + p.q) * lam, 2.0 * lam ** 2,
+                          np.full_like(lam, 0.5 * (p.q ** 2 - p.eta))])
+        assert (np.abs(slope - terms.sum(axis=0)) <= 1e-7 * np.abs(terms).max(axis=0)).all()
+
+
+@pytest.mark.parametrize("c", [0.0, 0.8, 4e8])
+def test_lambda_reference_with_a_double_root(c):
+    """kappa = 0, eta = 1e-300: delta_+ and delta_- are equal in floating
+    point, but not their difference, the root 1e-150. The result is finite,
+    inside [delta_+/2, c/2], and the double-root limit
+    Lam = a + (y - a) / (1 + 2 (y - a)(T - t)), a = -q/2, y = c/2."""
+    p = SystemicParams(kappa=0.0, eta=1e-300, c=c)
+    ts = np.linspace(0.0, 1.0, 11)
+    lam = systemic_lambda_reference(p, ts)
+    assert np.isfinite(lam).all()
+    assert (lam >= 0.5 * systemic_delta(p)[0]).all() and (lam <= 0.5 * c).all()
+    a, y = -0.5 * p.q, 0.5 * c
+    assert lam == pytest.approx(a + (y - a) / (1.0 + 2.0 * (y - a) * (1.0 - ts)), rel=1e-12)
+
+
+@pytest.mark.parametrize("params, name", [
+    (lambda bad: SystemicParams(kappa=bad), "kappa"),
+    (lambda bad: SystemicParams(sigma=bad), "sigma"),
+    (lambda bad: SystemicParams(q=bad), "q"),
+    (lambda bad: SystemicParams(eta=bad), "eta"),
+    (lambda bad: SystemicParams(c=bad), "c"),
+    (lambda bad: SystemicParams(x0=bad), "x0"),
+    (lambda bad: SystemicParams(horizon=bad), "horizon"),
+    (lambda bad: MeanVarianceParams(r=bad), "r"),
+    (lambda bad: MeanVarianceParams(rho=bad), "rho"),
+    (lambda bad: MeanVarianceParams(vol=bad), "vol"),
+    (lambda bad: MeanVarianceParams(vol=Schedule.tabulated([0.0, 1.0], [[[1.0]], [[bad]]])), "vol"),
+    (lambda bad: MeanVarianceParams(eta=bad), "eta"),
+    (lambda bad: MeanVarianceParams(x0=bad), "x0"),
+    (lambda bad: MeanVarianceParams(horizon=bad), "horizon"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_rejected(params, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite value$"):
+        params(bad)
+
+
 def test_lambda_reference_vs_engine():
     p = SystemicParams(kappa=0.5, q=0.5, eta=1.0, c=0.0, sigma=1.0)
     sol = solve_riccati(systemic_model(p), 1000)
