@@ -102,14 +102,16 @@ _COST_SCHEDULE_FIELDS = (
 _COST_CONSTANT_FIELDS = (("P2", "dd"), ("P2bar", "dd"), ("p1", "d"), ("p1bar", "d"))
 _COST_FIELDS = _COST_SCHEDULE_FIELDS + _COST_CONSTANT_FIELDS
 _SYMMETRIC_COST = ("Q2", "Q2bar", "R2", "R2bar", "P2", "P2bar")
-# (coefficient, barred term, name of their sum): the Lam and Gam members of a pair
-_PAIRS = (("B", "Bbar", "BpB"), ("C", "Cbar", "CpC"), ("D", "Dbar", "DpD"),
-          ("F", "Fbar", "FpF"), ("Q2", "Q2bar", "QQ"))
+# (coefficient, barred term, name of their sum, shape key of a member): the
+# (Lam~, Gam~) pairs of the augmented Riccati state (LqModel.table)
+_PAIRS = (("B", "Bbar", "BpB", "DD"), ("C", "Cbar", "CpC", "Dm"), ("D", "Dbar", "DpD", "DD"),
+          ("F", "Fbar", "FpF", "Dm"), ("Q2", "Q2bar", "QQ", "DD"),
+          ("M2", "M2bar", "MM", "Dm"), ("R2", "R2bar", "RR", "mm"))
 
 
 def _shape_of(key: str, dims: Dimensions) -> tuple:
-    return {"d": (dims.d,), "m": (dims.m,), "dd": (dims.d, dims.d),
-            "mm": (dims.m, dims.m), "dm": (dims.d, dims.m)}[key]
+    """The shape a key spells, one size per letter: d, m, or D = d + 1."""
+    return tuple({"d": dims.d, "m": dims.m, "D": dims.d + 1}[k] for k in key)
 
 
 def _asymmetry(mats: np.ndarray) -> float:
@@ -188,9 +190,14 @@ class LqModel:
     def table(self, times) -> dict:
         """Every dynamics and running-cost coefficient at ``times``: name ->
         values stacked on a leading time axis, vectors as columns, the times
-        under "t", and for each X of B, C, D, F, Q2 the (Lam, Gam) pair
-        [X, X+Xbar] stacked on a leading axis under X + "p" ("Bp", ...),
-        whose second member is also "BpB" ("CpC", "DpD", "FpF", "QQ").
+        under "t", and for each X of B, C, D, F, Q2, M2, R2 the (Lam~, Gam~)
+        pair of the augmented Riccati state (riccati module docstring)
+        stacked on a leading axis under X + "p" ("Bp", ...): X and X+Xbar
+        padded with zeros to the _PAIRS shapes, the padding of the Gam~
+        member holding b0 in B~ = [[B+Bbar, b0], [0, 0]], sigma0 in D~,
+        q/2 = (q1+q1bar)/2 in the last row and column of Q~ and
+        r'/2 = (r1+r1bar)'/2 in the last row of M~. X+Xbar is also the view
+        "BpB" ("CpC", "DpD", "FpF", "QQ", "MM", "RR") of its block.
 
         Each of ``knot_groups`` is interpolated once (Schedule.table) and its
         fields are views of that table, so a constant is a read-only
@@ -205,10 +212,17 @@ class LqModel:
             for name, i0, i1, shape in layout:
                 view = values[..., i0:i1].reshape(times.shape + shape)
                 c[name] = view[..., None] if len(shape) == 1 else view
-        for name, bar, total in _PAIRS:
-            pair = c[name + "p"] = np.empty((2,) + c[name].shape)
-            pair[0] = c[name]
-            c[total] = np.add(c[name], c[bar], out=pair[1])
+        for name, bar, total, key in _PAIRS:
+            pair = c[name + "p"] = np.zeros((2,) + times.shape + _shape_of(key, self.dims))
+            block = (..., slice(c[name].shape[-2]), slice(c[name].shape[-1]))
+            pair[0][block] = c[name]
+            c[total] = np.add(c[name], c[bar], out=pair[1][block])
+        d = self.dims.d
+        c["Bp"][1, ..., :d, d] = c["b0"][..., 0]
+        c["Dp"][1, ..., :d, d] = c["sigma0"][..., 0]
+        Q = c["Q2p"][1]
+        Q[..., :d, d] = Q[..., d, :d] = 0.5 * (c["q1"] + c["q1bar"])[..., 0]
+        c["M2p"][1, ..., d, :] = 0.5 * (c["r1"] + c["r1bar"])[..., 0]
         return c
 
     @property
@@ -216,9 +230,8 @@ class LqModel:
         """Steps per table block: the most whose table, two rows per step
         (a grid point and a midpoint), fits TABLE_BUDGET floats, and at least
         MIN_BLOCK_STEPS."""
-        width = {name: i1 - i0 for _, layout in self.knot_groups
-                 for name, i0, i1, _ in layout}
-        row = sum(width.values()) + 2 * sum(width[name] for name, _, _ in _PAIRS)
+        row = sum(i1 - i0 for _, layout in self.knot_groups for _, i0, i1, _ in layout)
+        row += 2 * sum(math.prod(_shape_of(key, self.dims)) for *_, key in _PAIRS)
         return max(MIN_BLOCK_STEPS, TABLE_BUDGET // (2 * row))
 
 

@@ -76,7 +76,7 @@ def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
     model.check_gains(K1)
     k0 = k0[..., None]
     F, K2t = c["F"], _tr(K2)
-    RR, MM = c["R2"] + c["R2bar"], c["M2"] + c["M2bar"]
+    RR, MM = c["RR"], c["MM"]
     rr = c["r1"] + c["r1bar"]
     G = c["D"] + F @ K1
     M2K1, MMK2, RRk0 = c["M2"] @ K1, MM @ K2, RR @ k0
@@ -120,7 +120,7 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     accumulating the running cost as an augmented state component.
 
     The gains and every affine moment coefficient are tabulated once per
-    block of model.block_steps steps (546 at d = 1). The covariance is
+    block of model.block_steps steps (282 at d = 1). The covariance is
     re-symmetrized every step and eigenvalue-clipped at -1e-9; clipping
     beyond -1e-6, or a non-finite mean, covariance or running cost, raises
     CovarianceInstabilityError at that step's time. A block's table is

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import OutOfDomainError
 from .model import LqModel, lq_model
@@ -43,6 +42,8 @@ def _integral(fn, a: float, b: float, knots=()) -> float:
         return 0.0
     if not knots:
         return fn(0.5 * (a + b)) * (b - a)
+    from scipy.integrate import quad  # on first use: a third of `import mflq`
+
     pts = [float(k) for k in knots if a < float(k) < b]
     val, _ = quad(fn, a, b, points=pts or None, epsabs=QUAD_TOL,
                   epsrel=QUAD_TOL, limit=200)
@@ -84,15 +85,15 @@ class MeanVarianceParams:
             object.__setattr__(self, name, as_schedule(getattr(self, name), (1, 1)))
         _check_params(self, positive=("eta", "horizon", "vol"))
 
-    def _integrals(self, t: float):
-        """(int r, int rho^2/vol^2) on [0, t] and on [t, T], once t is
+    def _integrals(self, t: float, tail: bool = True):
+        """(int r, int rho^2/vol^2) on [t, T] (on [0, t] if not ``tail``), t
         checked in [0, T]; quadrature splits at the knots of r, rho, vol."""
         if not 0.0 <= t <= self.horizon:
             raise OutOfDomainError(f"t={t} outside [0, {self.horizon}]")
         knots = sorted({float(u) for s in (self.r, self.rho, self.vol)
                         for u in s.knot_times()})
-        return tuple((_integral(self.rate, a, b, knots), _integral(self.sharpe_sq, a, b, knots))
-                     for a, b in ((0.0, t), (t, self.horizon)))
+        a, b = (t, self.horizon) if tail else (0.0, t)
+        return _integral(self.rate, a, b, knots), _integral(self.sharpe_sq, a, b, knots)
 
     def rate(self, t: float) -> float:
         return _at(self.r, t)
@@ -120,7 +121,7 @@ def mean_variance_closed_form(p: MeanVarianceParams, t: float) -> RiccatiState:
         gam(t) = -exp(int_t^T r)
         chi(t) = -(1/2 eta) [exp(int_t^T rho^2/vol^2) - 1]
     """
-    _, (int_r, int_s) = p._integrals(t)
+    int_r, int_s = p._integrals(t)
     lam = 0.5 * p.eta * math.exp(2.0 * int_r - int_s)
     gam = -math.exp(int_r)
     chi = -(math.expm1(int_s)) / (2.0 * p.eta)
@@ -131,7 +132,7 @@ def mean_variance_closed_form(p: MeanVarianceParams, t: float) -> RiccatiState:
 def mean_variance_optimal_control(p: MeanVarianceParams, t: float,
                                   x: float, mean_x: float) -> float:
     """-(rho/vol^2)(x - mean) + (rho/(eta vol^2)) exp(int_t^T rho^2/vol^2 - r)."""
-    _, (int_r, int_s) = p._integrals(t)
+    int_r, int_s = p._integrals(t)
     rho, v2 = _at(p.rho, t), _at(p.vol, t) ** 2
     expo = math.exp(int_s - int_r)
     return -(rho / v2) * (x - mean_x) + rho / (p.eta * v2) * expo
@@ -143,7 +144,7 @@ def mean_variance_mean_trajectory(p: MeanVarianceParams, t: float) -> float:
         E[X_t] = x0 exp(int_0^t r)
                + (1/eta) exp(int_t^T rho^2/vol^2 - r) (exp(int_0^t rho^2/vol^2) - 1)
     """
-    (head_r, head_s), (int_r, int_s) = p._integrals(t)
+    (head_r, head_s), (int_r, int_s) = p._integrals(t, tail=False), p._integrals(t)
     tail = math.exp(int_s - int_r)
     return p.x0 * math.exp(head_r) + math.expm1(head_s) * tail / p.eta
 
@@ -196,9 +197,11 @@ def systemic_lambda_reference(p: SystemicParams, t):
 
         Lam(t) = (y(a-b) + b(y-a) e) / ((a-b) + (y-a) e),  e = 1 - exp(2(a-b)(t-T))
 
-    with e by expm1, a - b the root itself (not a difference of the deltas)
-    and y exactly at t = T. ``t`` is a scalar or an array of times in
-    [0, T]; the return matches its shape.
+    with e by expm1, a - b the root itself (not a difference of the deltas),
+    y exactly at t = T, and a clamp to the range between y and a that the
+    exact solution never leaves (a rounding can step out of it next to T).
+    ``t`` is a scalar or an array of times in [0, T]; the return matches
+    its shape.
     """
     ts = np.asarray(t, dtype=float)
     if not ((ts >= 0.0) & (ts <= p.horizon)).all():
@@ -207,6 +210,7 @@ def systemic_lambda_reference(p: SystemicParams, t):
     gap, y = _systemic_root(p), 0.5 * p.c
     e = -np.expm1(2.0 * gap * (ts - p.horizon))
     lam = np.where(e == 0.0, y, (y * gap + b * (y - a) * e) / (gap + (y - a) * e))
+    lam = np.clip(lam, min(y, a), max(y, a))
     return float(lam) if lam.ndim == 0 else lam
 
 

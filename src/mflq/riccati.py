@@ -23,24 +23,36 @@ and two linear ODEs for the first-order coefficients:
     chi' = -(-1/4 Y'V^{-1}Y + gam.b0 + sigma0'Lam sigma0)
 
 with terminal data Lam(T) = P2, Gam(T) = P2 + P2bar, gam(T) = p1 + p1bar,
-chi(T) = 0. Integration is classical fixed-step RK4 backward in time; U
-and V must stay positive definite at every stage or the solve fails fast
-with a breakdown error. The solution is the flat RK4 grid: per grid time
-a row (Lam, Gam, gam, chi) of 2d^2+d+1 entries and a row of its derivative,
-and one cubic Hermite expression over the rows answers queries at 4th order.
+chi(T) = 0.
 
-The Lam and Gam equations share one form: Gam's takes B+Bbar, C+Cbar,
-D+Dbar, F+Fbar, Q2+Q2bar where Lam's takes B, C, D, F, Q2, and adds R2bar
-and M2bar. The stage rows come from ``LqModel.table``, which holds each
-such coefficient as a (Lam, Gam) pair on one axis, so (U, V), (S, Z) and
-(Lam', Gam') are each one expression, and one eigh of the (U, V) pair per
-stage serves the inversions, the positivity floor and the condition cap
-(_solved_aux). The coefficients are tabulated once for each block of RK4
-stages, grid points and midpoints, and the stepper addresses stages by
-table row; a block is the model's ``block_steps``, sized by the table's row
-bytes. The same RK4 core drives the forward moment flow. Tables,
-Hermite queries and the stacked check evaluate each row on its own, so a
-row is bitwise the same whichever other times share its batch.
+The solver folds gam and chi into one matrix: with m~ = [mean; 1],
+mean' Gam mean + gam.mean + chi = m~' Gam~ m~ for Gam~ = [[Gam, gam/2],
+[gam'/2, chi]] (the augmented mean state of Yong, SIAM J. Control Optim.
+51(4), 2013). The state is the pair P~ = (Lam~, Gam~) of (d+1) x (d+1)
+matrices, Lam~ being Lam padded with zeros; its terminal value is
+(P2 padded, [[P2+P2bar, p/2], [p'/2, 0]]), p = p1+p1bar. With the
+coefficient pairs B~, C~, D~, F~, Q~, M~ and R of ``LqModel.table`` (its
+docstring gives them), the system is one pair expression
+
+    (U, V)   = sym(F~' Lam~ F~ + R)
+    (S~, Z~) = D~' Lam~ F~ + P~ C~ + M~
+    W        = (U, V)^{-1} (S~, Z~)'
+    P~'      = -sym(Q~ + D~' Lam~ D~ + P~ B~ + B~' P~ - (S~, Z~) W)
+
+in which S~ = [S; 0], Z~ = [Z; Y'/2], W = (U^{-1}S', V^{-1}[Z', Y/2]), the
+last column of Gam~' is [gam'/2; chi'] and Lam~' keeps the zero padding.
+
+Integration is classical fixed-step RK4 backward in time. U and V must stay
+positive definite at every stage or the solve fails fast with a breakdown
+error; one eigh of the (U, V) pair per stage serves the inversions, the
+positivity floor and the condition cap (_solved_aux). The solution is the
+flat RK4 grid, per grid time a row (Lam~, Gam~) of 2(d+1)^2 entries and a
+row of its derivative; one cubic Hermite expression over the rows answers
+queries at 4th order. The coefficients are tabulated once per block of RK4
+stages (the model's ``block_steps``), and the stepper, which also drives
+the moment flow, addresses stages by table row. Tables, Hermite queries and
+the stacked check evaluate each row on its own, so a row is bitwise the
+same whichever other times share its batch.
 """
 
 from __future__ import annotations
@@ -109,21 +121,6 @@ def _rk4(times: np.ndarray, h: float, y: np.ndarray, table, rhs, settle, block: 
             yield k, y, f
 
 
-def _aux_arrays(c: dict, j, P: np.ndarray, g: np.ndarray):
-    """The pairs (U, V) and (S, Z), each stacked on a leading axis, and Y
-    at stage-table row j (an int), or at every row (j = Ellipsis) with the
-    pair P = (Lam, Gam) and g stacked to match; g and Y are columns."""
-    L = P[:1]  # Lam, for both members of a pair
-    Cp, Dp, Fp = c["Cp"][:, j], c["Dp"][:, j], c["Fp"][:, j]
-    UV = _tr(Fp) @ L @ Fp + c["R2"][j]
-    UV[1] += c["R2bar"][j]
-    SZ = _tr(Dp) @ L @ Fp + P @ Cp + c["M2"][j]
-    SZ[1] += c["M2bar"][j]
-    Y = (_tr(c["CpC"][j]) @ g + c["r1"][j] + c["r1bar"][j]
-         + 2.0 * _tr(c["FpF"][j]) @ (P[0] @ c["sigma0"][j]))
-    return sym(UV), SZ, Y
-
-
 def _spectrum_error(w: np.ndarray, t: float, name: str):
     """The breakdown a spectrum w (ascending) signals at time t, or None."""
     if not np.isfinite(w).all():
@@ -140,18 +137,17 @@ def _spectrum_error(w: np.ndarray, t: float, name: str):
     return None
 
 
-def spd_solve(w: np.ndarray, q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs given the eigendecomposition (w, q) of SPD M; rhs is
-    a matrix (vectors as columns). Leading axes are a stack."""
-    return q @ ((_tr(q) @ rhs) / w[..., None])
-
-
-def _solved_aux(c: dict, j, P: np.ndarray, g: np.ndarray):
-    """(S, Z), Y, (U^{-1}S', V^{-1}Z') and V^{-1}Y as in _aux_arrays, from
-    one eigh of the (U, V) pair. If U or V fails the positivity floor or the
-    condition cap, raises RiccatiBreakdownError at the earliest failing
-    time, for U before V there, as pointwise checks in time order would."""
-    UV, SZ, Y = _aux_arrays(c, j, P, g)
+def _solved_aux(c: dict, j, P: np.ndarray):
+    """The pairs (U, V), (S~, Z~) and W = (U^{-1}S~', V^{-1}Z~') from one
+    eigh of (U, V), each stacked on a leading axis, at stage-table row j
+    (an int), or at every row (j = Ellipsis) with P = (Lam~, Gam~) stacked
+    to match. If U or V fails the positivity floor or the condition cap,
+    raises RiccatiBreakdownError at the earliest failing time, for U before
+    V there, as pointwise checks in time order would."""
+    L = P[:1]  # Lam~, for both members of a pair
+    Cp, Dp, Fp = c["Cp"][:, j], c["Dp"][:, j], c["Fp"][:, j]
+    UV = sym(_tr(Fp) @ L @ Fp + c["R2p"][:, j])
+    SZ = _tr(Dp) @ L @ Fp + P @ Cp + c["M2p"][:, j]
     w, q = np.linalg.eigh(UV)
     lo = w[..., 0]
     if not (np.isfinite(w).all() and (lo >= POSITIVITY_FLOOR).all()
@@ -163,34 +159,31 @@ def _solved_aux(c: dict, j, P: np.ndarray, g: np.ndarray):
                 err = _spectrum_error(spectrum, float(t[i]), name)
                 if err is not None:
                     raise err
-    return SZ, Y, spd_solve(w, q, _tr(SZ)), spd_solve(w[1], q[1], Y)
+    return UV, SZ, q @ ((_tr(q) @ _tr(SZ)) / w[..., None])
 
 
 def _unpack(y: np.ndarray, d: int):
-    """Views (Lam, Gam, gam, chi) of flat Riccati states; leading axes of
-    ``y`` are kept."""
-    dd, lead = d * d, y.shape[:-1]
-    return (y[..., :dd].reshape(lead + (d, d)), y[..., dd:2 * dd].reshape(lead + (d, d)),
-            y[..., 2 * dd:2 * dd + d], y[..., -1])
+    """(Lam, Gam, gam, chi) of flat augmented states (Lam~, Gam~); leading
+    axes of ``y`` are kept. Lam, Gam and chi are views of ``y``; gam is the
+    new array 2 Gam~[:d, d]."""
+    P = y.reshape(y.shape[:-1] + (2, d + 1, d + 1))
+    return P[..., 0, :d, :d], P[..., 1, :d, :d], 2.0 * P[..., 1, :d, d], P[..., 1, d, d]
 
 
 def _pack(st: RiccatiState) -> np.ndarray:
-    return np.concatenate((st.Lam.ravel(), st.Gam.ravel(), st.gam, [st.chi]))
+    """The flat augmented state (Lam~, Gam~) of ``st``."""
+    g = 0.5 * st.gam[:, None]
+    return np.stack((np.pad(st.Lam, (0, 1)), np.block([[st.Gam, g], [g.T, st.chi]]))).ravel()
 
 
 def _rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
-    """Forward-time derivative of the flat state at stage-table row j;
-    (Lam', Gam') is one expression over the pair."""
-    d = c["B"].shape[-1]
-    P, g = y[:2 * d * d].reshape(2, d, d), y[2 * d * d:-1, None]
+    """Forward-time derivative of the flat state (Lam~, Gam~) at stage-table
+    row j: one expression over the pair."""
+    n = c["Bp"].shape[-1]
+    P = y.reshape(2, n, n)
     L, Bp, Dp = P[0], c["Bp"][:, j], c["Dp"][:, j]
-    b0, s0 = c["b0"][j], c["sigma0"][j]
-    SZ, Y, W, Vi_Y = _solved_aux(c, j, P, g)
-    dP = -sym(c["Q2p"][:, j] + _tr(Dp) @ L @ Dp + P @ Bp + _tr(Bp) @ P - SZ @ W)
-    dg = -(Bp[1].T @ g - SZ[1] @ Vi_Y + c["q1"][j] + c["q1bar"][j]
-           + 2.0 * Dp[1].T @ (L @ s0) + 2.0 * P[1] @ b0)
-    dc = -(-0.25 * (Y.T @ Vi_Y) + g.T @ b0 + s0.T @ (L @ s0))
-    return np.concatenate((dP.ravel(), dg.ravel(), dc.ravel()))
+    _, SZ, W = _solved_aux(c, j, P)
+    return -sym(c["Q2p"][:, j] + _tr(Dp) @ L @ Dp + P @ Bp + _tr(Bp) @ P - SZ @ W).ravel()
 
 
 def default_step_count(horizon: float) -> int:
@@ -199,12 +192,13 @@ def default_step_count(horizon: float) -> int:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """The backward solve as its flat RK4 grid: rows of ``y`` are the states
-    (Lam, Gam, gam, chi) at ``grid``, flattened as in _unpack, rows of ``dy``
-    their derivatives; both are frozen, and Lam, Gam, gam, chi are read-only
-    views of ``y``. Grid times return the stored row bitwise; elsewhere the
-    cubic Hermite interpolant of the rows is used, and Lam, Gam are
-    re-symmetrized after interpolation.
+    """The backward solve as its flat RK4 grid: rows of ``y`` are the
+    augmented states (Lam~, Gam~) at ``grid``, flattened as in _unpack, rows
+    of ``dy`` their derivatives; both are frozen. Lam, Gam and chi are
+    read-only views of ``y``, gam a read-only 2x copy of Gam~'s last column.
+    Grid times return the stored row bitwise; elsewhere the cubic Hermite
+    interpolant of the rows is used, and Lam~, Gam~ are re-symmetrized after
+    interpolation.
     """
 
     model: LqModel
@@ -220,7 +214,9 @@ class RiccatiSolution:
     def __post_init__(self):
         for a in (self.grid, self.y, self.dy):
             a.setflags(write=False)
-        for name, view in zip(("Lam", "Gam", "gam", "chi"), _unpack(self.y, self.model.dims.d)):
+        views = _unpack(self.y, self.model.dims.d)
+        views[2].setflags(write=False)
+        for name, view in zip(("Lam", "Gam", "gam", "chi"), views):
             object.__setattr__(self, name, view)
 
     @property
@@ -242,6 +238,10 @@ class RiccatiSolution:
     def table(self, times):
         """(Lam, Gam, gam, chi) at every time in ``times``, stacked on a
         leading axis; each row is interpolated on its own."""
+        return _unpack(self._rows(times), self.model.dims.d)
+
+    def _rows(self, times) -> np.ndarray:
+        """The flat states at every time in ``times``, as rows of ``y``."""
         t = np.asarray(times, dtype=float)
         i, hit = _bracket(self.grid, t)
         s = ((t - self.grid[i]) / self.step)[..., None]
@@ -251,12 +251,12 @@ class RiccatiSolution:
         h11 = s * s * (s - 1.0)
         out = (h00 * self.y[i] + h01 * self.y[i + 1]
                + self.step * (h10 * self.dy[i] + h11 * self.dy[i + 1]))
-        views = _unpack(out, self.model.dims.d)
-        for P in views[:2]:
-            P[...] = sym(P)
+        n = self.model.dims.d + 1
+        P = out.reshape(out.shape[:-1] + (2, n, n))
+        P[...] = sym(P)
         on_grid = hit >= 0
         out[on_grid] = self.y[hit[on_grid]]
-        return views
+        return out
 
 
 def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution:
@@ -272,15 +272,15 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
     K = default_step_count(model.horizon) if n_steps is None else n_steps
     check_count("n_steps", K, 1)
     T = model.horizon
-    d = model.dims.d
+    n = model.dims.d + 1
     grid = np.linspace(0.0, T, K + 1)
     times = grid[::-1]
-    states = np.empty((K + 1, 2 * d * d + d + 1))
+    states = np.empty((K + 1, 2 * n * n))
     derivs = np.empty_like(states)
 
     def settle(k, y):
-        for P in _unpack(y, d)[:2]:
-            P[...] = sym(P)
+        P = y.reshape(2, n, n)
+        P[...] = sym(P)
         if not np.isfinite(y).all():
             raise RiccatiBreakdownError(
                 f"non-finite Riccati state at t={times[k]:.6g}", time=float(times[k]))
@@ -293,11 +293,11 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
 
 
 def with_scaled_lambda(sol: RiccatiSolution, factor: float) -> RiccatiSolution:
-    """Copy of the solution with Lam (and its stored derivative) scaled by a
+    """Copy of the solution with Lam~ (and its stored derivative) scaled by a
     finite factor — a fault-injection hook for battery self-tests."""
     if not math.isfinite(factor):
         raise ValueError(f"Lambda scale factor must be finite, got {factor}")
-    scale = np.where(np.arange(sol.y.shape[1]) < sol.model.dims.d ** 2, factor, 1.0)
+    scale = np.where(np.arange(sol.y.shape[1]) < (sol.model.dims.d + 1) ** 2, factor, 1.0)
     return replace(sol, y=scale * sol.y, dy=scale * sol.dy)
 
 
@@ -331,7 +331,7 @@ def check_standard_conditions(model: LqModel, margin: float) -> ConditionReport:
     # (matrices at every time, floor, violation), in the order they are checked
     conditions = ((tab["Q2"], 0.0, "Q2 not >= 0"), (tab["QQ"], 0.0, "Q2 + Q2bar not >= 0"),
                   (tab["R2"], margin, f"R2 not >= {margin}*I"),
-                  (tab["R2"] + tab["R2bar"], margin, f"R2 + R2bar not >= {margin}*I"))
+                  (tab["RR"], margin, f"R2 + R2bar not >= {margin}*I"))
     lows = [np.linalg.eigvalsh(sym(mats))[:, 0] for mats, _, _ in conditions]
     for i, t in enumerate(times):
         for (_, floor, violation), low in zip(conditions, lows):
@@ -342,9 +342,10 @@ def check_standard_conditions(model: LqModel, margin: float) -> ConditionReport:
 
 def solution_to_csv(sol: RiccatiSolution, path) -> None:
     """One row per grid point, full round-trip decimal precision."""
-    d = sol.model.dims.d
+    d, rows = sol.model.dims.d, sol.grid.size
     _write_csv(path,
                ["t"] + [f"Lambda_{i}{j}" for i in range(d) for j in range(d)]
                + [f"Gamma_{i}{j}" for i in range(d) for j in range(d)]
                + [f"gamma_{i}" for i in range(d)] + ["chi"],
-               ([t, *row] for t, row in zip(sol.grid, sol.y)))
+               np.column_stack((sol.grid, sol.Lam.reshape(rows, -1),
+                                sol.Gam.reshape(rows, -1), sol.gam, sol.chi)))

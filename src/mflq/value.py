@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .model import AffineFeedback, LqModel, MomentState
-from .riccati import RiccatiSolution, _solved_aux
+from .riccati import RiccatiSolution, _solved_aux, _unpack
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
@@ -36,21 +36,23 @@ def g_hat(model: LqModel, ms: MomentState) -> float:
                  + (c.p1 + c.p1bar) @ m)
 
 
-def _g_inf(c: dict, P: np.ndarray, g: np.ndarray, ms: MomentState) -> float:
+def _g_inf(c: dict, P: np.ndarray, ms: MomentState) -> float:
     """Value of the inner minimization over feedback laws at its argmin, at
-    the one-row table c, with P = (Lam, Gam) stacked:
+    the one-row table c, with the augmented pair P = (Lam~, Gam~) stacked
+    and m~ = [mean; 1]:
 
-        -tr(S U^{-1} S' Cov) - m'Z V^{-1} Z' m - Y'V^{-1} Z' m - 1/4 Y'V^{-1}Y
+        -tr(S U^{-1} S' Cov) - m~'Z~ V^{-1} Z~' m~
     """
-    (S, Z), Y, (Ui_St, Vi_Zt), Vi_Y = _solved_aux(c, 0, P, g[:, None])
-    m = ms.mean[:, None]
-    return (-np.trace(S @ Ui_St @ ms.cov) - m.T @ Z @ Vi_Zt @ m
-            - Y.T @ Vi_Zt @ m - 0.25 * Y.T @ Vi_Y).item()
+    d = ms.d
+    _, (S, Z), (Ui_St, Vi_Zt) = _solved_aux(c, 0, P)
+    m = np.append(ms.mean, 1.0)
+    return float(-np.trace(S[:d] @ Ui_St[:, :d] @ ms.cov) - m @ Z @ Vi_Zt @ m)
 
 
 def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
     """Gains of the minimizing law at every time in ``times``, stacked on
-    a leading axis:
+    a leading axis; they are -W, W = (U^{-1}S~', V^{-1}Z~') (riccati module
+    docstring), split as
 
         K1 = -U^{-1}S',  K2 = -V^{-1}Z',  k = -1/2 V^{-1} Y.
 
@@ -60,9 +62,11 @@ def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
     positivity floor and condition cap at every time. Each row depends on
     its own time alone. A breakdown carries the earliest failing time.
     """
-    L, G, g, _ = sol.table(times)
-    _, _, W, Vi_Y = _solved_aux(model.table(times), ..., np.stack((L, G)), g[..., None])
-    return -W[0], -W[1], -0.5 * Vi_Y[..., 0]
+    d = model.dims.d
+    rows = sol._rows(times)
+    P = np.moveaxis(rows.reshape(rows.shape[:-1] + (2, d + 1, d + 1)), -3, 0)
+    W = _solved_aux(model.table(times), ..., P)[2]
+    return -W[0, ..., :d], -W[1, ..., :d], -W[1, ..., d]
 
 
 def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
@@ -113,9 +117,10 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
                     - 3.0 * y[4]) / (12.0 * side * dt)
         return (8.0 * (y[2] - y[3]) - y[1] + y[4]) / (12.0 * dt)
 
-    rows = sol.table(t + dt * (side * np.arange(5.0) if side
+    rows = sol._rows(t + dt * (side * np.arange(5.0) if side
                                else np.array([0.0, 2.0, 1.0, -1.0, -2.0])))
-    (Lam, Gam, gam, chi), (dL, dG, dg, dc) = rows, map(derivative, rows)
+    d = model.dims.d
+    (Lam, Gam, gam, chi), (dL, dG, dg, dc) = _unpack(rows, d), _unpack(derivative(rows), d)
 
     c = model.table([t])
     B, BpB, D, DpD, Q2, Q2bar = (c[n][0] for n in ("B", "BpB", "D", "DpD", "Q2", "Q2bar"))
@@ -128,7 +133,7 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     mean_lin = dg + BpB.T @ g + q1 + q1bar + 2.0 * DpD.T @ (L @ s0) + 2.0 * G @ b0
     scalar = dc + g @ b0 + s0 @ (L @ s0)
     return float(np.trace(var_block @ cov) + m @ mean_quad @ m
-                 + mean_lin @ m + scalar + _g_inf(c, np.stack((L, G)), g, ms))
+                 + mean_lin @ m + scalar + _g_inf(c, rows[0].reshape(2, d + 1, d + 1), ms))
 
 
 def _knot_free_side(model: LqModel, t: float, h: float, horizon: float) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 
 from mflq import lq_model
 from mflq.model import _row_factors, _row_terms, _terminal_rows
-from mflq.riccati import _aux_arrays
+from mflq.riccati import _pack, _solved_aux
 from mflq.schedules import Schedule
 
 
@@ -23,11 +23,18 @@ def variance_stderr(samples) -> float:
 
 
 def aux_at(model, t, state):
-    """U, V, S, Z and Y (a vector) at (t, state), from _aux_arrays on the
-    one-row model table at t."""
-    (U, V), (S, Z), Y = _aux_arrays(model.table([t]), 0, np.stack((state.Lam, state.Gam)),
-                                    state.gam[:, None])
-    return U, V, S, Z, Y[:, 0]
+    """U, V, S, Z and Y (a vector) at (t, state), from _solved_aux on the
+    one-row model table at t: S~ = [S; 0] and Z~ = [Z; Y'/2]."""
+    d = model.dims.d
+    (U, V), (S, Z), _ = _solved_aux(model.table([t]), 0, pair_of(state))
+    assert not S[d].any()
+    return U, V, S[:d], Z[:d], 2.0 * Z[d]
+
+
+def pair_of(state):
+    """The augmented pair (Lam~, Gam~) of a RiccatiState, shape (2, d+1, d+1)."""
+    d = state.gam.size
+    return _pack(state).reshape(2, d + 1, d + 1)
 
 
 def row_at(model, t, x, a, mx, ma):

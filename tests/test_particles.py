@@ -37,7 +37,7 @@ def test_results_are_read_only():
     res = simulate(model, fb, SimConfig(n_particles=8, n_steps=10, seed=1,
                                         initial=AT_ONE, store_every=5))
     before = sol.at(0.0).Lam.copy()
-    for arr in (sol.Lam, sol.y, sol.dy, sol.grid, traj.means, traj.covs, traj.running,
+    for arr in (sol.Lam, sol.Gam, sol.gam, sol.chi, sol.y, sol.dy, sol.grid, traj.means, traj.covs, traj.running,
                 res.mean_path, res.cov_path, res.per_particle_cost, res.ensembles[5],
                 res.ensembles[10]):
         with pytest.raises(ValueError, match="read-only"):

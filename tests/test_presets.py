@@ -161,13 +161,27 @@ def test_lambda_reference_terminal_and_fixed_point():
 
 def test_lambda_reference_large_terminal_penalty_stays_bounded():
     """With Lam_- < 0 <= c/2 the backward solution decreases from c/2
-    toward Lam_+ = delta_+/2 and never escapes, however large c is."""
+    toward Lam_+ = delta_+/2 and never escapes, however large c is: the
+    reference stays in [delta_+/2, c/2] at a few times, on a dense grid, on
+    times approaching T geometrically and at one ulp below T."""
     p = SystemicParams(c=4e8)
     ts = np.array([0.0, 0.5, 0.9, 0.999, 1.0])
     lam = systemic_lambda_reference(p, ts)
     assert np.isfinite(lam).all()
     assert (lam >= 0.5 * systemic_delta(p)[0]).all() and (lam <= 0.5 * p.c).all()
     assert (np.diff(lam) > 0).all()
+    # the second set lands one rounding above c/2 at T - ulp without the clamp
+    for p in (p, SystemicParams(kappa=1.358868938238151, q=1.267059674133429,
+                                eta=4.366766645868041, c=0.49677578958677776,
+                                horizon=1.2311926018192427)):
+        T = p.horizon
+        ts = np.sort(np.concatenate([np.linspace(0.0, T, 2001),
+                                     T * (1.0 - np.logspace(-16, -1, 61)),
+                                     [np.nextafter(T, 0.0)]]))
+        lam = systemic_lambda_reference(p, ts)
+        assert 0.5 * systemic_delta(p)[0] < 0.5 * p.c
+        assert (lam >= 0.5 * systemic_delta(p)[0]).all() and (lam <= 0.5 * p.c).all()
+        assert (np.diff(lam) >= 0).all()
 
 
 @pytest.mark.parametrize("c", [0.0, 0.8, 4e8] + list(np.random.default_rng(8).uniform(0.0, 5.0, 20)))

@@ -85,6 +85,50 @@ def test_rhs_systemic_reduction():
     assert dc == pytest.approx(0.5 * c * c - sigma ** 2 * lam)
 
 
+@pytest.mark.parametrize("d, m", [(1, 1), (1, 2), (3, 1), (3, 2)])
+def test_rhs_is_the_written_system(d, m):
+    """The augmented pair's right-hand side is the four equations of the
+    riccati module docstring, evaluated here term by term from the model's
+    schedules at random (t, Lam, Gam, gam, chi), with every barred term and
+    M2, M2bar, b0, sigma0, q1, r1 nonzero."""
+    rng = np.random.default_rng(10 * d + m)
+    model = random_standard_model(rng, d, m, cross=0.3)
+    dyn, cost = model.dynamics, model.cost
+    for t in rng.uniform(0.0, 1.0, 3):
+        a = rng.standard_normal((d, d))
+        L, G = a @ a.T / d, (a + a.T) / 2.0
+        g, chi = rng.standard_normal(d), float(rng.standard_normal())
+        B, Bbar, C, Cbar, D, Dbar, F, Fbar = (getattr(dyn, n)(t) for n in (
+            "B", "Bbar", "C", "Cbar", "D", "Dbar", "F", "Fbar"))
+        b0, s0 = dyn.b0(t), dyn.sigma0(t)
+        Q2, Q2bar, R2, R2bar, M2, M2bar, q1, q1bar, r1, r1bar = (getattr(cost, n)(t) for n in (
+            "Q2", "Q2bar", "R2", "R2bar", "M2", "M2bar", "q1", "q1bar", "r1", "r1bar"))
+        BB, CC, DD, FF = B + Bbar, C + Cbar, D + Dbar, F + Fbar
+        U = F.T @ L @ F + R2
+        V = FF.T @ L @ FF + R2 + R2bar
+        S = D.T @ L @ F + L @ C + M2
+        Z = DD.T @ L @ FF + G @ CC + M2 + M2bar
+        Y = CC.T @ g + r1 + r1bar + 2.0 * FF.T @ L @ s0
+        Vi = np.linalg.inv(V)
+        want = (-(Q2 + D.T @ L @ D + L @ B + B.T @ L - S @ np.linalg.inv(U) @ S.T),
+                -(Q2 + Q2bar + DD.T @ L @ DD + G @ BB + BB.T @ G - Z @ Vi @ Z.T),
+                -(BB.T @ g - Z @ Vi @ Y + q1 + q1bar + 2.0 * DD.T @ L @ s0 + 2.0 * G @ b0),
+                -(-0.25 * Y @ Vi @ Y + g @ b0 + s0 @ L @ s0))
+        got = rhs_at(model, t, RiccatiState(Lam=L, Gam=G, gam=g, chi=chi))
+        for x, y in zip(got, want):
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+
+
+def test_lambda_padding_stays_zero():
+    """Lam~'s padding row and column are exactly zero in every stored state
+    and derivative of a solve."""
+    d = 3
+    sol = solve_riccati(random_standard_model(np.random.default_rng(2), d, 2, cross=0.3), 100)
+    for rows in (sol.y, sol.dy):
+        lam = rows.reshape(-1, 2, d + 1, d + 1)[:, 0]
+        assert not lam[:, d].any() and not lam[:, :, d].any()
+
+
 def test_rhs_stationary_zero():
     model = lq_model(d=2, m=1, horizon=1.0, R2=1.0, P2=np.eye(2))
     st = terminal_state(model)

@@ -220,8 +220,9 @@ def table_models():
                          ids=[name for name, *_ in table_models()])
 def test_table_is_the_per_field_schedule_tables(monkeypatch, name, model, n_groups):
     """LqModel.table interpolates each knot group once and is bitwise the
-    per-field Schedule.table plus the (Lam, Gam) pairs, at knots, between
-    knots and at random times; outside [0, T] a knot group raises."""
+    per-field Schedule.table plus the augmented (Lam~, Gam~) pairs of the
+    Riccati state, at knots, between knots and at random times; outside
+    [0, T] a knot group raises."""
     assert len(model.knot_groups) == n_groups
     times = np.concatenate([[0.0, 0.3, 0.5, 0.7, 1.0, 0.15, 0.4, 0.6, 0.85],
                             np.random.default_rng(2).uniform(0.0, 1.0, 20)])
@@ -231,9 +232,17 @@ def test_table_is_the_per_field_schedule_tables(monkeypatch, name, model, n_grou
         for field, key in fields:
             values = getattr(block, field).table(times)
             expected[field] = values[..., None] if len(key) == 1 else values
-    for field, bar, total in _PAIRS:
-        expected[field + "p"] = np.stack([expected[field], expected[field] + expected[bar]])
-        expected[total] = expected[field + "p"][1]
+    d = model.dims.d  # 3, with m = 2: only the d-row coefficients are padded
+    for field, bar, total, _ in _PAIRS:
+        rows, cols = expected[field].shape[-2:]
+        pair = np.zeros((2, times.size, rows + (rows == d), cols + (rows == cols == d)))
+        pair[0, :, :rows, :cols] = expected[field]
+        pair[1, :, :rows, :cols] = expected[total] = expected[field] + expected[bar]
+        expected[field + "p"] = pair
+    B, D, Q, M = (expected[field + "p"][1] for field in ("B", "D", "Q2", "M2"))
+    B[:, :d, d], D[:, :d, d] = expected["b0"][..., 0], expected["sigma0"][..., 0]
+    Q[:, :d, d] = Q[:, d, :d] = 0.5 * (expected["q1"] + expected["q1bar"])[..., 0]
+    M[:, d] = 0.5 * (expected["r1"] + expected["r1bar"])[..., 0]
     calls = []
     schedule_table = Schedule.table
 
@@ -257,8 +266,8 @@ def test_block_length_from_row_size():
     """A block is as many steps as fit TABLE_BUDGET floats, two table rows
     per step, and never fewer than 16."""
     rng = np.random.default_rng(0)
-    assert systemic_model(SystemicParams()).block_steps == 546
-    assert random_standard_model(rng, 3, 2).block_steps == 85
+    assert systemic_model(SystemicParams()).block_steps == 282
+    assert random_standard_model(rng, 3, 2).block_steps == 61
     assert random_standard_model(rng, 16, 8).block_steps == MIN_BLOCK_STEPS == 16
 
 

@@ -14,7 +14,7 @@ from mflq.moments import _moment_table, _running, cost_from_moments, dpp_check
 from mflq.riccati import RiccatiState
 from mflq.value import _g_inf
 
-from helpers import aux_at, random_standard_model, row_at, tabulated_model
+from helpers import aux_at, pair_of, random_standard_model, row_at, tabulated_model
 
 
 # --- discrete-measure oracles (independent of the moment formulas) ----------
@@ -83,7 +83,7 @@ def minimize_discrete(model, t, state, atoms, weights):
 def g_inf_at(model, t, state, ms):
     """The inner minimum at (t, state, ms), from _g_inf on the one-row
     model table at t."""
-    return _g_inf(model.table([t]), np.stack((state.Lam, state.Gam)), state.gam, ms)
+    return _g_inf(model.table([t]), pair_of(state), ms)
 
 
 def f_hat_at(model, t, fb, ms):
