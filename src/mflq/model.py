@@ -13,12 +13,12 @@ Running and terminal costs are the full quadratic forms
     g = x'P2 x + mx'P2bar mx + p1.x + p1bar.mx
 
 where mx, ma denote the state/control means. ``_row_terms`` and
-``_terminal_rows``, the one implementation of these formulas, act on the
+``_terminal_rows``, the implementation of these formulas, act on the
 columns z = [x; a] of the particle simulator's component-major (d+m, n)
 ensemble: one product with H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives
 B x + C a, D x + F a and the cost rows Y, with z'Y[:-1] + Y[-1] the running
-cost's part in z; its barred twin does the same at the means. Model objects
-are immutable.
+cost's part in z; its barred twin does the same at the means.
+``_law_pairs`` writes them for an affine law's moments. Models are immutable.
 
 ``lq_model`` is the single builder: the presets and the JSON documents go
 through it, and ``as_schedule`` is the one coercion of a raw coefficient.
@@ -102,11 +102,10 @@ _COST_SCHEDULE_FIELDS = (
 _COST_CONSTANT_FIELDS = (("P2", "dd"), ("P2bar", "dd"), ("p1", "d"), ("p1bar", "d"))
 _COST_FIELDS = _COST_SCHEDULE_FIELDS + _COST_CONSTANT_FIELDS
 _SYMMETRIC_COST = ("Q2", "Q2bar", "R2", "R2bar", "P2", "P2bar")
-# (coefficient, barred term, name of their sum, shape key of a member): the
-# (Lam~, Gam~) pairs of the augmented Riccati state (LqModel.table)
-_PAIRS = (("B", "Bbar", "BpB", "DD"), ("C", "Cbar", "CpC", "Dm"), ("D", "Dbar", "DpD", "DD"),
-          ("F", "Fbar", "FpF", "Dm"), ("Q2", "Q2bar", "QQ", "DD"),
-          ("M2", "M2bar", "MM", "Dm"), ("R2", "R2bar", "RR", "mm"))
+# (coefficient, barred term, shape key of a member): the (Lam~, Gam~) pairs
+# of the augmented Riccati state (LqModel.table)
+_PAIRS = (("B", "Bbar", "DD"), ("C", "Cbar", "Dm"), ("D", "Dbar", "DD"), ("F", "Fbar", "Dm"),
+          ("Q2", "Q2bar", "DD"), ("M2", "M2bar", "Dm"), ("R2", "R2bar", "mm"))
 
 
 def _shape_of(key: str, dims: Dimensions) -> tuple:
@@ -196,8 +195,7 @@ class LqModel:
         padded with zeros to the _PAIRS shapes, the padding of the Gam~
         member holding b0 in B~ = [[B+Bbar, b0], [0, 0]], sigma0 in D~,
         q/2 = (q1+q1bar)/2 in the last row and column of Q~ and
-        r'/2 = (r1+r1bar)'/2 in the last row of M~. X+Xbar is also the view
-        "BpB" ("CpC", "DpD", "FpF", "QQ", "MM", "RR") of its block.
+        r'/2 = (r1+r1bar)'/2 in the last row of M~.
 
         Each of ``knot_groups`` is interpolated once (Schedule.table) and its
         fields are views of that table, so a constant is a read-only
@@ -212,11 +210,11 @@ class LqModel:
             for name, i0, i1, shape in layout:
                 view = values[..., i0:i1].reshape(times.shape + shape)
                 c[name] = view[..., None] if len(shape) == 1 else view
-        for name, bar, total, key in _PAIRS:
+        for name, bar, key in _PAIRS:
             pair = c[name + "p"] = np.zeros((2,) + times.shape + _shape_of(key, self.dims))
             block = (..., slice(c[name].shape[-2]), slice(c[name].shape[-1]))
             pair[0][block] = c[name]
-            c[total] = np.add(c[name], c[bar], out=pair[1][block])
+            np.add(c[name], c[bar], out=pair[1][block])
         d = self.dims.d
         c["Bp"][1, ..., :d, d] = c["b0"][..., 0]
         c["Dp"][1, ..., :d, d] = c["sigma0"][..., 0]
@@ -321,6 +319,17 @@ def _row_terms(c: dict, H: np.ndarray, r: int, Z: np.ndarray, zbar: np.ndarray,
     b += c["b0"][r] + ybar[:d, None]
     s += c["sigma0"][r] + ybar[d:2 * d, None]
     return b, s, _form(Y[2 * d:], Z) + _form(ybar[2 * d:], zbar)
+
+
+def _law_pairs(c: dict, j, K: np.ndarray):
+    """The pairs (B~ + C~K, D~ + F~K, Q~ + M~K + K'M~' + K'R K) of the affine
+    law with gain pair K = ([K1, 0], [K2, k]) at row j (an int, a slice or
+    Ellipsis) of a table c. Member 0 holds, zero-padded, the deviation's
+    drift A = B + C K1, diffusion G = D + F K1 and cost W; member 1 the
+    mean's on m~ = [mean; 1], with b0, sigma0, q/2 and r/2 in the padding."""
+    MK = c["M2p"][:, j] @ K
+    return (c["Bp"][:, j] + c["Cp"][:, j] @ K, c["Dp"][:, j] + c["Fp"][:, j] @ K,
+            c["Q2p"][:, j] + MK + _tr(MK) + _tr(K) @ c["R2p"][:, j] @ K)
 
 
 def _terminal_rows(cost: LqCost, X: np.ndarray, mx: np.ndarray) -> np.ndarray:

@@ -1,27 +1,26 @@
 """Deterministic propagation of (mean, covariance) under affine feedback.
 
-Because drift and diffusion are affine in (x, a) and the feedback is
-affine in (x, mean), the law's first two moments close exactly:
+Drift and diffusion are affine in (x, a) and the feedback
+a = K1 (x - m) + K2 m + k is affine in (x, m), so the law's first two
+moments close exactly. With m~ = [m; 1] and the pairs (A~, G~, W~) of
+``model._law_pairs`` under the gain pair K~ = ([K1, 0], [K2, k]), over the
+coefficient pairs the Riccati solve reads, the flow is
 
-    a(x)   = K1 (x - m) + K2 m + k,          abar = K2 m + k
-    m'     = (B + Bbar) m + (C + Cbar) abar + b0
-    sigma(x) = G x + h,   G = D + F K1,
-               h = sigma0 + Dbar m + F (K2 - K1) m + F k + Fbar abar
-    Cov'   = A Cov + Cov A' + G Cov G' + (G m + h)(G m + h)',
-             A = B + C K1
+    m~'  = A~[1] m~                       (its last entry is 0)
+    Cov' = A Cov + Cov A' + G Cov G' + h h',    h = (G~[1] m~)[:d]
+    f    = tr(W Cov) + m~'W~[1] m~
 
-(the diffusion is an R^d vector on scalar noise, so its second-moment
-contribution is E[sigma sigma'] = G Cov G' + (Gm+h)(Gm+h)'). The running
-cost integral rides the same RK4 as an augmented component, which keeps
-the quadrature at integrator order. This module is the noise-free oracle
-for the value identity and the dynamic-programming check.
+with A, G and W the d x d blocks of member 0: a particle's diffusion
+G (x - m) + h is an R^d vector on scalar noise. The running cost integral
+rides the same RK4 as an augmented component, which keeps the quadrature
+at integrator order. This module is the noise-free oracle for the value
+identity and the dynamic-programming split.
 
-Every coefficient of this system depends on time alone once the gains are
-fixed, so propagate_moments tabulates the affine moment coefficients (the
-drift, diffusion and running-cost matrices under the gains, from one
-batched gain query) for each block of RK4 stages (``LqModel.block_steps``
-steps) and steps the flat state (mean, Cov, running cost) with the RK4
-core shared with the Riccati solve.
+Once the gains are fixed every coefficient depends on time alone, so
+propagate_moments tabulates the pairs (from one batched gain query) per
+block of RK4 stages (``LqModel.block_steps`` steps) and steps the flat
+state (m~, Cov, running cost) with the Riccati solve's RK4 core; the 1 of
+m~ has derivative 0 and stays 1.0.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovarianceInstabilityError, OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState, _tr, check_count, clip_psd
+from .model import AffineFeedback, LqModel, MomentState, _law_pairs, check_count, clip_psd
 from .riccati import RiccatiSolution, _rk4
 from .value import g_hat, optimal_feedback
 from .value import value as value_at
@@ -62,53 +61,35 @@ class MomentTrajectory:
 
 
 def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
-    """Affine moment coefficients under ``fb`` at ``times``, one row per
-    stage. With abar = K2 m + k, the flow and its running cost are
-
-        m'   = Mm m + mc
-        Cov' = A Cov + Cov A' + G Cov G' + (Hm m + hc)(Hm m + hc)'
-        f    = tr(W Cov) + m'P m + p.m + p0
-
-    where Hm m + hc = G m + h collects the mean part of the diffusion.
-    """
+    """The flow's coefficients under ``fb`` at ``times``, one row per stage:
+    the blocks of _law_pairs that the module docstring's system reads, A, G
+    and W (flattened) of member 0 and the mean members "Am" = A~[1],
+    "Gm" = G~[1][:d] and "Wm" = W~[1]."""
     c = model.table(times)
     K1, K2, k0 = fb.table(c["t"])
     model.check_gains(K1)
-    k0 = k0[..., None]
-    F, K2t = c["F"], _tr(K2)
-    RR, MM = c["RR"], c["MM"]
-    rr = c["r1"] + c["r1bar"]
-    G = c["D"] + F @ K1
-    M2K1, MMK2, RRk0 = c["M2"] @ K1, MM @ K2, RR @ k0
-    W = c["Q2"] + _tr(K1) @ c["R2"] @ K1 + M2K1 + _tr(M2K1)
-    return {
-        "Mm": c["BpB"] + c["CpC"] @ K2,
-        "mc": (c["CpC"] @ k0 + c["b0"])[..., 0],
-        "A": c["B"] + c["C"] @ K1,
-        "G": G,
-        "Hm": G + c["Dbar"] + F @ (K2 - K1) + c["Fbar"] @ K2,
-        "hc": (c["sigma0"] + c["FpF"] @ k0)[..., 0],
-        "W": W.reshape(W.shape[0], -1),
-        "P": c["QQ"] + K2t @ RR @ K2 + MMK2 + _tr(MMK2),
-        "p": (2.0 * (K2t @ RRk0 + MM @ k0) + c["q1"] + c["q1bar"] + K2t @ rr)[..., 0],
-        "p0": (_tr(k0) @ RRk0 + _tr(rr) @ k0)[..., 0, 0],
-    }
+    K = np.zeros((2,) + K1.shape[:-1] + (K1.shape[-1] + 1,))  # ([K1, 0], [K2, k])
+    K[0, ..., :-1], K[1, ..., :-1], K[1, ..., -1] = K1, K2, k0
+    A, G, W = _law_pairs(c, ..., K)
+    return {"A": A[0, :, :-1, :-1], "G": G[0, :, :-1, :-1],
+            "W": W[0, :, :-1, :-1].reshape(W.shape[1], -1),
+            "Am": A[1], "Gm": G[1, :, :-1], "Wm": W[1]}
 
 
 def _running(c: dict, j: int, m: np.ndarray, S: np.ndarray) -> float:
-    """Lifted running cost at moment-table row j (S symmetric)."""
-    return c["W"][j] @ S.ravel() + m @ c["P"][j] @ m + c["p"][j] @ m + c["p0"][j]
+    """Lifted running cost at moment-table row j, m = m~ and S symmetric."""
+    return c["W"][j] @ S.ravel() + m @ c["Wm"][j] @ m
 
 
 def _moment_rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
-    """Derivative of the flat state (mean, Cov, running cost) at row j."""
-    d = c["mc"].shape[-1]
-    m, S = y[:d], y[d:-1].reshape(d, d)
+    """Derivative of the flat state (m~, Cov, running cost) at row j."""
+    n = c["Am"].shape[-1]
+    m, S = y[:n], y[n:-1].reshape(n - 1, n - 1)
     AS, G = c["A"][j] @ S, c["G"][j]
-    gm = c["Hm"][j] @ m + c["hc"][j]
+    h = c["Gm"][j] @ m
     out = np.empty_like(y)
-    out[:d] = c["Mm"][j] @ m + c["mc"][j]
-    out[d:-1] = (AS + AS.T + G @ S @ G.T + gm[:, None] * gm).ravel()
+    out[:n] = c["Am"][j] @ m
+    out[n:-1] = (AS + AS.T + G @ S @ G.T + h[:, None] * h).ravel()
     out[-1] = _running(c, j, m, S)
     return out
 
@@ -137,8 +118,8 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     check_count("n_steps", n_steps, 1)
     d = model.dims.d
     grid = np.linspace(t0, T, n_steps + 1)
-    states = np.empty((n_steps + 1, d + d * d + 1))
-    states[0] = np.concatenate((ms0.mean, ms0.cov.ravel(), [0.0]))
+    states = np.empty((n_steps + 1, d + 1 + d * d + 1))
+    states[0] = np.concatenate((ms0.mean, [1.0], ms0.cov.ravel(), [0.0]))
     clips = 0
 
     def settle(k, y):
@@ -146,7 +127,7 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
         if not np.isfinite(y).all():
             raise CovarianceInstabilityError(
                 f"non-finite moment state at t={grid[k]:.6g}", time=float(grid[k]))
-        S = y[d:-1].reshape(d, d)
+        S = y[d + 1:-1].reshape(d, d)
         S[...], lo = clip_psd(S)
         if lo < INSTABILITY_FLOOR:
             raise CovarianceInstabilityError(
@@ -164,7 +145,7 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
                             _moment_rhs, settle, model.block_steps):
             states[k] = y
     return MomentTrajectory(grid=grid, means=states[:, :d],
-                            covs=states[:, d:-1].reshape(-1, d, d),
+                            covs=states[:, d + 1:-1].reshape(-1, d, d),
                             running=states[:, -1], clip_count=clips)
 
 

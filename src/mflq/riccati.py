@@ -327,11 +327,12 @@ def check_standard_conditions(model: LqModel, margin: float) -> ConditionReport:
     for sched in (c.Q2, c.Q2bar, c.R2, c.R2bar):
         times.update(float(t) for t in sched.knot_times())
     times = sorted(times)
-    tab = model.table(times)
+    tab, d = model.table(times), model.dims.d
     # (matrices at every time, floor, violation), in the order they are checked
-    conditions = ((tab["Q2"], 0.0, "Q2 not >= 0"), (tab["QQ"], 0.0, "Q2 + Q2bar not >= 0"),
+    conditions = ((tab["Q2"], 0.0, "Q2 not >= 0"),
+                  (tab["Q2p"][1, :, :d, :d], 0.0, "Q2 + Q2bar not >= 0"),
                   (tab["R2"], margin, f"R2 not >= {margin}*I"),
-                  (tab["RR"], margin, f"R2 + R2bar not >= {margin}*I"))
+                  (tab["R2p"][1], margin, f"R2 + R2bar not >= {margin}*I"))
     lows = [np.linalg.eigvalsh(sym(mats))[:, 0] for mats, _, _ in conditions]
     for i, t in enumerate(times):
         for (_, floor, violation), low in zip(conditions, lows):

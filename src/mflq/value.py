@@ -2,12 +2,17 @@
 Bellman residual check.
 
 Measures enter only through (mean, covariance): for a law with those
-moments, Var(mu)(M) = tr(M Cov), so every expression here is a closed
-moment form. The Bellman residual re-assembles the identity the Riccati
-system was derived from, with time derivatives taken by fourth-order
-finite differences of the stored solution, centered, or one-sided near a
-knot of the coefficients — an independent consistency check (using the ODE
-right-hand sides would make it zero by construction).
+moments, Var(mu)(M) = tr(M Cov), so the value tr(Lam Cov) + m~'Gam~ m~,
+m~ = [mean; 1], and the terminal cost are lifted contractions (_lifted) of
+(Lam~, Gam~) pairs. The Bellman residual is the verification theorem in
+moment form: the law Hamiltonian (the value's rate of change along an
+affine law's moment flow plus its running cost, one pair expression over
+model._law_pairs) must vanish at the synthesised gains, which must be
+stationary for it. That is policy evaluation plus stationarity. It does not
+use the solve's right-hand side or minimum, but it reads the solve's
+LqModel.table pairs, so an error in those is invisible to it; the moment
+flow's test against the particle state equation and the Riccati test of
+the written equations catch one.
 """
 
 from __future__ import annotations
@@ -15,38 +20,27 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState
-from .riccati import RiccatiSolution, _solved_aux, _unpack
+from .model import AffineFeedback, LqModel, MomentState, _law_pairs, _tr
+from .riccati import RiccatiSolution, _pack, _solved_aux, terminal_state
+
+
+def _lifted(P: np.ndarray, ms: MomentState) -> np.ndarray:
+    """tr(P0[:d, :d] Cov) + m~'P1 m~, m~ = [mean; 1], of the pairs P = (P0, P1)
+    stacked on the first axis; other leading axes are kept."""
+    m = np.append(ms.mean, 1.0)
+    return (P[0, ..., :-1, :-1] * ms.cov).sum(axis=(-2, -1)) + P[1] @ m @ m
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
     """tr(Lam(t) Cov) + mean'Gam(t) mean + gam(t).mean + chi(t)."""
     sol.model.check_law(ms)
-    st = sol.at(t)
-    m = ms.mean
-    return float(np.trace(st.Lam @ ms.cov) + m @ st.Gam @ m + st.gam @ m + st.chi)
+    return float(_lifted(sol._rows([t])[0].reshape(2, ms.d + 1, -1), ms))
 
 
 def g_hat(model: LqModel, ms: MomentState) -> float:
     """Lifted terminal cost tr(P2 Cov) + mean'(P2+P2bar) mean + (p1+p1bar).mean."""
     model.check_law(ms)
-    c = model.cost
-    m = ms.mean
-    return float(np.trace(c.P2 @ ms.cov) + m @ (c.P2 + c.P2bar) @ m
-                 + (c.p1 + c.p1bar) @ m)
-
-
-def _g_inf(c: dict, P: np.ndarray, ms: MomentState) -> float:
-    """Value of the inner minimization over feedback laws at its argmin, at
-    the one-row table c, with the augmented pair P = (Lam~, Gam~) stacked
-    and m~ = [mean; 1]:
-
-        -tr(S U^{-1} S' Cov) - m~'Z~ V^{-1} Z~' m~
-    """
-    d = ms.d
-    _, (S, Z), (Ui_St, Vi_Zt) = _solved_aux(c, 0, P)
-    m = np.append(ms.mean, 1.0)
-    return float(-np.trace(S[:d] @ Ui_St[:, :d] @ ms.cov) - m @ Z @ Vi_Zt @ m)
+    return float(_lifted(_pack(terminal_state(model)).reshape(2, ms.d + 1, -1), ms))
 
 
 def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
@@ -82,27 +76,33 @@ def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
     return AffineFeedback(table=lambda times: optimal_gains(model, sol, times))
 
 
+def _hamiltonian(c: dict, P: np.ndarray, K: np.ndarray, ms: MomentState) -> np.ndarray:
+    """The law Hamiltonian less its time derivatives at P = (Lam~, Gam~), for
+    gain pairs K stacked on axis 1: _lifted(W~ + P A~ + A~'P + G~'Lam~ G~)."""
+    A, G, W = _law_pairs(c, ..., K)
+    P = P[:, None]
+    return _lifted(W + P @ A + _tr(A) @ P + _tr(G) @ P[0] @ G, ms)
+
+
 def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
                      ms: MomentState) -> float:
-    """Residual of the dynamic-programming identity at (t, ms); 0 for the
-    exact solution.
+    """The verification theorem's residual at (t, ms); 0 for the exact
+    solution. With H(K~) = tr(dLam Cov) + m~'dGam~ m~ + _hamiltonian(K~) at
+    the solution's pair at t, K~* = -W from _solved_aux there (all that is
+    read from the solve) and e ones on K1 and k, it is
 
-    Time derivatives of (Lam, Gam, gam, chi) are fourth-order centered
-    differences (Fornberg 1988) over t +- h, t +- 2h, h the grid step, so t
-    lies at least 2h inside (0, T) and the residual is bounded by the
-    finite-difference plus integrator error, not zero. Within 2h of an
+        max(|H(K~*)|, |H(K~*+e) - H(K~*-e)| / (2 (H(K~*+e) + H(K~*-e) - 2 H(K~*))))
+
+    The second term, exact as H is quadratic in the gains, is the distance
+    along e from K~* to the minimiser of H (inf if the curvature is not
+    positive). H sees K2 and k only through K2 m + k, so e moves k alone and
+    V > 0 keeps the curvature positive at every law. Time derivatives are
+    fourth-order centered differences (Fornberg 1988) over t +- h, t +- 2h,
+    h the grid step, so t lies at least 2h inside (0, T) and the residual is
+    bounded by the finite-difference plus integrator error. Within 2h of an
     interior knot of the model's knot groups, where the second derivative
-    of the solution jumps, the difference is the one-sided fourth-order one
-    over t, t + sh, ..., t + 4sh on the side s that holds no knot
-    (_knot_free_side). The grouping mirrors the identification that
-    produced the ODE system: the Var(.) block, the mean-quadratic block,
-    the mean-linear block (including gam'), and the scalar block, plus the
-    minimized inner objective. Coefficients come from the one-row model
-    table at t, as in the solve. The four blocks are
-    summed here, not taken from the solver's right-hand side (_rhs): that
-    keeps the residual an independent check of a transcription error in
-    _rhs. Only the minimized inner objective (_g_inf) shares the solver's
-    U/V inversion.
+    jumps, the difference is the one-sided fourth-order one over t, t + sh,
+    ..., t + 4sh on the side s that holds no knot (_knot_free_side).
     """
     model.check_law(ms)
     dt = sol.step
@@ -119,21 +119,17 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
 
     rows = sol._rows(t + dt * (side * np.arange(5.0) if side
                                else np.array([0.0, 2.0, 1.0, -1.0, -2.0])))
-    d = model.dims.d
-    (Lam, Gam, gam, chi), (dL, dG, dg, dc) = _unpack(rows, d), _unpack(derivative(rows), d)
-
+    n = model.dims.d + 1
+    P, dP = rows[0].reshape(2, n, n), derivative(rows).reshape(2, n, n)
     c = model.table([t])
-    B, BpB, D, DpD, Q2, Q2bar = (c[n][0] for n in ("B", "BpB", "D", "DpD", "Q2", "Q2bar"))
-    b0, s0, q1, q1bar = (c[n][0, :, 0] for n in ("b0", "sigma0", "q1", "q1bar"))
-    L, G, g = Lam[0], Gam[0], gam[0]
-    m, cov = ms.mean, ms.cov
-
-    var_block = dL + Q2 + D.T @ L @ D + L @ B + B.T @ L
-    mean_quad = dG + Q2 + Q2bar + DpD.T @ L @ DpD + G @ BpB + BpB.T @ G
-    mean_lin = dg + BpB.T @ g + q1 + q1bar + 2.0 * DpD.T @ (L @ s0) + 2.0 * G @ b0
-    scalar = dc + g @ b0 + s0 @ (L @ s0)
-    return float(np.trace(var_block @ cov) + m @ mean_quad @ m
-                 + mean_lin @ m + scalar + _g_inf(c, rows[0].reshape(2, d + 1, d + 1), ms))
+    K = -_solved_aux(c, 0, P)[2]
+    e = np.zeros_like(K)
+    e[0, :, :-1] = e[1, :, -1] = 1.0
+    h0, hp, hm = _lifted(dP, ms) + _hamiltonian(c, P, np.stack((K, K + e, K - e), 1), ms)
+    curvature = hp + hm - 2.0 * h0
+    if not curvature > 0.0:
+        return float("inf")
+    return float(max(abs(h0), abs(hp - hm) / (2.0 * curvature)))
 
 
 def _knot_free_side(model: LqModel, t: float, h: float, horizon: float) -> float:

@@ -6,8 +6,12 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   dpp_check, lq_model, mean_variance_mean_trajectory,
                   mean_variance_model, optimal_feedback,
                   propagate_moments, solve_riccati, systemic_model, value)
+import mflq.moments
 from mflq.errors import CovarianceInstabilityError, OutOfDomainError
+from mflq.model import LqModel, _row_factors, _row_terms
 from mflq.moments import _moment_rhs, _moment_table
+
+from helpers import random_standard_model
 
 
 def zero_fb(d=1, m=1):
@@ -19,8 +23,9 @@ def moment_rhs_at(model, fb, t, ms):
     at t."""
     d = model.dims.d
     f = _moment_rhs(_moment_table(model, fb, [t]), 0,
-                    np.concatenate((ms.mean, ms.cov.ravel(), [0.0])))
-    return f[:d], f[d:-1].reshape(d, d)
+                    np.concatenate((ms.mean, [1.0], ms.cov.ravel(), [0.0])))
+    assert f[d] == 0.0
+    return f[:d], f[d + 1:-1].reshape(d, d)
 
 
 # --- right-hand side ----------------------------------------------------------
@@ -39,6 +44,75 @@ def test_rhs_systemic_mean_frozen():
                   (0.8, MomentState([-1.0], [[3.0]]))):
         dm, _ = moment_rhs_at(model, fb, t, ms)
         assert abs(dm[0]) <= 1e-12
+
+
+def rhs_gap_to_particles(model, fb, t, atoms, weights):
+    """Largest gap, relative to the largest expected entry or 1, between
+    _moment_rhs at the moments of the discrete measure (atoms (d, n),
+    weights) and the weighted sums of the particle state equation
+    _row_terms, which reads the raw coefficients:
+    m' = sum w b, Cov' = sum w [(x - m) b' + b (x - m)' + s s'] and
+    f = sum w f_i."""
+    d = model.dims.d
+    mean = atoms @ weights
+    dev = atoms - mean[:, None]
+    K1, K2, k = fb.gains(t)
+    abar = K2 @ mean + k
+    controls = K1 @ dev + abar[:, None]
+    c = model.table([t])
+    b, s, f = _row_terms(c, _row_factors(c), 0, np.vstack([atoms, controls]),
+                         np.concatenate([mean, abar]))
+    wdev = dev * weights
+    expect = np.concatenate([b @ weights, (wdev @ b.T + b @ wdev.T + (s * weights) @ s.T).ravel(),
+                             [f @ weights]])
+    y = np.concatenate((mean, [1.0], (wdev @ dev.T).ravel(), [0.0]))
+    got = _moment_rhs(_moment_table(model, fb, [t]), 0, y)
+    assert got[d] == 0.0
+    return np.abs(np.delete(got, d) - expect).max() / max(1.0, np.abs(expect).max())
+
+
+def test_rhs_is_the_particle_state_equation_on_a_discrete_measure(monkeypatch):
+    """The flow reads LqModel.table's pairs, whose padding (b0, sigma0, q/2,
+    r/2) the solve reads too; the particle state equation reads the raw
+    coefficients, so it checks the pairs independently of the solve."""
+    rng = np.random.default_rng(4)
+    model = random_standard_model(rng, 3, 2, cross=0.3)
+    c = model.table([0.0])
+    for name in ("b0", "sigma0", "q1", "r1", "M2", "Bbar", "Cbar", "Dbar", "Fbar",
+                 "Q2bar", "R2bar", "M2bar", "q1bar", "r1bar"):
+        assert c[name].any(), name
+    cases = []
+    for t in (0.2, 0.65):
+        fb = AffineFeedback.constant(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)),
+                                     rng.standard_normal(2))
+        cases.append((fb, t, rng.standard_normal((3, 6)) * 2.0, rng.dirichlet(np.ones(6))))
+    assert max(rhs_gap_to_particles(model, *case) for case in cases) <= 1e-12
+    table = LqModel.table
+
+    def without_b0(self, times):
+        c = table(self, times)
+        c["Bp"][1, ..., :-1, -1] = 0.0
+        return c
+
+    monkeypatch.setattr(LqModel, "table", without_b0)
+    assert min(rhs_gap_to_particles(model, *case) for case in cases) > 1e-3
+
+
+def test_the_constant_of_the_mean_stays_one(monkeypatch):
+    model = random_standard_model(np.random.default_rng(5), 3, 2, cross=0.3)
+    fb = optimal_feedback(model, solve_riccati(model, 200))
+    seen = []
+
+    def recorded(c, j, y):
+        out = _moment_rhs(c, j, y)
+        seen.append((y[3], out[3]))
+        return out
+
+    monkeypatch.setattr(mflq.moments, "_moment_rhs", recorded)
+    ms = MomentState([1.0, -2.0, 0.5], np.diag([0.5, 1.0, 2.0]))
+    propagate_moments(model, fb, 0.0, ms, 300)
+    assert len(seen) == 4 * 300 + 1
+    assert all(one == 1.0 and rate == 0.0 for one, rate in seen)
 
 
 @pytest.mark.parametrize("n_steps", [2.5, True, 0])

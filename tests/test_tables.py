@@ -233,11 +233,11 @@ def test_table_is_the_per_field_schedule_tables(monkeypatch, name, model, n_grou
             values = getattr(block, field).table(times)
             expected[field] = values[..., None] if len(key) == 1 else values
     d = model.dims.d  # 3, with m = 2: only the d-row coefficients are padded
-    for field, bar, total, _ in _PAIRS:
+    for field, bar, _ in _PAIRS:
         rows, cols = expected[field].shape[-2:]
         pair = np.zeros((2, times.size, rows + (rows == d), cols + (rows == cols == d)))
         pair[0, :, :rows, :cols] = expected[field]
-        pair[1, :, :rows, :cols] = expected[total] = expected[field] + expected[bar]
+        pair[1, :, :rows, :cols] = expected[field] + expected[bar]
         expected[field + "p"] = pair
     B, D, Q, M = (expected[field + "p"][1] for field in ("B", "D", "Q2", "M2"))
     B[:, :d, d], D[:, :d, d] = expected["b0"][..., 0], expected["sigma0"][..., 0]

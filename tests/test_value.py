@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
 from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
 from mflq.model import _sample_moments
 from mflq.moments import _moment_table, _running, cost_from_moments, dpp_check
-from mflq.riccati import RiccatiState
-from mflq.value import _g_inf
+from mflq.riccati import RiccatiState, _solved_aux
+from mflq.schedules import Schedule
+from mflq.value import _hamiltonian
 
 from helpers import aux_at, pair_of, random_standard_model, row_at, tabulated_model
 
@@ -80,16 +82,31 @@ def minimize_discrete(model, t, state, atoms, weights):
     return g0 + b @ a_star + 0.5 * a_star @ H @ a_star
 
 
-def g_inf_at(model, t, state, ms):
-    """The inner minimum at (t, state, ms), from _g_inf on the one-row
-    model table at t."""
-    return _g_inf(model.table([t]), pair_of(state), ms)
+def hamiltonian_at(model, t, state, ms, gains=None):
+    """The law Hamiltonian at (t, state, ms) under the gains (K1, K2, k),
+    from _hamiltonian on the one-row model table at t; by default under the
+    gains _solved_aux synthesises at (t, state)."""
+    c, P = model.table([t]), pair_of(state)
+    if gains is None:
+        K = -_solved_aux(c, 0, P)[2]
+    else:
+        K1, K2, k = gains
+        K = np.stack([np.hstack([K1, np.zeros((K1.shape[0], 1))]), np.column_stack([K2, k])])
+    return float(_hamiltonian(c, P, K[:, None], ms)[0])
+
+
+def objective_gap_at(model, t, state, ms, gains=None):
+    """H(K) - H(0): the part of the law Hamiltonian that the gains move,
+    which is the inner objective of the discrete oracles above."""
+    m, d = model.dims.m, model.dims.d
+    zero = (np.zeros((m, d)), np.zeros((m, d)), np.zeros(m))
+    return hamiltonian_at(model, t, state, ms, gains) - hamiltonian_at(model, t, state, ms, zero)
 
 
 def f_hat_at(model, t, fb, ms):
     """Lifted running cost of the affine law fb at (t, ms), from _running on
     the one-row moment table at t."""
-    return _running(_moment_table(model, fb, [t]), 0, ms.mean, ms.cov)
+    return _running(_moment_table(model, fb, [t]), 0, np.append(ms.mean, 1.0), ms.cov)
 
 
 def population_moments(atoms, weights):
@@ -180,15 +197,15 @@ def test_f_hat_dirac_collapse():
             row_at(model, 0.5, m, a, m, a)[2], abs=1e-12)
 
 
-# --- inner objective and its minimum -------------------------------------------
+# --- the law Hamiltonian and its minimum ----------------------------------------
 
-def test_g_inf_zero_when_no_coupling():
+def test_hamiltonian_zero_when_no_coupling():
     model = lq_model(d=1, m=1, horizon=1.0, R2=1.0)
     st = RiccatiState(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), 0.0)
-    assert g_inf_at(model, 0.5, st, MomentState([2.0], [[3.0]])) == 0.0
+    assert hamiltonian_at(model, 0.5, st, MomentState([2.0], [[3.0]])) == 0.0
 
 
-def test_g_inf_matches_discrete_minimization():
+def test_hamiltonian_minimum_matches_discrete_minimization():
     # three-atom measure, unequal weights, both presets plus a cross-term model
     cases = [
         systemic_model(SystemicParams()),
@@ -205,10 +222,11 @@ def test_g_inf_matches_discrete_minimization():
         t = 0.37
         st = sol.at(t)
         direct_min = minimize_discrete(model, t, st, atoms, weights)
-        assert g_inf_at(model, t, st, ms) == pytest.approx(direct_min, abs=1e-10)
+        gains = optimal_feedback(model, sol).gains(t)
+        assert objective_gap_at(model, t, st, ms, gains) == pytest.approx(direct_min, abs=1e-10)
 
 
-def test_g_inf_lower_bounds_affine_objectives():
+def test_hamiltonian_is_least_at_the_synthesised_gains():
     model = systemic_model(SystemicParams())
     sol = solve_riccati(model, 200)
     t = 0.62
@@ -216,13 +234,12 @@ def test_g_inf_lower_bounds_affine_objectives():
     rng = np.random.default_rng(9)
     for _ in range(20):
         ms = MomentState(rng.normal(size=1), [[rng.uniform(0.1, 4.0)]])
-        floor = g_inf_at(model, t, st, ms)
-        fb = AffineFeedback.constant(rng.normal(size=(1, 1)),
-                                     rng.normal(size=(1, 1)), rng.normal(size=1))
-        assert affine_objective_discrete(model, t, st, fb, ms) >= floor - 1e-9
+        floor = hamiltonian_at(model, t, st, ms)
+        gains = (rng.normal(size=(1, 1)), rng.normal(size=(1, 1)), rng.normal(size=1))
+        assert hamiltonian_at(model, t, st, ms, gains) >= floor - 1e-9
 
 
-def test_minimizer_attains_g_inf():
+def test_hamiltonian_of_the_minimizer_is_its_discrete_objective():
     model = systemic_model(SystemicParams())
     sol = solve_riccati(model, 200)
     fb = optimal_feedback(model, sol)
@@ -230,7 +247,7 @@ def test_minimizer_attains_g_inf():
     st = sol.at(t)
     ms = MomentState([1.2], [[0.9]])
     assert affine_objective_discrete(model, t, st, fb, ms) == pytest.approx(
-        g_inf_at(model, t, st, ms), abs=1e-12)
+        objective_gap_at(model, t, st, ms, fb.gains(t)), abs=1e-12)
 
 
 # --- optimal feedback ------------------------------------------------------------
@@ -284,6 +301,17 @@ def test_bellman_residual_mean_variance():
     model = mean_variance_model(MeanVarianceParams())
     r = bellman_residual(model, sol, 0.5, MomentState([1.0], [[0.3]]))
     assert abs(r) <= 1e-4
+
+
+def test_bellman_residual_at_a_point_mass_at_minus_one():
+    """At a point mass H sees the gains only through the mean control
+    K2 m + k; at m = -1 a probe with ones on K2 and k leaves it unchanged,
+    so H is flat along the probe, and the stationarity ratio read inf on
+    systemic-risk and 0.5 on mean-variance for correct solves."""
+    for model in (systemic_model(SystemicParams()), mean_variance_model(MeanVarianceParams())):
+        sol = solve_riccati(model, 1000)
+        for t in (0.3, 0.5):
+            assert bellman_residual(model, sol, t, MomentState.dirac([-1.0])) <= BELLMAN_TOL
 
 
 def test_bellman_residual_zero_cost_exact():
@@ -398,3 +426,79 @@ def test_bellman_residual_across_a_knot():
     ms = MomentState([2.0, 1.0], [[2.0, 0.0], [0.0, 2.0]])
     for offset in (0.0, 0.5, -0.5, 1.5, -1.5):
         assert abs(bellman_residual(model, sol, 0.5 + offset * sol.step, ms)) <= BELLMAN_TOL
+
+
+# --- mutants of the solve's factorization --------------------------------------
+
+def _drop_m2bar(c, d):
+    c["M2p"] = c["M2p"].copy()
+    c["M2p"][1, ..., :d, :] = c["M2"]
+
+
+def _drop_cbar(c, d):
+    c["Cp"] = c["Cp"].copy()
+    c["Cp"][1, ..., :d, :] = c["C"]
+
+
+def _drop_r2bar(c, d):
+    c["R2p"] = c["R2p"].copy()
+    c["R2p"][1] = c["R2"]
+
+
+def _zero_r1_row(c, d):
+    c["M2p"] = c["M2p"].copy()
+    c["M2p"][1, ..., d, :] = 0.0
+
+
+def _aux_mutant(edit):
+    """_solved_aux reading a copy of its table that ``edit`` changed, or,
+    with edit None, returning W = 0 (the solve is then the value of the
+    uncontrolled law)."""
+
+    def mutant(c, j, P):
+        if edit is None:
+            UV, SZ, W = _solved_aux(c, j, P)
+            return UV, SZ, np.zeros_like(W)
+        c = dict(c)
+        edit(c, c["b0"].shape[1])
+        return _solved_aux(c, j, P)
+
+    return mutant
+
+
+def _without_noise_gains(model):
+    """The model with D = Dbar = F = Fbar = 0."""
+    d, m = model.dims.d, model.dims.m
+    zero_dd, zero_dm = Schedule.constant(np.zeros((d, d))), Schedule.constant(np.zeros((d, m)))
+    return dataclasses.replace(model, dynamics=dataclasses.replace(
+        model.dynamics, D=zero_dd, Dbar=zero_dd, F=zero_dm, Fbar=zero_dm))
+
+
+@pytest.mark.parametrize("edit", [_drop_m2bar, _drop_cbar, _drop_r2bar, _zero_r1_row, None],
+                         ids=["M2bar-from-Z", "Cbar-from-C", "R2bar-from-V", "r1-row-of-M",
+                              "W-zero"])
+def test_bellman_residual_sees_solved_aux_mutants(monkeypatch, edit):
+    """A mutant of the solve's factorization moves the solution and the
+    gains; the law Hamiltonian reads the model's own coefficient pairs, so
+    the residual must fail it. Before the check read the law Hamiltonian it
+    minimised through the same factorization, and every mutant here passed
+    at <= 2e-9."""
+    model = random_standard_model(np.random.default_rng(3), 3, 2, cross=0.3)
+    models = [model, _without_noise_gains(model)]
+    if edit in (_drop_m2bar, None):
+        models.append(systemic_model(SystemicParams()))
+    rng = np.random.default_rng(1)
+    laws = _random_laws(rng, 3, 3)
+    value_module = importlib.import_module("mflq.value")
+    for model in models:
+        d = model.dims.d
+        states = laws if d == 3 else [MomentState([1.0], [[0.5]]), MomentState([-2.0], [[3.0]])]
+        clean = solve_riccati(model, 1000)
+        assert max(bellman_residual(model, clean, t, ms)
+                   for t in (0.3, 0.7) for ms in states) <= BELLMAN_TOL
+        with monkeypatch.context() as patch:
+            patch.setattr(mflq.riccati, "_solved_aux", _aux_mutant(edit))
+            patch.setattr(value_module, "_solved_aux", _aux_mutant(edit))
+            sol = solve_riccati(model, 1000)
+            assert min(bellman_residual(model, sol, t, ms)
+                       for t in (0.3, 0.7) for ms in states) > BELLMAN_TOL
