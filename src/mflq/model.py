@@ -181,10 +181,10 @@ class LqModel:
         if law.d != self.dims.d:
             raise ShapeError(f"law has dimension {law.d}, the model has d={self.dims.d}")
 
-    def check_gains(self, K1: np.ndarray) -> None:
-        if K1.shape[-2:] != (self.dims.m, self.dims.d):
-            raise ShapeError(f"law has K1 gains of shape {K1.shape[-2:]}, the model "
-                             f"has m={self.dims.m}, d={self.dims.d}")
+    def check_gains(self, K: np.ndarray) -> None:
+        if K.ndim != 4 or K.shape[0] != 2 or K.shape[-2:] != (self.dims.m, self.dims.d + 1):
+            raise ShapeError(f"law has K1 gains of shape {K.shape[-2], K.shape[-1] - 1}, the "
+                             f"model has m={self.dims.m}, d={self.dims.d}; table shape {K.shape}")
 
     def table(self, times) -> dict:
         """Every dynamics and running-cost coefficient at ``times``: name ->
@@ -421,25 +421,26 @@ def _sample_moments(X: np.ndarray, centred: np.ndarray | None = None):
 # affine feedback laws
 
 
-def _table_row(table, i: int) -> Callable[[float], np.ndarray]:
-    """Gain i of a law's table at one time."""
-    return lambda t: table(np.array([t], dtype=float))[i][0]
+def _gains_at(table, t: float):
+    """(K1, K2, k) at t: views of a law's one-row gain pair table."""
+    K = table(np.array([t], dtype=float))[:, 0]
+    return K[0, :, :-1], K[1, :, :-1], K[1, :, -1]
 
 
 @dataclass(frozen=True)
 class AffineFeedback:
     """Control law a = K1(t)(x - mean_x) + K2(t) mean_x + k(t).
 
-    ``table(times)`` defines the law: it returns the gains (K1, K2, k)
-    stacked on a leading time axis, and the moment flow, the particle
-    simulator and :meth:`gains` read gains only through it. ``k1``, ``k2``,
-    ``k0`` are pointwise views of single table rows for callers that want
-    one gain; replacing one of them does not change the law. Build laws
-    with :meth:`constant` or from a gain table. The moment flow and the
-    simulator reject K1 gains that are not m x d (LqModel.check_gains).
+    ``table(times)`` defines the law: its gain pair K~ = ([K1, 0], [K2, k])
+    at ``times``, shape (2, rows, m, d+1), laid out like LqModel.table's
+    pairs, which the moment flow and the simulator read as it is; no result
+    depends on member 0's last column. Only :meth:`gains`, the law's action
+    and the pointwise views ``k1``, ``k2``, ``k0`` split it (replacing a view
+    does not change the law). Build laws with :meth:`constant` or from a gain
+    table; the flow and the simulator reject a K1 not m x d (check_gains).
     """
 
-    table: Callable[[np.ndarray], tuple]
+    table: Callable[[np.ndarray], np.ndarray]
     k1: Callable[[float], np.ndarray] | None = None
     k2: Callable[[float], np.ndarray] | None = None
     k0: Callable[[float], np.ndarray] | None = None
@@ -447,23 +448,22 @@ class AffineFeedback:
     def __post_init__(self):
         for i, name in enumerate(("k1", "k2", "k0")):
             if getattr(self, name) is None:
-                object.__setattr__(self, name, _table_row(self.table, i))
+                object.__setattr__(self, name, lambda t, i=i: _gains_at(self.table, t)[i])
 
     @classmethod
     def constant(cls, k1, k2, k0) -> "AffineFeedback":
         k1 = np.atleast_2d(_finite(k1, "k1"))
         k2 = np.atleast_2d(_finite(k2, "k2"))
         k0 = np.atleast_1d(_finite(k0, "k0"))
-        m, d = k1.shape
-        if k2.shape != (m, d) or k0.shape != (m,):
-            raise ShapeError("inconsistent gain shapes")
-        k1, k2, k0 = (Schedule.constant(k) for k in (k1, k2, k0))
-        return cls(table=lambda times: (k1.table(times), k2.table(times), k0.table(times)))
+        if k1.ndim != 2 or k2.shape != k1.shape or k0.shape != k1.shape[:1]:
+            raise ShapeError(f"gains of shapes {k1.shape}, {k2.shape}, {k0.shape}, not m x d, "
+                             "m x d and m")
+        K = _frozen([np.column_stack([k1, np.zeros_like(k0)]), np.column_stack([k2, k0])])[:, None]
+        return cls(table=lambda times: np.broadcast_to(K, (2,) + np.shape(times) + K.shape[2:]))
 
     def gains(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(K1, K2, k) at t: the one-row table, so one evaluation."""
-        K1, K2, k0 = self.table(np.array([t], dtype=float))
-        return K1[0], K2[0], k0[0]
+        return _gains_at(self.table, t)
 
     def __call__(self, t: float, x, mean_x) -> np.ndarray:
         g1, g2, g0 = self.gains(t)

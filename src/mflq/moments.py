@@ -3,8 +3,9 @@
 Drift and diffusion are affine in (x, a) and the feedback
 a = K1 (x - m) + K2 m + k is affine in (x, m), so the law's first two
 moments close exactly. With m~ = [m; 1] and the pairs (A~, G~, W~) of
-``model._law_pairs`` under the gain pair K~ = ([K1, 0], [K2, k]), over the
-coefficient pairs the Riccati solve reads, the flow is
+``model._law_pairs`` under the law's gain pair K~ = ([K1, 0], [K2, k]), its
+table as it is (AffineFeedback), over the coefficient pairs the Riccati
+solve reads, the flow is
 
     m~'  = A~[1] m~                       (its last entry is 0)
     Cov' = A Cov + Cov A' + G Cov G' + h h',    h = (G~[1] m~)[:d]
@@ -66,10 +67,8 @@ def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
     and W (flattened) of member 0 and the mean members "Am" = A~[1],
     "Gm" = G~[1][:d] and "Wm" = W~[1]."""
     c = model.table(times)
-    K1, K2, k0 = fb.table(c["t"])
-    model.check_gains(K1)
-    K = np.zeros((2,) + K1.shape[:-1] + (K1.shape[-1] + 1,))  # ([K1, 0], [K2, k])
-    K[0, ..., :-1], K[1, ..., :-1], K[1, ..., -1] = K1, K2, k0
+    K = fb.table(c["t"])
+    model.check_gains(K)
     A, G, W = _law_pairs(c, ..., K)
     return {"A": A[0, :, :-1, :-1], "G": G[0, :, :-1, :-1],
             "W": W[0, :, :-1, :-1].reshape(W.shape[1], -1),

@@ -33,8 +33,8 @@ from numpy.random import Philox, SeedSequence
 from scipy.special import ndtri
 
 from .errors import SimulationDivergedError
-from .model import (AffineFeedback, LqModel, MomentState, _row_factors, _row_terms,
-                    _sample_moments, _terminal_rows, _write_csv, check_count)
+from .model import (AffineFeedback, LqModel, MomentState, _finite, _row_factors,
+                    _row_terms, _sample_moments, _terminal_rows, _write_csv, check_count)
 from .riccati import RiccatiSolution
 from .value import optimal_feedback
 
@@ -120,7 +120,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     Z = np.empty((d + m, n))  # component-major ensemble: states X, then controls A
     X, A = Z[:d], Z[d:]
     X[...] = _initial_states(model, cfg.initial, n, init_key).T
-    W = np.zeros((d + m, n))  # centred states over m zero rows: [K1 0] W stays on BLAS at d=1
+    W = np.zeros((d + 1, n))  # centred states over a zero row: K~[0] W stays on BLAS at d=1
     Y = np.empty((3 * d + m + 1, n))
 
     mean_path = np.empty((K + 1, d))
@@ -142,12 +142,11 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
         block = times[j0:min(j0 + steps, K)]
         c = model.table(block)
         H = _row_factors(c)
-        K1s, K2s, k0s = fb.table(block)
-        model.check_gains(K1s)
-        G = np.concatenate([K1s, np.zeros((block.size, m, m))], axis=2)
+        G = fb.table(block)
+        model.check_gains(G)
         for r, j in enumerate(range(j0, j0 + block.size)):
-            np.matmul(G[r], W, out=A)
-            A += (K2s[r] @ mhat + k0s[r])[:, None]
+            np.matmul(G[0, r], W, out=A)
+            A += (G[1, r, :, :d] @ mhat + G[1, r, :, d])[:, None]
             b, s, f = _row_terms(c, H, r, Z, np.concatenate([mhat, A.mean(axis=1)]), Y)
             run += dt * f
             b *= dt
@@ -176,8 +175,8 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
 
 @dataclass(frozen=True)
 class FeedbackPerturbation:
-    """Multiplicative gain scalings and an additive offset shift applied to
-    a reference feedback law."""
+    """Multiplicative gain scalings and an additive offset shift, each a
+    finite number, applied to a reference feedback law."""
 
     label: str
     k1_scale: float = 1.0
@@ -185,13 +184,21 @@ class FeedbackPerturbation:
     k_scale: float = 1.0
     k_shift: float = 0.0
 
+    def __post_init__(self):
+        for name in ("k1_scale", "k2_scale", "k_scale", "k_shift"):
+            if _finite(getattr(self, name), name).ndim:
+                raise ValueError(f"{name} must be a scalar, got {getattr(self, name)!r}")
+
     def apply(self, fb: AffineFeedback) -> AffineFeedback:
-        """The law with gains K1*k1_scale, K2*k2_scale, k*k_scale + k_shift."""
-        shift = np.asarray(self.k_shift, dtype=float)
+        """The law with gains K1*k1_scale, K2*k2_scale, k*k_scale + k_shift:
+        one scale and shift of its gain pair K~ (adding -0.0 changes no bit)."""
+        scale = np.array([[self.k1_scale] * 2, [self.k2_scale, self.k_scale]])
+        shift = np.array([[-0.0, -0.0], [-0.0, self.k_shift]])
 
         def table(times):
-            K1, K2, k0 = fb.table(times)
-            return self.k1_scale * K1, self.k2_scale * K2, self.k_scale * k0 + shift
+            K = fb.table(times)
+            k = (np.arange(K.shape[-1]) == K.shape[-1] - 1).astype(int)  # 1 on k's column
+            return scale[:, None, None, k] * K + shift[:, None, None, k]
 
         return AffineFeedback(table=table)
 

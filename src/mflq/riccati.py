@@ -232,13 +232,8 @@ class RiccatiSolution:
                             gam=self.gam[k], chi=float(self.chi[k]))
 
     def at(self, t: float) -> RiccatiState:
-        Lam, Gam, gam, chi = self.table(np.array([t], dtype=float))
-        return RiccatiState(Lam=Lam[0], Gam=Gam[0], gam=gam[0], chi=float(chi[0]))
-
-    def table(self, times):
-        """(Lam, Gam, gam, chi) at every time in ``times``, stacked on a
-        leading axis; each row is interpolated on its own."""
-        return _unpack(self._rows(times), self.model.dims.d)
+        Lam, Gam, gam, chi = _unpack(self._rows([t])[0], self.model.dims.d)
+        return RiccatiState(Lam=Lam, Gam=Gam, gam=gam, chi=float(chi))
 
     def _rows(self, times) -> np.ndarray:
         """The flat states at every time in ``times``, as rows of ``y``."""

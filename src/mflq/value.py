@@ -44,13 +44,13 @@ def g_hat(model: LqModel, ms: MomentState) -> float:
 
 
 def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
-    """Gains of the minimizing law at every time in ``times``, stacked on
-    a leading axis; they are -W, W = (U^{-1}S~', V^{-1}Z~') (riccati module
-    docstring), split as
+    """The minimizing law's AffineFeedback table at ``times``: the gain pair
+    K~ = -W, W = (U^{-1}S~', V^{-1}Z~') (riccati module docstring), with a
+    zero last column in member 0; its split is
 
         K1 = -U^{-1}S',  K2 = -V^{-1}Z',  k = -1/2 V^{-1} Y.
 
-    The solution's states come from its Hermite table and the coefficients
+    The solution's states are Hermite-interpolated, the coefficients come
     from the model's table; U and V go through the solve's own factorization
     and check (one stacked eigh of the (U, V) pair), so they pass its
     positivity floor and condition cap at every time. Each row depends on
@@ -59,8 +59,7 @@ def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
     d = model.dims.d
     rows = sol._rows(times)
     P = np.moveaxis(rows.reshape(rows.shape[:-1] + (2, d + 1, d + 1)), -3, 0)
-    W = _solved_aux(model.table(times), ..., P)[2]
-    return -W[0, ..., :d], -W[1, ..., :d], -W[1, ..., d]
+    return -_solved_aux(model.table(times), ..., P)[2]
 
 
 def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:

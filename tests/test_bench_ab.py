@@ -1,4 +1,4 @@
-"""The per-metric verdict of tools/bench_ab.py."""
+"""The per-metric verdict and the digest line of tools/bench_ab.py."""
 
 import importlib.util
 from pathlib import Path
@@ -30,3 +30,14 @@ _spec.loader.exec_module(bench_ab)
 ])
 def test_verdict(pairs, direction, bound, expected):
     assert bench_ab.verdict(pairs, direction, bound) == expected
+
+
+@pytest.mark.parametrize("base, change, expected", [
+    ({"a"}, {"a"}, "output_digest identical"),
+    ({"a"}, {"b"}, "output_digest differs"),
+    ({"a", "b"}, {"a", "b"}, "output_digest differs; base runs gave 2 digests; "
+                             "change runs gave 2 digests"),
+    ({"a"}, {"a", "b"}, "output_digest differs; change runs gave 2 digests"),
+])
+def test_digest_line(base, change, expected):
+    assert bench_ab.digest_line({"base": base, "change": change}) == expected

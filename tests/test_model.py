@@ -212,6 +212,22 @@ def test_law_gains_of_the_wrong_shape_are_a_shape_error(entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize("entry", ["propagate_moments", "simulate"])
+def test_gain_table_without_the_pair_axis_is_a_shape_error(entry):
+    """A law table of [K1, k] rows with no leading pair axis is rejected, not
+    broadcast as the gains of both the deviation and the mean."""
+    model = lq_model(1, 1, 1.0, R2=1.0)
+    fb = mflq.AffineFeedback(table=lambda times: np.ones((np.size(times), 1, 2)))
+    ms = MomentState([1.0], [[0.5]])
+    calls = {
+        "propagate_moments": lambda: mflq.propagate_moments(model, fb, 0.0, ms, 10),
+        "simulate": lambda: mflq.simulate(model, fb, mflq.SimConfig(
+            n_particles=10, n_steps=10, seed=0, initial=ms)),
+    }
+    with pytest.raises(ShapeError, match=r"table shape \(\d+, 1, 2\)"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("x, mean_x", [("2", [True]), ([np.nan], [0.0]), ([0.0], [-np.inf])])
 def test_feedback_rejects_non_numbers(x, mean_x):
     fb = mflq.AffineFeedback.constant([[1.0]], [[0.0]], [0.0])
@@ -219,6 +235,16 @@ def test_feedback_rejects_non_numbers(x, mean_x):
         fb(0.5, x, mean_x)
     with pytest.raises(ValueError, match="not numeric|non-finite"):
         mflq.AffineFeedback.constant([x], [[0.0]], mean_x)
+
+
+@pytest.mark.parametrize("k1, k2, k0", [
+    (np.ones((1, 1, 1)), [[0.0]], [0.0]),  # K1 not a matrix
+    ([[1.0, 2.0]], [[0.0]], [0.0]),
+    ([[1.0]], [[0.0]], [0.0, 1.0]),
+])
+def test_constant_law_rejects_gains_that_are_not_m_x_d(k1, k2, k0):
+    with pytest.raises(ShapeError, match="not m x d, m x d and m"):
+        mflq.AffineFeedback.constant(k1, k2, k0)
 
 
 def test_pointwise_functions_are_the_documented_formulas():

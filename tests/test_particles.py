@@ -311,6 +311,18 @@ def test_zero_perturbation_gap_exactly_zero():
     assert not rep.any_beats_optimal
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k_shift", "0.5"), ("k1_scale", True), ("k1_scale", np.nan), ("k1_scale", "0.8"),
+    ("k_shift", [0.5, 1.0]), ("k2_scale", np.inf), ("k_scale", np.bool_(False)),
+])
+def test_perturbation_rejects_a_non_scalar_or_non_number(field, value):
+    """A perturbation is checked when it is built, not on first use in a
+    table (a string or a boolean once passed as a number, NaN failed as a
+    covariance instability, a vector as a broadcast error)."""
+    with pytest.raises(ValueError, match=field):
+        FeedbackPerturbation("bad", **{field: value})
+
+
 def test_k1_scaling_detected_on_systemic():
     model, sol, fb = systemic_setup()
     cfg = SimConfig(n_particles=20000, n_steps=400, seed=6, initial=AT_ONE)

@@ -211,18 +211,18 @@ def test_hermite_table_rows_equal_at_bitwise():
     query = np.concatenate([sol.grid, rng.uniform(0.0, 1.0, 40),
                             0.5 * (sol.grid[1:] + sol.grid[:-1])])
     rng.shuffle(query)
-    Lam, Gam, gam, chi = sol.table(query)
+    Lam, Gam, gam, chi = _unpack(sol._rows(query), 3)
     for k, t in enumerate(query):
         st = sol.at(float(t))
         assert Lam[k].tobytes() == st.Lam.tobytes()
         assert Gam[k].tobytes() == st.Gam.tobytes()
         assert gam[k].tobytes() == st.gam.tobytes()
         assert chi[k] == st.chi
-    Lam, Gam, gam, chi = sol.table(sol.grid)  # grid times return stored states
+    Lam, Gam, gam, chi = _unpack(sol._rows(sol.grid), 3)  # grid times return stored states
     for arr, stored in ((Lam, sol.Lam), (Gam, sol.Gam), (gam, sol.gam), (chi, sol.chi)):
         assert arr.tobytes() == np.ascontiguousarray(stored).tobytes()
     with pytest.raises(mflq.OutOfDomainError):
-        sol.table([0.5, -1e-9])
+        sol._rows([0.5, -1e-9])
 
 
 def test_eval_out_of_domain():

@@ -29,17 +29,20 @@ def stage_times(grid):
 
 @pytest.mark.parametrize("model", [systemic_model(SystemicParams()), tabulated_model()])
 def test_gains_batch_invariant(model):
+    """A row of the gain pair batch K~ is its one-row batch, and its split
+    is the pointwise gains and views, all bitwise."""
     sol = solve_riccati(model, 500)
     times = stage_times(np.linspace(0.0, 1.0, 2001))  # 4,001 stages
     batch = optimal_gains(model, sol, times)
     fb = optimal_feedback(model, sol)
+    d = model.dims.d
     for k in np.random.default_rng(1).choice(times.size, 25, replace=False):
         alone = optimal_gains(model, sol, times[k:k + 1])
+        assert batch[:, k].tobytes() == alone[:, 0].tobytes()
         t = float(times[k])
-        pointwise = fb.gains(t)
-        views = (fb.k1(t), fb.k2(t), fb.k0(t))
-        for b, a, p, v in zip(batch, alone, pointwise, views):
-            assert b[k].tobytes() == a[0].tobytes() == p.tobytes() == v.tobytes()
+        split = (batch[0, k, :, :d], batch[1, k, :, :d], batch[1, k, :, d])
+        for b, p, v in zip(split, fb.gains(t), (fb.k1(t), fb.k2(t), fb.k0(t))):
+            assert b.tobytes() == p.tobytes() == v.tobytes()
 
 
 def test_transformed_table_is_scaled_base():
@@ -49,14 +52,42 @@ def test_transformed_table_is_scaled_base():
     law = FeedbackPerturbation("p", k1_scale=0.8, k2_scale=1.2, k_scale=0.9,
                                k_shift=0.5).apply(fb)
     times = stage_times(sol.grid[::10])
-    K1, K2, k0 = fb.table(times)
-    T1, T2, t0 = law.table(times)
-    assert T1.tobytes() == (0.8 * K1).tobytes()
-    assert T2.tobytes() == (1.2 * K2).tobytes()
-    assert t0.tobytes() == (0.9 * k0 + 0.5).tobytes()
+    K, T = fb.table(times), law.table(times)
+    d = model.dims.d
+    assert T[0].tobytes() == (0.8 * K[0]).tobytes()
+    assert T[1, ..., :d].tobytes() == (1.2 * K[1, ..., :d]).tobytes()
+    assert T[1, ..., d].tobytes() == (0.9 * K[1, ..., d] + 0.5).tobytes()
     for k in (0, 7, times.size - 1):
-        for row, p in zip((T1[k], T2[k], t0[k]), law.gains(float(times[k]))):
+        split = (T[0, k, :, :d], T[1, k, :, :d], T[1, k, :, d])
+        for row, p in zip(split, law.gains(float(times[k]))):
             assert row.tobytes() == p.tobytes()
+
+
+def test_gain_pair_padding_reaches_no_result():
+    """Member 0's last column of K~ multiplies nothing: a law with 7.5 there
+    propagates and simulates bitwise as the zero-padded law, and the
+    synthesised pair pads with zeros. The padded table is C-contiguous, as
+    a synthesised one is: a copy of the broadcast keeps other strides, which
+    alone can move a product by rounding."""
+    rng = np.random.default_rng(21)
+    model = random_standard_model(rng, 3, 2)
+    law = AffineFeedback.constant(0.3 * rng.standard_normal((2, 3)),
+                                  0.3 * rng.standard_normal((2, 3)), rng.standard_normal(2))
+    K = law.table([0.0]).copy()
+    K[0, ..., -1] = 7.5
+    padded = AffineFeedback(table=lambda times: np.ascontiguousarray(
+        np.broadcast_to(K, (2,) + np.shape(times) + K.shape[2:])))
+    ms = MomentState([0.5, -0.2, 0.1], 0.3 * np.eye(3))
+    cfg = SimConfig(n_particles=64, n_steps=40, seed=3, initial=ms)
+
+    def results(fb):
+        traj, res = propagate_moments(model, fb, 0.0, ms, 40), simulate(model, fb, cfg)
+        return [a.tobytes() for a in (traj.means, traj.covs, traj.running, res.mean_path,
+                                      res.cov_path, res.per_particle_cost)]
+
+    assert results(padded) == results(law)
+    sol = solve_riccati(model, 100)
+    assert not optimal_gains(model, sol, stage_times(sol.grid))[0, ..., -1].any()
 
 
 def test_breakdown_carries_earliest_queried_time():
@@ -125,7 +156,7 @@ def test_one_eigh_per_stage(monkeypatch):
     calls.clear()
     optimal_gains(model, sol, stage_times(np.linspace(0.0, 1.0, 17)))
     assert calls == [(2, 33, 2, 2)]
-    assert [a.shape for a in optimal_gains(model, sol, [])] == [(0, 2, 2), (0, 2, 2), (0, 2)]
+    assert optimal_gains(model, sol, []).shape == (2, 0, 2, 3)
 
 
 def test_solvers_make_no_pointwise_calls(monkeypatch):

@@ -82,25 +82,21 @@ def minimize_discrete(model, t, state, atoms, weights):
     return g0 + b @ a_star + 0.5 * a_star @ H @ a_star
 
 
-def hamiltonian_at(model, t, state, ms, gains=None):
-    """The law Hamiltonian at (t, state, ms) under the gains (K1, K2, k),
-    from _hamiltonian on the one-row model table at t; by default under the
-    gains _solved_aux synthesises at (t, state)."""
+def hamiltonian_at(model, t, state, ms, law=None):
+    """The law Hamiltonian at (t, state, ms) under the gain pair of ``law``
+    at t (its table's row), from _hamiltonian on the one-row model table at
+    t; by default under the gains _solved_aux synthesises at (t, state)."""
     c, P = model.table([t]), pair_of(state)
-    if gains is None:
-        K = -_solved_aux(c, 0, P)[2]
-    else:
-        K1, K2, k = gains
-        K = np.stack([np.hstack([K1, np.zeros((K1.shape[0], 1))]), np.column_stack([K2, k])])
+    K = -_solved_aux(c, 0, P)[2] if law is None else law.table([t])[:, 0]
     return float(_hamiltonian(c, P, K[:, None], ms)[0])
 
 
-def objective_gap_at(model, t, state, ms, gains=None):
+def objective_gap_at(model, t, state, ms, law=None):
     """H(K) - H(0): the part of the law Hamiltonian that the gains move,
     which is the inner objective of the discrete oracles above."""
     m, d = model.dims.m, model.dims.d
-    zero = (np.zeros((m, d)), np.zeros((m, d)), np.zeros(m))
-    return hamiltonian_at(model, t, state, ms, gains) - hamiltonian_at(model, t, state, ms, zero)
+    zero = AffineFeedback.constant(np.zeros((m, d)), np.zeros((m, d)), np.zeros(m))
+    return hamiltonian_at(model, t, state, ms, law) - hamiltonian_at(model, t, state, ms, zero)
 
 
 def f_hat_at(model, t, fb, ms):
@@ -222,8 +218,8 @@ def test_hamiltonian_minimum_matches_discrete_minimization():
         t = 0.37
         st = sol.at(t)
         direct_min = minimize_discrete(model, t, st, atoms, weights)
-        gains = optimal_feedback(model, sol).gains(t)
-        assert objective_gap_at(model, t, st, ms, gains) == pytest.approx(direct_min, abs=1e-10)
+        law = optimal_feedback(model, sol)
+        assert objective_gap_at(model, t, st, ms, law) == pytest.approx(direct_min, abs=1e-10)
 
 
 def test_hamiltonian_is_least_at_the_synthesised_gains():
@@ -235,8 +231,9 @@ def test_hamiltonian_is_least_at_the_synthesised_gains():
     for _ in range(20):
         ms = MomentState(rng.normal(size=1), [[rng.uniform(0.1, 4.0)]])
         floor = hamiltonian_at(model, t, st, ms)
-        gains = (rng.normal(size=(1, 1)), rng.normal(size=(1, 1)), rng.normal(size=1))
-        assert hamiltonian_at(model, t, st, ms, gains) >= floor - 1e-9
+        law = AffineFeedback.constant(rng.normal(size=(1, 1)), rng.normal(size=(1, 1)),
+                                      rng.normal(size=1))
+        assert hamiltonian_at(model, t, st, ms, law) >= floor - 1e-9
 
 
 def test_hamiltonian_of_the_minimizer_is_its_discrete_objective():
@@ -247,7 +244,7 @@ def test_hamiltonian_of_the_minimizer_is_its_discrete_objective():
     st = sol.at(t)
     ms = MomentState([1.2], [[0.9]])
     assert affine_objective_discrete(model, t, st, fb, ms) == pytest.approx(
-        objective_gap_at(model, t, st, ms, fb.gains(t)), abs=1e-12)
+        objective_gap_at(model, t, st, ms, fb), abs=1e-12)
 
 
 # --- optimal feedback ------------------------------------------------------------

@@ -9,8 +9,9 @@ workload, seed and run length (``run_seconds`` of BENCHMARK.json).
 Prints each pair's end-to-end metrics; then per metric each side's median
 and quartiles, the median ratio change/base, the number of pairs the
 change won (ties count for neither) and a verdict against the metric's
-``bound`` in BENCHMARK.json; and the output digests of both sides. The
-verdicts, in the order they are tested:
+``bound`` in BENCHMARK.json; the output digests of both sides, and one
+line saying whether they are identical. The verdicts, in the order they
+are tested:
 
 - gain: the change won at least nine tenths of the pairs and its median is
   better than the base median by more than the base quartile spread;
@@ -88,6 +89,15 @@ def verdict(pairs: list, direction: str, bound: float) -> str:
     return "worse" if -gap / scale > bound else "within bound"
 
 
+def digest_line(digests: dict) -> str:
+    """Whether the "base" and "change" sets of output digests are one and
+    the same digest, naming a side whose own runs gave more than one."""
+    mixed = [side for side in ("base", "change") if len(digests[side]) > 1]
+    same = not mixed and digests["base"] == digests["change"]
+    line = f"output_digest {'identical' if same else 'differs'}"
+    return line + "".join(f"; {side} runs gave {len(digests[side])} digests" for side in mixed)
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -131,6 +141,7 @@ def main() -> int:
               f"{verdict(pairs, direction, bounds[name])}")
     for side in ("base", "change"):
         print(f"output_digest {side}: {', '.join(sorted(digests[side]))}")
+    print(digest_line(digests))
     return 0
 
 
