@@ -18,7 +18,8 @@ columns z = [x; a] of the particle simulator's component-major (d+m, n)
 ensemble: one product with H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives
 B x + C a, D x + F a and the cost rows Y, with z'Y[:-1] + Y[-1] the running
 cost's part in z; its barred twin does the same at the means.
-``_law_pairs`` writes them for an affine law's moments. Models are immutable.
+``_law_pairs`` writes them for an affine law's moments, and ``_flow`` the
+rate of its moment pair ``_pair_of``. Models are immutable.
 
 ``lq_model`` is the single builder: the presets and the JSON documents go
 through it, and ``as_schedule`` is the one coercion of a raw coefficient.
@@ -330,6 +331,23 @@ def _law_pairs(c: dict, j, K: np.ndarray):
     MK = c["M2p"][:, j] @ K
     return (c["Bp"][:, j] + c["Cp"][:, j] @ K, c["Dp"][:, j] + c["Fp"][:, j] @ K,
             c["Q2p"][:, j] + MK + _tr(MK) + _tr(K) @ c["R2p"][:, j] @ K)
+
+
+def _pair_of(ms: "MomentState") -> np.ndarray:
+    """A law's moment pair S~ = (Cov padded with zeros, m~m~'), m~ = [mean; 1]:
+    its value and lifted costs are contractions <P~, S~> = sum P~ * S~."""
+    m = np.append(ms.mean, 1.0)
+    return np.stack((np.pad(ms.cov, (0, 1)), np.outer(m, m)))
+
+
+def _flow(A: np.ndarray, G: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The rate (A0 S0 + S0 A0' + G0 S0 G0' + G1 S1 G1', A1 S1 + S1 A1') of a
+    symmetric moment pair S~ under an affine law with _law_pairs A~, G~
+    (S A' is taken as (A S)'). Pair axes lead; other axes broadcast."""
+    AS, GSG = A @ S, G @ S @ _tr(G)
+    out = AS + _tr(AS)
+    out[0] += GSG[0] + GSG[1]
+    return out
 
 
 def _terminal_rows(cost: LqCost, X: np.ndarray, mx: np.ndarray) -> np.ndarray:

@@ -1,27 +1,28 @@
-"""Deterministic propagation of (mean, covariance) under affine feedback.
+"""Deterministic propagation of a law's moments under affine feedback.
 
 Drift and diffusion are affine in (x, a) and the feedback
 a = K1 (x - m) + K2 m + k is affine in (x, m), so the law's first two
-moments close exactly. With m~ = [m; 1] and the pairs (A~, G~, W~) of
-``model._law_pairs`` under the law's gain pair K~ = ([K1, 0], [K2, k]), its
-table as it is (AffineFeedback), over the coefficient pairs the Riccati
-solve reads, the flow is
+moments close exactly, as the moment pair S~ = (Cov padded with zeros,
+m~m~'), m~ = [m; 1] (``model._pair_of``), dual to the Riccati pair
+P~ = (Lam~, Gam~): the value is <P~, S~>. Under the pairs (A~, G~, W~) of
+``model._law_pairs`` at the law's gain pair K~ = ([K1, 0], [K2, k]), its
+table as it is (AffineFeedback), the flow (``model._flow``) is linear in S~:
 
-    m~'  = A~[1] m~                       (its last entry is 0)
-    Cov' = A Cov + Cov A' + G Cov G' + h h',    h = (G~[1] m~)[:d]
-    f    = tr(W Cov) + m~'W~[1] m~
+    S~' = (A0 S0 + S0 A0' + G0 S0 G0' + G1 S1 G1',  A1 S1 + S1 A1')
+    f   = <W~, S~>
 
-with A, G and W the d x d blocks of member 0: a particle's diffusion
-G (x - m) + h is an R^d vector on scalar noise. The running cost integral
-rides the same RK4 as an augmented component, which keeps the quadrature
-at integrator order. This module is the noise-free oracle for the value
-identity and the dynamic-programming split.
+with G1 S1 G1' = h h', h = (G1 m~)[:d] the mean's noise. Along it the law
+Hamiltonian d/dt <P~, S~> + f = <P~', S~> + <P~, S~'> + <W~, S~> is what
+value.bellman_residual reads. The running cost integral rides the same RK4
+as an augmented component, at integrator order. This module is the
+noise-free oracle for the value identity and the dynamic-programming split.
 
 Once the gains are fixed every coefficient depends on time alone, so
-propagate_moments tabulates the pairs (from one batched gain query) per
-block of RK4 stages (``LqModel.block_steps`` steps) and steps the flat
-state (m~, Cov, running cost) with the Riccati solve's RK4 core; the 1 of
-m~ has derivative 0 and stays 1.0.
+propagate_moments tabulates the pairs per block of RK4 stages
+(``LqModel.block_steps`` steps) and steps the flat state (S~, running cost),
+laid out like a RiccatiSolution row plus the cost, with the Riccati solve's
+RK4 core. The last rows of A~ and G~ are zero, so S1[d, d] stays 1.0, S0's
+padding stays 0, and the mean is S1[:d, d].
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovarianceInstabilityError, OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState, _law_pairs, check_count, clip_psd
+from .model import (AffineFeedback, LqModel, MomentState, _flow, _law_pairs, _pair_of,
+                    check_count, clip_psd)
 from .riccati import RiccatiSolution, _rk4
 from .value import g_hat, optimal_feedback
 from .value import value as value_at
@@ -61,35 +63,23 @@ class MomentTrajectory:
         return float(self.running[-1])
 
 
-def _moment_table(model: LqModel, fb: AffineFeedback, times) -> dict:
+def _moment_table(model: LqModel, fb: AffineFeedback, times) -> tuple:
     """The flow's coefficients under ``fb`` at ``times``, one row per stage:
-    the blocks of _law_pairs that the module docstring's system reads, A, G
-    and W (flattened) of member 0 and the mean members "Am" = A~[1],
-    "Gm" = G~[1][:d] and "Wm" = W~[1]."""
+    the pairs (A~, G~, W~) of _law_pairs, each of shape (2, rows, d+1, d+1)."""
     c = model.table(times)
     K = fb.table(c["t"])
     model.check_gains(K)
-    A, G, W = _law_pairs(c, ..., K)
-    return {"A": A[0, :, :-1, :-1], "G": G[0, :, :-1, :-1],
-            "W": W[0, :, :-1, :-1].reshape(W.shape[1], -1),
-            "Am": A[1], "Gm": G[1, :, :-1], "Wm": W[1]}
+    return _law_pairs(c, ..., K)
 
 
-def _running(c: dict, j: int, m: np.ndarray, S: np.ndarray) -> float:
-    """Lifted running cost at moment-table row j, m = m~ and S symmetric."""
-    return c["W"][j] @ S.ravel() + m @ c["Wm"][j] @ m
-
-
-def _moment_rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
-    """Derivative of the flat state (m~, Cov, running cost) at row j."""
-    n = c["Am"].shape[-1]
-    m, S = y[:n], y[n:-1].reshape(n - 1, n - 1)
-    AS, G = c["A"][j] @ S, c["G"][j]
-    h = c["Gm"][j] @ m
+def _moment_rhs(c: tuple, j: int, y: np.ndarray) -> np.ndarray:
+    """Derivative of the flat state (S~, running cost) at row j: _flow and
+    <W~, S~>."""
+    A, G, W = c
+    n = A.shape[-1]
     out = np.empty_like(y)
-    out[:n] = c["Am"][j] @ m
-    out[n:-1] = (AS + AS.T + G @ S @ G.T + h[:, None] * h).ravel()
-    out[-1] = _running(c, j, m, S)
+    out[:-1] = _flow(A[:, j], G[:, j], y[:-1].reshape(2, n, n)).ravel()
+    out[-1] = W[:, j].ravel() @ y[:-1]
     return out
 
 
@@ -117,8 +107,8 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     check_count("n_steps", n_steps, 1)
     d = model.dims.d
     grid = np.linspace(t0, T, n_steps + 1)
-    states = np.empty((n_steps + 1, d + 1 + d * d + 1))
-    states[0] = np.concatenate((ms0.mean, [1.0], ms0.cov.ravel(), [0.0]))
+    states = np.empty((n_steps + 1, 2 * (d + 1) ** 2 + 1))
+    states[0] = np.append(_pair_of(ms0), 0.0)
     clips = 0
 
     def settle(k, y):
@@ -126,7 +116,7 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
         if not np.isfinite(y).all():
             raise CovarianceInstabilityError(
                 f"non-finite moment state at t={grid[k]:.6g}", time=float(grid[k]))
-        S = y[d + 1:-1].reshape(d, d)
+        S = y[:(d + 1) ** 2].reshape(d + 1, d + 1)[:d, :d]
         S[...], lo = clip_psd(S)
         if lo < INSTABILITY_FLOOR:
             raise CovarianceInstabilityError(
@@ -143,8 +133,8 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
                             lambda ts: _moment_table(model, fb, ts),
                             _moment_rhs, settle, model.block_steps):
             states[k] = y
-    return MomentTrajectory(grid=grid, means=states[:, :d],
-                            covs=states[:, d + 1:-1].reshape(-1, d, d),
+    S = states[:, :-1].reshape(-1, 2, d + 1, d + 1)
+    return MomentTrajectory(grid=grid, means=S[:, 1, :d, d], covs=S[:, 0, :d, :d],
                             running=states[:, -1], clip_count=clips)
 
 

@@ -142,7 +142,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
         block = times[j0:min(j0 + steps, K)]
         c = model.table(block)
         H = _row_factors(c)
-        G = fb.table(block)
+        G = np.ascontiguousarray(fb.table(block))  # no product depends on the table's layout
         model.check_gains(G)
         for r, j in enumerate(range(j0, j0 + block.size)):
             np.matmul(G[0, r], W, out=A)

@@ -1,18 +1,17 @@
 """Value-function ansatz, lifted costs, feedback synthesis, and the
 Bellman residual check.
 
-Measures enter only through (mean, covariance): for a law with those
-moments, Var(mu)(M) = tr(M Cov), so the value tr(Lam Cov) + m~'Gam~ m~,
-m~ = [mean; 1], and the terminal cost are lifted contractions (_lifted) of
-(Lam~, Gam~) pairs. The Bellman residual is the verification theorem in
-moment form: the law Hamiltonian (the value's rate of change along an
-affine law's moment flow plus its running cost, one pair expression over
-model._law_pairs) must vanish at the synthesised gains, which must be
-stationary for it. That is policy evaluation plus stationarity. It does not
-use the solve's right-hand side or minimum, but it reads the solve's
-LqModel.table pairs, so an error in those is invisible to it; the moment
-flow's test against the particle state equation and the Riccati test of
-the written equations catch one.
+Measures enter only through (mean, covariance), Var(mu)(M) = tr(M Cov), so
+the value and the terminal cost are contractions <P~, S~> of (Lam~, Gam~)
+pairs with the law's moment pair S~ = (Cov padded, m~m~') (model._pair_of).
+The Bellman residual is the verification theorem in moment form: along an
+affine law's moment flow S~' (model._flow, which the moments module
+integrates) the law Hamiltonian H = d/dt <P~, S~> + f must vanish at the
+synthesised gains, which must be stationary for it. That is policy
+evaluation plus stationarity. It does not use the solve's right-hand side
+or minimum, but it reads the solve's LqModel.table pairs, so an error in
+those is invisible to it; the moment flow's test against the particle state
+equation and the Riccati test of the written equations catch one.
 """
 
 from __future__ import annotations
@@ -20,27 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState, _law_pairs, _tr
+from .model import AffineFeedback, LqModel, MomentState, _flow, _law_pairs, _pair_of
 from .riccati import RiccatiSolution, _pack, _solved_aux, terminal_state
-
-
-def _lifted(P: np.ndarray, ms: MomentState) -> np.ndarray:
-    """tr(P0[:d, :d] Cov) + m~'P1 m~, m~ = [mean; 1], of the pairs P = (P0, P1)
-    stacked on the first axis; other leading axes are kept."""
-    m = np.append(ms.mean, 1.0)
-    return (P[0, ..., :-1, :-1] * ms.cov).sum(axis=(-2, -1)) + P[1] @ m @ m
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
     """tr(Lam(t) Cov) + mean'Gam(t) mean + gam(t).mean + chi(t)."""
     sol.model.check_law(ms)
-    return float(_lifted(sol._rows([t])[0].reshape(2, ms.d + 1, -1), ms))
+    return float(sol._rows([t])[0] @ _pair_of(ms).ravel())
 
 
 def g_hat(model: LqModel, ms: MomentState) -> float:
     """Lifted terminal cost tr(P2 Cov) + mean'(P2+P2bar) mean + (p1+p1bar).mean."""
     model.check_law(ms)
-    return float(_lifted(_pack(terminal_state(model)).reshape(2, ms.d + 1, -1), ms))
+    return float(_pack(terminal_state(model)) @ _pair_of(ms).ravel())
 
 
 def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
@@ -75,20 +67,14 @@ def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
     return AffineFeedback(table=lambda times: optimal_gains(model, sol, times))
 
 
-def _hamiltonian(c: dict, P: np.ndarray, K: np.ndarray, ms: MomentState) -> np.ndarray:
-    """The law Hamiltonian less its time derivatives at P = (Lam~, Gam~), for
-    gain pairs K stacked on axis 1: _lifted(W~ + P A~ + A~'P + G~'Lam~ G~)."""
-    A, G, W = _law_pairs(c, ..., K)
-    P = P[:, None]
-    return _lifted(W + P @ A + _tr(A) @ P + _tr(G) @ P[0] @ G, ms)
-
-
 def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
                      ms: MomentState) -> float:
     """The verification theorem's residual at (t, ms); 0 for the exact
-    solution. With H(K~) = tr(dLam Cov) + m~'dGam~ m~ + _hamiltonian(K~) at
-    the solution's pair at t, K~* = -W from _solved_aux there (all that is
-    read from the solve) and e ones on K1 and k, it is
+    solution. With H(K~) = <dP~, S~> + <P~, S~'> + <W~, S~> at the
+    solution's pair P~ at t, the law's moment pair S~ and, under gains K~,
+    the flow S~' and cost W~ of _flow and _law_pairs, K~* = -W from
+    _solved_aux there (all that is read from the solve) and e ones on K1 and
+    k, it is
 
         max(|H(K~*)|, |H(K~*+e) - H(K~*-e)| / (2 (H(K~*+e) + H(K~*-e) - 2 H(K~*))))
 
@@ -124,7 +110,9 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     K = -_solved_aux(c, 0, P)[2]
     e = np.zeros_like(K)
     e[0, :, :-1] = e[1, :, -1] = 1.0
-    h0, hp, hm = _lifted(dP, ms) + _hamiltonian(c, P, np.stack((K, K + e, K - e), 1), ms)
+    A, G, W = _law_pairs(c, ..., np.stack((K, K + e, K - e), 1))
+    S = _pair_of(ms)[:, None]
+    h0, hp, hm = (P[:, None] * _flow(A, G, S) + (dP[:, None] + W) * S).sum(axis=(0, 2, 3))
     curvature = hp + hm - 2.0 * h0
     if not curvature > 0.0:
         return float("inf")

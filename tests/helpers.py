@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 
 from mflq import lq_model
-from mflq.model import _row_factors, _row_terms, _terminal_rows
+from mflq.model import _flow, _row_factors, _row_terms, _terminal_rows
 from mflq.riccati import _pack, _solved_aux
 from mflq.schedules import Schedule
 
@@ -35,6 +35,12 @@ def pair_of(state):
     """The augmented pair (Lam~, Gam~) of a RiccatiState, shape (2, d+1, d+1)."""
     d = state.gam.size
     return _pack(state).reshape(2, d + 1, d + 1)
+
+
+def flow_without_mean_noise(A, G, S):
+    """A mutant of model._flow that drops G1 S1 G1', the noise of the mean
+    feeding the covariance."""
+    return _flow(A, np.stack((G[0], np.zeros_like(G[1]))), S)
 
 
 def row_at(model, t, x, a, mx, ma):

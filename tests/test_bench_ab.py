@@ -1,6 +1,9 @@
-"""The per-metric verdict and the digest line of tools/bench_ab.py."""
+"""The per-metric verdict, the digest line and the base checkout of
+tools/bench_ab.py."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,14 @@ def test_verdict(pairs, direction, bound, expected):
 ])
 def test_digest_line(base, change, expected):
     assert bench_ab.digest_line({"base": base, "change": change}) == expected
+
+
+def test_unknown_base_revision_exits_with_gits_message():
+    """An unknown --base exits non-zero with git's message, not a traceback,
+    before any benchmark runs."""
+    proc = subprocess.run([sys.executable, str(_path), "--workload", "sweep", "--seed", "11",
+                           "--base", "no-such-revision", "--pairs", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("git archive no-such-revision failed: ")
+    assert "fatal:" in proc.stderr and "Traceback" not in proc.stderr

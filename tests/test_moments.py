@@ -8,10 +8,10 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   propagate_moments, solve_riccati, systemic_model, value)
 import mflq.moments
 from mflq.errors import CovarianceInstabilityError, OutOfDomainError
-from mflq.model import LqModel, _row_factors, _row_terms
+from mflq.model import LqModel, _pair_of, _row_factors, _row_terms
 from mflq.moments import _moment_rhs, _moment_table
 
-from helpers import random_standard_model
+from helpers import flow_without_mean_noise, random_standard_model
 
 
 def zero_fb(d=1, m=1):
@@ -20,12 +20,12 @@ def zero_fb(d=1, m=1):
 
 def moment_rhs_at(model, fb, t, ms):
     """(m', Cov') at (t, ms), from _moment_rhs on the one-row moment table
-    at t."""
+    at t, read from the rate of the moment pair S~ = _pair_of(ms)."""
     d = model.dims.d
-    f = _moment_rhs(_moment_table(model, fb, [t]), 0,
-                    np.concatenate((ms.mean, [1.0], ms.cov.ravel(), [0.0])))
-    assert f[d] == 0.0
-    return f[:d], f[d + 1:-1].reshape(d, d)
+    f = _moment_rhs(_moment_table(model, fb, [t]), 0, np.append(_pair_of(ms), 0.0))
+    dS = f[:-1].reshape(2, d + 1, d + 1)
+    assert dS[1, d, d] == 0.0
+    return dS[1, :d, d], dS[0, :d, :d]
 
 
 # --- right-hand side ----------------------------------------------------------
@@ -48,12 +48,12 @@ def test_rhs_systemic_mean_frozen():
 
 def rhs_gap_to_particles(model, fb, t, atoms, weights):
     """Largest gap, relative to the largest expected entry or 1, between
-    _moment_rhs at the moments of the discrete measure (atoms (d, n),
+    _moment_rhs at the moment pair S~ of the discrete measure (atoms (d, n),
     weights) and the weighted sums of the particle state equation
     _row_terms, which reads the raw coefficients:
-    m' = sum w b, Cov' = sum w [(x - m) b' + b (x - m)' + s s'] and
-    f = sum w f_i."""
-    d = model.dims.d
+    m' = sum w b, Cov' = sum w [(x - m) b' + b (x - m)' + s s'],
+    (m~m~')' = m~'m~' + m~m~'' with m~' = [m'; 0], and f = sum w f_i; S~'s
+    padding and last entry must have rate 0."""
     mean = atoms @ weights
     dev = atoms - mean[:, None]
     K1, K2, k = fb.gains(t)
@@ -63,18 +63,19 @@ def rhs_gap_to_particles(model, fb, t, atoms, weights):
     b, s, f = _row_terms(c, _row_factors(c), 0, np.vstack([atoms, controls]),
                          np.concatenate([mean, abar]))
     wdev = dev * weights
-    expect = np.concatenate([b @ weights, (wdev @ b.T + b @ wdev.T + (s * weights) @ s.T).ravel(),
-                             [f @ weights]])
-    y = np.concatenate((mean, [1.0], (wdev @ dev.T).ravel(), [0.0]))
+    m, dm = np.append(mean, 1.0), np.append(b @ weights, 0.0)
+    dcov = wdev @ b.T + b @ wdev.T + (s * weights) @ s.T
+    expect = np.append([np.pad(dcov, (0, 1)), np.outer(dm, m) + np.outer(m, dm)], f @ weights)
+    y = np.append(_pair_of(MomentState(mean, wdev @ dev.T)), 0.0)
     got = _moment_rhs(_moment_table(model, fb, [t]), 0, y)
-    assert got[d] == 0.0
-    return np.abs(np.delete(got, d) - expect).max() / max(1.0, np.abs(expect).max())
+    return np.abs(got - expect).max() / max(1.0, np.abs(expect).max())
 
 
 def test_rhs_is_the_particle_state_equation_on_a_discrete_measure(monkeypatch):
     """The flow reads LqModel.table's pairs, whose padding (b0, sigma0, q/2,
     r/2) the solve reads too; the particle state equation reads the raw
-    coefficients, so it checks the pairs independently of the solve."""
+    coefficients, so it checks the pairs independently of the solve, and
+    the flow _flow that the Bellman residual reads too."""
     rng = np.random.default_rng(4)
     model = random_standard_model(rng, 3, 2, cross=0.3)
     c = model.table([0.0])
@@ -87,6 +88,9 @@ def test_rhs_is_the_particle_state_equation_on_a_discrete_measure(monkeypatch):
                                      rng.standard_normal(2))
         cases.append((fb, t, rng.standard_normal((3, 6)) * 2.0, rng.dirichlet(np.ones(6))))
     assert max(rhs_gap_to_particles(model, *case) for case in cases) <= 1e-12
+    with monkeypatch.context() as patch:
+        patch.setattr(mflq.moments, "_flow", flow_without_mean_noise)
+        assert min(rhs_gap_to_particles(model, *case) for case in cases) > 1e-3
     table = LqModel.table
 
     def without_b0(self, times):
@@ -99,20 +103,29 @@ def test_rhs_is_the_particle_state_equation_on_a_discrete_measure(monkeypatch):
 
 
 def test_the_constant_of_the_mean_stays_one(monkeypatch):
+    """At every _moment_rhs call S1[d, d] is 1.0 with rate 0 and the padding
+    of S0 is 0, all exactly; the trajectory's means are S1[:d, d] of the grid
+    states, which are the states of every fourth call."""
     model = random_standard_model(np.random.default_rng(5), 3, 2, cross=0.3)
     fb = optimal_feedback(model, solve_riccati(model, 200))
     seen = []
 
     def recorded(c, j, y):
         out = _moment_rhs(c, j, y)
-        seen.append((y[3], out[3]))
+        seen.append((y[:-1].reshape(2, 4, 4).copy(), out[:-1].reshape(2, 4, 4)))
         return out
 
     monkeypatch.setattr(mflq.moments, "_moment_rhs", recorded)
     ms = MomentState([1.0, -2.0, 0.5], np.diag([0.5, 1.0, 2.0]))
-    propagate_moments(model, fb, 0.0, ms, 300)
+    traj = propagate_moments(model, fb, 0.0, ms, 300)
     assert len(seen) == 4 * 300 + 1
-    assert all(one == 1.0 and rate == 0.0 for one, rate in seen)
+    for S, dS in seen:
+        assert S[1, 3, 3] == 1.0 and dS[1, 3, 3] == 0.0
+        for pad in (S[0, 3], S[0, :, 3], dS[0, 3], dS[0, :, 3]):
+            assert not pad.any()
+    grid_states = np.array([S for S, _ in seen[::4]])
+    assert traj.means.tobytes() == grid_states[:, 1, :3, 3].tobytes()
+    assert traj.covs.tobytes() == grid_states[:, 0, :3, :3].tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [2.5, True, 0])
@@ -196,8 +209,10 @@ def test_instability_error_on_stiff_coarse_grid():
 
 
 def test_non_finite_flow_raises():
-    # the covariance overflows to inf at the last of the 10 steps
-    model = lq_model(d=1, m=1, horizon=1.0, B=2e5, D=30.0, Q2=1.0, R2=1.0)
+    # the moment pair overflows to inf at the last of the 10 steps (a step
+    # earlier for B >= 4e9, never for B <= 5e8): an RK4 step multiplies S~
+    # by about (2 B h)^4 / 24
+    model = lq_model(d=1, m=1, horizon=1.0, B=1.5e9, D=30.0, Q2=1.0, R2=1.0)
     ms = MomentState([1.0], [[1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CovarianceInstabilityError, match="non-finite") as info:

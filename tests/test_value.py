@@ -10,13 +10,13 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   mean_variance_model, optimal_feedback, solve_riccati,
                   systemic_model, value)
 from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
-from mflq.model import _sample_moments
-from mflq.moments import _moment_table, _running, cost_from_moments, dpp_check
+from mflq.model import _flow, _law_pairs, _pair_of, _sample_moments
+from mflq.moments import _moment_rhs, _moment_table, cost_from_moments, dpp_check
 from mflq.riccati import RiccatiState, _solved_aux
 from mflq.schedules import Schedule
-from mflq.value import _hamiltonian
 
-from helpers import aux_at, pair_of, random_standard_model, row_at, tabulated_model
+from helpers import (aux_at, flow_without_mean_noise, pair_of, random_standard_model, row_at,
+                     tabulated_model)
 
 
 # --- discrete-measure oracles (independent of the moment formulas) ----------
@@ -83,12 +83,15 @@ def minimize_discrete(model, t, state, atoms, weights):
 
 
 def hamiltonian_at(model, t, state, ms, law=None):
-    """The law Hamiltonian at (t, state, ms) under the gain pair of ``law``
-    at t (its table's row), from _hamiltonian on the one-row model table at
-    t; by default under the gains _solved_aux synthesises at (t, state)."""
-    c, P = model.table([t]), pair_of(state)
+    """The law Hamiltonian less its time derivatives, <P~, S~'> + <W~, S~>,
+    at (t, state, ms) under the gain pair of ``law`` at t (its table's row),
+    from _law_pairs and _flow on the one-row model table at t, S~ from
+    _pair_of; by default under the gains _solved_aux synthesises at
+    (t, state)."""
+    c, P, S = model.table([t]), pair_of(state), _pair_of(ms)
     K = -_solved_aux(c, 0, P)[2] if law is None else law.table([t])[:, 0]
-    return float(_hamiltonian(c, P, K[:, None], ms)[0])
+    A, G, W = _law_pairs(c, 0, K)
+    return float((P * _flow(A, G, S) + W * S).sum())
 
 
 def objective_gap_at(model, t, state, ms, law=None):
@@ -100,9 +103,10 @@ def objective_gap_at(model, t, state, ms, law=None):
 
 
 def f_hat_at(model, t, fb, ms):
-    """Lifted running cost of the affine law fb at (t, ms), from _running on
-    the one-row moment table at t."""
-    return _running(_moment_table(model, fb, [t]), 0, np.append(ms.mean, 1.0), ms.cov)
+    """Lifted running cost <W~, S~> of the affine law fb at (t, ms): the
+    last entry of _moment_rhs on the one-row moment table at t, at the
+    moment pair S~ = _pair_of(ms)."""
+    return _moment_rhs(_moment_table(model, fb, [t]), 0, np.append(_pair_of(ms), 0.0))[-1]
 
 
 def population_moments(atoms, weights):
@@ -471,18 +475,28 @@ def _without_noise_gains(model):
         model.dynamics, D=zero_dd, Dbar=zero_dd, F=zero_dm, Fbar=zero_dm))
 
 
-@pytest.mark.parametrize("edit", [_drop_m2bar, _drop_cbar, _drop_r2bar, _zero_r1_row, None],
-                         ids=["M2bar-from-Z", "Cbar-from-C", "R2bar-from-V", "r1-row-of-M",
-                              "W-zero"])
-def test_bellman_residual_sees_solved_aux_mutants(monkeypatch, edit):
+# name -> (the private function of mflq.riccati and mflq.value it replaces,
+# the mutant); the solve and the check each read the module's own binding
+MUTANTS = {"M2bar-from-Z": ("_solved_aux", _aux_mutant(_drop_m2bar)),
+           "Cbar-from-C": ("_solved_aux", _aux_mutant(_drop_cbar)),
+           "R2bar-from-V": ("_solved_aux", _aux_mutant(_drop_r2bar)),
+           "r1-row-of-M": ("_solved_aux", _aux_mutant(_zero_r1_row)),
+           "W-zero": ("_solved_aux", _aux_mutant(None)),
+           "flow-without-mean-noise": ("_flow", flow_without_mean_noise)}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_bellman_residual_sees_solved_aux_mutants(monkeypatch, name):
     """A mutant of the solve's factorization moves the solution and the
     gains; the law Hamiltonian reads the model's own coefficient pairs, so
     the residual must fail it. Before the check read the law Hamiltonian it
     minimised through the same factorization, and every mutant here passed
-    at <= 2e-9."""
+    at <= 2e-9. The flow mutant leaves the solve as it is and drops the
+    mean's noise from the moment flow that the law Hamiltonian reads."""
+    attr, mutant = MUTANTS[name]
     model = random_standard_model(np.random.default_rng(3), 3, 2, cross=0.3)
     models = [model, _without_noise_gains(model)]
-    if edit in (_drop_m2bar, None):
+    if name in ("M2bar-from-Z", "W-zero", "flow-without-mean-noise"):
         models.append(systemic_model(SystemicParams()))
     rng = np.random.default_rng(1)
     laws = _random_laws(rng, 3, 3)
@@ -494,8 +508,9 @@ def test_bellman_residual_sees_solved_aux_mutants(monkeypatch, edit):
         assert max(bellman_residual(model, clean, t, ms)
                    for t in (0.3, 0.7) for ms in states) <= BELLMAN_TOL
         with monkeypatch.context() as patch:
-            patch.setattr(mflq.riccati, "_solved_aux", _aux_mutant(edit))
-            patch.setattr(value_module, "_solved_aux", _aux_mutant(edit))
+            for module in (mflq.riccati, value_module):
+                if hasattr(module, attr):
+                    patch.setattr(module, attr, mutant)
             sol = solve_riccati(model, 1000)
             assert min(bellman_residual(model, sol, t, ms)
                        for t in (0.3, 0.7) for ms in states) > BELLMAN_TOL

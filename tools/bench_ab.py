@@ -40,12 +40,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def extract(rev: str, dest: str) -> None:
-    """Write the tree of ``rev`` into ``dest``."""
-    tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
-                         check=True, capture_output=True).stdout
+    """Write the tree of ``rev`` into ``dest``; exit with git's message if
+    git cannot archive it."""
+    proc = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                          capture_output=True)
+    if proc.returncode != 0:
+        sys.exit(f"git archive {rev} failed: {proc.stderr.decode(errors='replace').strip()}")
     # the "data" filter (Python >= 3.11.4) refuses links and paths outside dest
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
-    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as fh:
         fh.extractall(dest, **safe)
 
 
