@@ -19,7 +19,7 @@ ensemble: one product with H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives
 B x + C a, D x + F a and the cost rows Y, with z'Y[:-1] + Y[-1] the running
 cost's part in z; its barred twin does the same at the means.
 ``_law_pairs`` writes them for an affine law's moments, and ``_flow`` the
-rate of its moment pair ``_pair_of``. Models are immutable.
+generator of the flow of its moment pair ``_pair_of``. Models are immutable.
 
 ``lq_model`` is the single builder: the presets and the JSON documents go
 through it, and ``as_schedule`` is the one coercion of a raw coefficient.
@@ -340,14 +340,21 @@ def _pair_of(ms: "MomentState") -> np.ndarray:
     return np.stack((np.pad(ms.cov, (0, 1)), np.outer(m, m)))
 
 
-def _flow(A: np.ndarray, G: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The rate (A0 S0 + S0 A0' + G0 S0 G0' + G1 S1 G1', A1 S1 + S1 A1') of a
-    symmetric moment pair S~ under an affine law with _law_pairs A~, G~
-    (S A' is taken as (A S)'). Pair axes lead; other axes broadcast."""
-    AS, GSG = A @ S, G @ S @ _tr(G)
-    out = AS + _tr(AS)
-    out[0] += GSG[0] + GSG[1]
-    return out
+def _flow(A: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The generator L, y' = L y, of an affine law's flat moment state
+    y = (S~, running cost) under its _law_pairs A~, G~, W~ (pair axes lead, the
+    others lead L) in Kronecker form: vec(X S Y') = (X (x) Y) vec S row-major."""
+    n = A.shape[-1]
+    nn, eye, shape = n * n, np.eye(n), A.shape[:-2] + (n * n, n * n)
+    AI = (A[..., :, None, :, None] * eye[:, None, :]
+          + eye[:, None, :, None] * A[..., None, :, None, :]).reshape(shape)
+    GG = (G[..., :, None, :, None] * G[..., None, :, None, :]).reshape(shape)
+    L = np.zeros(A.shape[1:-2] + (2 * nn + 1,) * 2)
+    L[..., :nn, :nn] = AI[0] + GG[0]
+    L[..., :nn, nn:-1] = GG[1]
+    L[..., nn:-1, nn:-1] = AI[1]
+    L[..., -1, :-1] = np.moveaxis(W, 0, -3).reshape(L.shape[:-2] + (2 * nn,))
+    return L
 
 
 def _terminal_rows(cost: LqCost, X: np.ndarray, mx: np.ndarray) -> np.ndarray:

@@ -6,23 +6,23 @@ moments close exactly, as the moment pair S~ = (Cov padded with zeros,
 m~m~'), m~ = [m; 1] (``model._pair_of``), dual to the Riccati pair
 P~ = (Lam~, Gam~): the value is <P~, S~>. Under the pairs (A~, G~, W~) of
 ``model._law_pairs`` at the law's gain pair K~ = ([K1, 0], [K2, k]), its
-table as it is (AffineFeedback), the flow (``model._flow``) is linear in S~:
+table as it is (AffineFeedback), the flow is linear in S~:
 
     S~' = (A0 S0 + S0 A0' + G0 S0 G0' + G1 S1 G1',  A1 S1 + S1 A1')
     f   = <W~, S~>
 
-with G1 S1 G1' = h h', h = (G1 m~)[:d] the mean's noise. Along it the law
-Hamiltonian d/dt <P~, S~> + f = <P~', S~> + <P~, S~'> + <W~, S~> is what
-value.bellman_residual reads. The running cost integral rides the same RK4
-as an augmented component, at integrator order. This module is the
-noise-free oracle for the value identity and the dynamic-programming split.
+with G1 S1 G1' = h h', h = (G1 m~)[:d] the mean's noise. So the flat state
+y = (S~, running cost), laid out like a RiccatiSolution row plus the cost,
+follows y' = L(t) y, L the generator of ``model._flow``; the law Hamiltonian
+of value.bellman_residual contracts it. This module is the noise-free oracle
+for the value identity and the dynamic-programming split.
 
-Once the gains are fixed every coefficient depends on time alone, so
-propagate_moments tabulates the pairs per block of RK4 stages
-(``LqModel.block_steps`` steps) and steps the flat state (S~, running cost),
-laid out like a RiccatiSolution row plus the cost, with the Riccati solve's
-RK4 core. The last rows of A~ and G~ are zero, so S1[d, d] stays 1.0, S0's
-padding stays 0, and the mean is S1[:d, d].
+propagate_moments tabulates L per block of ``LqModel.block_steps`` steps,
+builds the block's step matrices Phi_k at once (the Riccati solve's RK4 step
+on a stacked identity) and advances y_{k+1} = Phi_k y_k. A batched isfinite
+and eigvalsh finds the first new state not finite or not PSD; only there is
+it projected (clip_psd) and the recurrence restarted, as projecting every
+step would. Phi_k keeps S1[d, d] at 1.0 and S0's padding at 0.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CovarianceInstabilityError, OutOfDomainError
 from .model import (AffineFeedback, LqModel, MomentState, _flow, _law_pairs, _pair_of,
                     check_count, clip_psd)
-from .riccati import RiccatiSolution, _rk4
+from .riccati import RiccatiSolution, _rk4_step, _stages
 from .value import g_hat, optimal_feedback
 from .value import value as value_at
 
@@ -63,24 +63,31 @@ class MomentTrajectory:
         return float(self.running[-1])
 
 
-def _moment_table(model: LqModel, fb: AffineFeedback, times) -> tuple:
-    """The flow's coefficients under ``fb`` at ``times``, one row per stage:
-    the pairs (A~, G~, W~) of _law_pairs, each of shape (2, rows, d+1, d+1)."""
+def _moment_table(model: LqModel, fb: AffineFeedback, times) -> np.ndarray:
+    """The flow's generators L (_flow) under ``fb``, one per time in ``times``."""
     c = model.table(times)
     K = fb.table(c["t"])
     model.check_gains(K)
-    return _law_pairs(c, ..., K)
+    return _flow(*_law_pairs(c, ..., K))
 
 
-def _moment_rhs(c: tuple, j: int, y: np.ndarray) -> np.ndarray:
-    """Derivative of the flat state (S~, running cost) at row j: _flow and
-    <W~, S~>."""
-    A, G, W = c
-    n = A.shape[-1]
-    out = np.empty_like(y)
-    out[:-1] = _flow(A[:, j], G[:, j], y[:-1].reshape(2, n, n)).ravel()
-    out[-1] = W[:, j].ravel() @ y[:-1]
-    return out
+def _settle(ys: np.ndarray, times: np.ndarray, d: int) -> tuple[int, bool]:
+    """(i, clipped): i indexes the first flat state of ``ys`` (at ``times``)
+    not finite or not PSD, or is len(ys); that covariance is projected in
+    place (clip_psd), clipped if an eigenvalue below CLIP_FLOOR was."""
+    n = int(np.isfinite(ys).all(axis=1).cumprod().sum())
+    covs = ys[:, :(d + 1) ** 2].reshape(-1, d + 1, d + 1)[:, :d, :d]
+    i = int(np.append(np.linalg.eigvalsh(covs[:n])[:, 0] < 0.0, True).argmax())
+    if i == len(ys):
+        return i, False
+    t = float(times[i])
+    if i == n:
+        raise CovarianceInstabilityError(f"non-finite moment state at t={t:.6g}", time=t)
+    covs[i], lo = clip_psd(covs[i])
+    if lo < INSTABILITY_FLOOR:
+        raise CovarianceInstabilityError(
+            f"covariance eigenvalue {lo:.3e} at t={t:.6g}", time=t, eigenvalue=lo)
+    return i, lo < CLIP_FLOOR
 
 
 def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
@@ -89,14 +96,12 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     """RK4 integration of the moment system on [t0, t_end] (default T),
     accumulating the running cost as an augmented state component.
 
-    The gains and every affine moment coefficient are tabulated once per
-    block of model.block_steps steps (282 at d = 1). The covariance is
-    re-symmetrized every step and eigenvalue-clipped at -1e-9; clipping
-    beyond -1e-6, or a non-finite mean, covariance or running cost, raises
-    CovarianceInstabilityError at that step's time. A block's table is
-    built before its steps run, so a RiccatiBreakdownError of the gains
-    anywhere in a block is raised ahead of an instability at an earlier
-    step of that block; an instability in an earlier block raises first.
+    The gains and the step matrices are built once per block of
+    model.block_steps steps (282 at d = 1); no result depends on the block
+    length. A covariance with a negative eigenvalue is symmetrized and
+    clipped, counted as a clip below -1e-9; clipping beyond -1e-6, or a
+    non-finite state, raises CovarianceInstabilityError at that step's time
+    unless the gains break down anywhere in its block, which raises first.
     """
     model.check_law(ms0)
     model.check_time(t0)
@@ -110,29 +115,17 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     states = np.empty((n_steps + 1, 2 * (d + 1) ** 2 + 1))
     states[0] = np.append(_pair_of(ms0), 0.0)
     clips = 0
-
-    def settle(k, y):
-        nonlocal clips
-        if not np.isfinite(y).all():
-            raise CovarianceInstabilityError(
-                f"non-finite moment state at t={grid[k]:.6g}", time=float(grid[k]))
-        S = y[:(d + 1) ** 2].reshape(d + 1, d + 1)[:d, :d]
-        S[...], lo = clip_psd(S)
-        if lo < INSTABILITY_FLOOR:
-            raise CovarianceInstabilityError(
-                f"covariance eigenvalue {lo:.3e} at t={grid[k]:.6g}",
-                time=float(grid[k]), eigenvalue=lo)
-        if lo < CLIP_FLOOR:
-            clips += 1
-        return y
-
     if T == t0:
         grid, states = grid[:1], states[:1]
-    else:
-        for k, y, _ in _rk4(grid, (T - t0) / n_steps, states[0],
-                            lambda ts: _moment_table(model, fb, ts),
-                            _moment_rhs, settle, model.block_steps):
-            states[k] = y
+    for k0, k1, L in _stages(grid, model.block_steps, lambda ts: _moment_table(model, fb, ts)):
+        steps = _rk4_step(lambda L, j, Y: L[j] @ Y, L, np.s_[1::2], np.s_[2::2],
+                          np.eye(L.shape[-1]), L[:-1:2], (T - t0) / n_steps)
+        k = k0
+        while k < k1:
+            for P, y, out in zip(steps[k - k0:], states[k:k1], states[k + 1:k1 + 1]):
+                np.dot(P, y, out=out)
+            i, clipped = _settle(states[k + 1:k1 + 1], grid[k + 1:k1 + 1], d)
+            k, clips = k + 1 + i, clips + clipped
     S = states[:, :-1].reshape(-1, 2, d + 1, d + 1)
     return MomentTrajectory(grid=grid, means=S[:, 1, :d, d], covs=S[:, 0, :d, :d],
                             running=states[:, -1], clip_count=clips)

@@ -87,36 +87,42 @@ def terminal_state(model: LqModel) -> RiccatiState:
                         gam=c.p1 + c.p1bar, chi=0.0)
 
 
-def _rk4(times: np.ndarray, h: float, y: np.ndarray, table, rhs, settle, block: int):
-    """Classical fixed-step RK4 on a flat state through ``times``, given in
-    integration order with signed step ``h``.
-
-    Stages are addressed by row: ``table(stage_times)`` tabulates whatever
-    depends on time alone at the grid points and midpoints of one block of
-    ``block`` steps (the model's ``block_steps``), so table memory does not
-    grow with the step count, and ``rhs(tab, row, y)`` is the derivative at
-    a stage row. Every row depends on its own time alone, so the result does
-    not depend on ``block``. ``settle(k, y)`` checks or projects each new
-    grid state. Yields ``(k, y, f)`` for every grid index k, f being the
-    derivative at (times[k], y).
-    """
+def _stages(times: np.ndarray, block: int, table):
+    """Per block of ``block`` steps through ``times``, (k0, k1, table(stage times)): times[k0..k1]
+    interleaved with their midpoints, step k's rows 2(k-k0)-2..2(k-k0)."""
     n = times.size - 1
-    f = None
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         stage = np.empty(2 * (k1 - k0) + 1)
         stage[0::2] = times[k0:k1 + 1]
         stage[1::2] = 0.5 * (times[k0:k1] + times[k0 + 1:k1 + 1])
-        tab = table(stage)
+        yield k0, k1, table(stage)
+
+
+def _rk4_step(rhs, tab, mid, end, y, f, h: float):
+    """The RK4 step of signed length h from y with derivative f, the later
+    stages at table rows ``mid`` and ``end``: ints, or slices over a stack of
+    steps with a stacked identity for y, which gives the step matrices."""
+    a2 = rhs(tab, mid, y + 0.5 * h * f)
+    a3 = rhs(tab, mid, y + 0.5 * h * a2)
+    a4 = rhs(tab, end, y + h * a3)
+    return y + h / 6.0 * (f + 2.0 * a2 + 2.0 * a3 + a4)
+
+
+def _rk4(times: np.ndarray, h: float, y: np.ndarray, table, rhs, settle, block: int):
+    """Classical fixed-step RK4 (_rk4_step) through ``times`` (in integration
+    order, signed step ``h``): per block of _stages, ``table(stage_times)``
+    tabulates what depends on time alone, a row on its own time, so no result
+    depends on ``block``; ``rhs(tab, row, y)`` is the derivative at a row and
+    ``settle(k, y)`` checks each new state. Yields (k, y, f) per grid index."""
+    f = None
+    for k0, k1, tab in _stages(times, block, table):
         if f is None:
             f = rhs(tab, 0, y)
             yield 0, y, f
         for k in range(k0 + 1, k1 + 1):
             j = 2 * (k - k0)
-            a2 = rhs(tab, j - 1, y + 0.5 * h * f)
-            a3 = rhs(tab, j - 1, y + 0.5 * h * a2)
-            a4 = rhs(tab, j, y + h * a3)
-            y = settle(k, y + h / 6.0 * (f + 2.0 * a2 + 2.0 * a3 + a4))
+            y = settle(k, _rk4_step(rhs, tab, j - 1, j, y, f, h))
             f = rhs(tab, j, y)
             yield k, y, f
 

@@ -4,14 +4,14 @@ Bellman residual check.
 Measures enter only through (mean, covariance), Var(mu)(M) = tr(M Cov), so
 the value and the terminal cost are contractions <P~, S~> of (Lam~, Gam~)
 pairs with the law's moment pair S~ = (Cov padded, m~m~') (model._pair_of).
-The Bellman residual is the verification theorem in moment form: along an
-affine law's moment flow S~' (model._flow, which the moments module
-integrates) the law Hamiltonian H = d/dt <P~, S~> + f must vanish at the
-synthesised gains, which must be stationary for it. That is policy
-evaluation plus stationarity. It does not use the solve's right-hand side
-or minimum, but it reads the solve's LqModel.table pairs, so an error in
-those is invisible to it; the moment flow's test against the particle state
-equation and the Riccati test of the written equations catch one.
+The Bellman residual is the verification theorem in moment form: the law
+Hamiltonian H = d/dt <P~, S~> + f = <dP~, S~> + [vec P~, 1] L y, a
+contraction of the generator L of an affine law's moment flow y' = L y
+(model._flow), must vanish at the synthesised gains, which must be
+stationary for it: policy evaluation plus stationarity. It does not use the
+solve's right-hand side or minimum, but it reads the solve's LqModel.table
+pairs, so an error in those is invisible to it; the moment flow's test
+against the particle state equation and the Riccati test catch one.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
 def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
                      ms: MomentState) -> float:
     """The verification theorem's residual at (t, ms); 0 for the exact
-    solution. With H(K~) = <dP~, S~> + <P~, S~'> + <W~, S~> at the
-    solution's pair P~ at t, the law's moment pair S~ and, under gains K~,
-    the flow S~' and cost W~ of _flow and _law_pairs, K~* = -W from
+    solution. With H(K~) = <dP~, S~> + [vec P~, 1] L y at the solution's
+    pair P~ at t, the flat state y of the law's moment pair S~ and, under
+    gains K~, the generator L of _flow over _law_pairs, K~* = -W from
     _solved_aux there (all that is read from the solve) and e ones on K1 and
     k, it is
 
@@ -105,14 +105,18 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     rows = sol._rows(t + dt * (side * np.arange(5.0) if side
                                else np.array([0.0, 2.0, 1.0, -1.0, -2.0])))
     n = model.dims.d + 1
-    P, dP = rows[0].reshape(2, n, n), derivative(rows).reshape(2, n, n)
+    P, dP = rows[0].reshape(2, n, n), derivative(rows)
     c = model.table([t])
     K = -_solved_aux(c, 0, P)[2]
     e = np.zeros_like(K)
     e[0, :, :-1] = e[1, :, -1] = 1.0
-    A, G, W = _law_pairs(c, ..., np.stack((K, K + e, K - e), 1))
-    S = _pair_of(ms)[:, None]
-    h0, hp, hm = (P[:, None] * _flow(A, G, S) + (dP[:, None] + W) * S).sum(axis=(0, 2, 3))
+    S = _pair_of(ms).ravel()
+
+    def hamiltonian(gains):  # one generator at a time bounds the memory at large d
+        L = _flow(*_law_pairs(c, 0, gains))
+        return (P.ravel() * (L @ np.append(S, 0.0))[:-1] + (dP + L[-1, :-1]) * S).sum()
+
+    h0, hp, hm = map(hamiltonian, (K, K + e, K - e))
     curvature = hp + hm - 2.0 * h0
     if not curvature > 0.0:
         return float("inf")

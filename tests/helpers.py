@@ -37,10 +37,10 @@ def pair_of(state):
     return _pack(state).reshape(2, d + 1, d + 1)
 
 
-def flow_without_mean_noise(A, G, S):
-    """A mutant of model._flow that drops G1 S1 G1', the noise of the mean
-    feeding the covariance."""
-    return _flow(A, np.stack((G[0], np.zeros_like(G[1]))), S)
+def flow_without_mean_noise(A, G, W):
+    """A mutant of model._flow whose generator drops G1 (x) G1, the noise of
+    the mean feeding the covariance."""
+    return _flow(A, np.stack((G[0], np.zeros_like(G[1]))), W)
 
 
 def row_at(model, t, x, a, mx, ma):

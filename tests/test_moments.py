@@ -7,9 +7,11 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   mean_variance_model, optimal_feedback,
                   propagate_moments, solve_riccati, systemic_model, value)
 import mflq.moments
+import mflq.model as model_module
 from mflq.errors import CovarianceInstabilityError, OutOfDomainError
-from mflq.model import LqModel, _pair_of, _row_factors, _row_terms
-from mflq.moments import _moment_rhs, _moment_table
+from mflq.model import LqModel, _pair_of, _row_factors, _row_terms, clip_psd
+from mflq.moments import CLIP_FLOOR, INSTABILITY_FLOOR, _moment_table
+from mflq.riccati import _rk4, _rk4_step
 
 from helpers import flow_without_mean_noise, random_standard_model
 
@@ -19,10 +21,11 @@ def zero_fb(d=1, m=1):
 
 
 def moment_rhs_at(model, fb, t, ms):
-    """(m', Cov') at (t, ms), from _moment_rhs on the one-row moment table
-    at t, read from the rate of the moment pair S~ = _pair_of(ms)."""
+    """(m', Cov') at (t, ms), from the generator L of the one-row moment
+    table at t applied to the flat state of S~ = _pair_of(ms), read from the
+    rate of S~."""
     d = model.dims.d
-    f = _moment_rhs(_moment_table(model, fb, [t]), 0, np.append(_pair_of(ms), 0.0))
+    f = _moment_table(model, fb, [t])[0] @ np.append(_pair_of(ms), 0.0)
     dS = f[:-1].reshape(2, d + 1, d + 1)
     assert dS[1, d, d] == 0.0
     return dS[1, :d, d], dS[0, :d, :d]
@@ -48,9 +51,9 @@ def test_rhs_systemic_mean_frozen():
 
 def rhs_gap_to_particles(model, fb, t, atoms, weights):
     """Largest gap, relative to the largest expected entry or 1, between
-    _moment_rhs at the moment pair S~ of the discrete measure (atoms (d, n),
-    weights) and the weighted sums of the particle state equation
-    _row_terms, which reads the raw coefficients:
+    the rate L y, L the generator, at the moment pair S~ of the discrete
+    measure (atoms (d, n), weights) and the weighted sums of the particle
+    state equation _row_terms, which reads the raw coefficients:
     m' = sum w b, Cov' = sum w [(x - m) b' + b (x - m)' + s s'],
     (m~m~')' = m~'m~' + m~m~'' with m~' = [m'; 0], and f = sum w f_i; S~'s
     padding and last entry must have rate 0."""
@@ -67,7 +70,7 @@ def rhs_gap_to_particles(model, fb, t, atoms, weights):
     dcov = wdev @ b.T + b @ wdev.T + (s * weights) @ s.T
     expect = np.append([np.pad(dcov, (0, 1)), np.outer(dm, m) + np.outer(m, dm)], f @ weights)
     y = np.append(_pair_of(MomentState(mean, wdev @ dev.T)), 0.0)
-    got = _moment_rhs(_moment_table(model, fb, [t]), 0, y)
+    got = _moment_table(model, fb, [t])[0] @ y
     return np.abs(got - expect).max() / max(1.0, np.abs(expect).max())
 
 
@@ -103,29 +106,120 @@ def test_rhs_is_the_particle_state_equation_on_a_discrete_measure(monkeypatch):
 
 
 def test_the_constant_of_the_mean_stays_one(monkeypatch):
-    """At every _moment_rhs call S1[d, d] is 1.0 with rate 0 and the padding
-    of S0 is 0, all exactly; the trajectory's means are S1[:d, d] of the grid
-    states, which are the states of every fourth call."""
+    """Every RK4 step matrix maps S1[d, d] by the unit row and S0's padding
+    from the padding alone, so on the grid states S1[d, d] is 1.0 and the
+    padding 0, all exactly; the trajectory's means and covariances are views
+    of those states."""
     model = random_standard_model(np.random.default_rng(5), 3, 2, cross=0.3)
     fb = optimal_feedback(model, solve_riccati(model, 200))
     seen = []
 
-    def recorded(c, j, y):
-        out = _moment_rhs(c, j, y)
-        seen.append((y[:-1].reshape(2, 4, 4).copy(), out[:-1].reshape(2, 4, 4)))
-        return out
+    def recorded(*args):
+        seen.append(_rk4_step(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(mflq.moments, "_moment_rhs", recorded)
+    monkeypatch.setattr(mflq.moments, "_rk4_step", recorded)
     ms = MomentState([1.0, -2.0, 0.5], np.diag([0.5, 1.0, 2.0]))
     traj = propagate_moments(model, fb, 0.0, ms, 300)
-    assert len(seen) == 4 * 300 + 1
-    for S, dS in seen:
-        assert S[1, 3, 3] == 1.0 and dS[1, 3, 3] == 0.0
-        for pad in (S[0, 3], S[0, :, 3], dS[0, 3], dS[0, :, 3]):
-            assert not pad.any()
-    grid_states = np.array([S for S, _ in seen[::4]])
-    assert traj.means.tobytes() == grid_states[:, 1, :3, 3].tobytes()
-    assert traj.covs.tobytes() == grid_states[:, 0, :3, :3].tobytes()
+    steps = np.concatenate(seen)
+    assert steps.shape == (300, 33, 33)
+    pad = np.zeros((2, 4, 4), dtype=bool)
+    pad[0, 3] = pad[0, :, 3] = True
+    pad = np.append(pad.ravel(), False)
+    unit = 2 * 16 - 1  # S1[3, 3]
+    assert (steps[:, unit] == np.eye(33)[unit]).all()
+    assert not steps[:, pad][:, :, ~pad].any()
+    states = traj.covs.base
+    assert states.shape == (301, 33) and np.shares_memory(traj.means, states)
+    S = states[:, :-1].reshape(-1, 2, 4, 4)
+    assert (S[:, 1, 3, 3] == 1.0).all() and not states[:, pad].any()
+    assert traj.means.tobytes() == S[:, 1, :3, 3].tobytes()
+    assert traj.covs.tobytes() == S[:, 0, :3, :3].tobytes()
+
+
+def stepped(model, fb, t0, ms, n_steps):
+    """Per-step reference for propagate_moments: _rk4 on y' = L y with the
+    generator L of _moment_table, each new state symmetrized and clipped
+    (clip_psd), a clip below CLIP_FLOOR counted, and a non-finite state or a
+    clip below INSTABILITY_FLOOR raised. Returns (states, clip count)."""
+    d = model.dims.d
+    grid = np.linspace(t0, model.horizon, n_steps + 1)
+    clips = 0
+
+    def settle(k, y):
+        nonlocal clips
+        if not np.isfinite(y).all():
+            raise CovarianceInstabilityError("non-finite", time=float(grid[k]))
+        S = y[:(d + 1) ** 2].reshape(d + 1, d + 1)[:d, :d]
+        S[...], lo = clip_psd(S)
+        if lo < INSTABILITY_FLOOR:
+            raise CovarianceInstabilityError("unstable", time=float(grid[k]), eigenvalue=lo)
+        clips += lo < CLIP_FLOOR
+        return y
+
+    states = [y.copy() for _, y, _ in _rk4(
+        grid, grid[1] - grid[0], np.append(_pair_of(ms), 0.0),
+        lambda times: _moment_table(model, fb, times), lambda L, j, y: L[j] @ y, settle,
+        model.block_steps)]
+    return np.array(states), clips
+
+
+def trajectory_gap(traj, states) -> float:
+    """Largest gap between the trajectory's means, covariances and running
+    costs and those of flat states, each relative to its largest nonzero
+    entry."""
+    d = traj.means.shape[1]
+    S = states[:, :-1].reshape(-1, 2, d + 1, d + 1)
+    return max(np.abs(a - b).max() / (np.abs(b).max() or 1.0) for a, b in (
+        (traj.means, S[:, 1, :d, d]), (traj.covs, S[:, 0, :d, :d]),
+        (traj.running, states[:, -1])))
+
+
+@pytest.mark.parametrize("name", ["systemic", "random-d3", "random-d3-cross"])
+def test_step_matrices_are_the_stepper(name):
+    """The step matrices give the per-step RK4 flow to rounding."""
+    if name == "systemic":
+        model, ms = systemic_model(SystemicParams()), MomentState([1.0], [[0.5]])
+    else:
+        model = random_standard_model(np.random.default_rng(3), 3, 2,
+                                      cross=0.3 if name.endswith("cross") else 0.0)
+        ms = MomentState([1.0, -2.0, 0.5], np.diag([0.5, 1.0, 2.0]))
+    fb = optimal_feedback(model, solve_riccati(model, 1000))
+    traj = propagate_moments(model, fb, 0.0, ms, 1000)
+    states, clips = stepped(model, fb, 0.0, ms, 1000)
+    assert traj.clip_count == clips == 0
+    assert trajectory_gap(traj, states) <= 1e-13
+
+
+def test_clip_and_restart_mid_block(monkeypatch):
+    """Stiff steps (h 2(B+Bbar) = -2.7, h 2B = -2) push the variance below
+    zero once the mean's noise Dbar turns on at t = 0.5, every step after:
+    the flow projects each such state and restarts from it, so it clips
+    where the per-step reference does (37 of 50 projections below
+    CLIP_FLOOR), agrees with it to rounding, and does not depend on the
+    block length. From a mean 10x larger, the clips reach beyond
+    INSTABILITY_FLOOR, and both raise at the same step."""
+    model = lq_model(d=1, m=1, horizon=1.0, B=-100.0, Bbar=-35.0, R2=1.0,
+                     Dbar={"knots": [[0.0, 0.0], [0.5, 0.0], [0.6, 1.0], [1.0, 1.0]]})
+    errors = []
+    for run in (propagate_moments, stepped):
+        with pytest.raises(CovarianceInstabilityError) as info:
+            run(model, zero_fb(), 0.0, MomentState([1.0], [[0.0]]), 100)
+        errors.append(info.value)
+    assert errors[0].time == errors[1].time == pytest.approx(0.54)
+    assert errors[0].eigenvalue == pytest.approx(errors[1].eigenvalue, rel=1e-12)
+    ms = MomentState([0.1], [[0.0]])
+    traj = propagate_moments(model, zero_fb(), 0.0, ms, 100)
+    states, clips = stepped(model, zero_fb(), 0.0, ms, 100)
+    assert traj.clip_count == clips == 37
+    assert trajectory_gap(traj, states) <= 1e-13
+    assert model.block_steps > 100
+    monkeypatch.setattr(model_module, "TABLE_BUDGET", 0)
+    again = propagate_moments(model, zero_fb(), 0.0, ms, 100)
+    assert again.clip_count == 37
+    for a, b in ((traj.means, again.means), (traj.covs, again.covs),
+                 (traj.running, again.running)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [2.5, True, 0])

@@ -11,7 +11,7 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   systemic_model, value)
 from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
 from mflq.model import _flow, _law_pairs, _pair_of, _sample_moments
-from mflq.moments import _moment_rhs, _moment_table, cost_from_moments, dpp_check
+from mflq.moments import _moment_table, cost_from_moments, dpp_check
 from mflq.riccati import RiccatiState, _solved_aux
 from mflq.schedules import Schedule
 
@@ -84,14 +84,14 @@ def minimize_discrete(model, t, state, atoms, weights):
 
 def hamiltonian_at(model, t, state, ms, law=None):
     """The law Hamiltonian less its time derivatives, <P~, S~'> + <W~, S~>,
-    at (t, state, ms) under the gain pair of ``law`` at t (its table's row),
-    from _law_pairs and _flow on the one-row model table at t, S~ from
-    _pair_of; by default under the gains _solved_aux synthesises at
-    (t, state)."""
-    c, P, S = model.table([t]), pair_of(state), _pair_of(ms)
+    at (t, state, ms) under the gain pair of ``law`` at t (its table's row):
+    [vec P~, 1] L y with the generator L of _flow over _law_pairs on the
+    one-row model table at t and y the flat state of S~ = _pair_of(ms); by
+    default under the gains _solved_aux synthesises at (t, state)."""
+    c, P = model.table([t]), pair_of(state)
     K = -_solved_aux(c, 0, P)[2] if law is None else law.table([t])[:, 0]
-    A, G, W = _law_pairs(c, 0, K)
-    return float((P * _flow(A, G, S) + W * S).sum())
+    L = _flow(*_law_pairs(c, 0, K))
+    return float(np.append(P, 1.0) @ L @ np.append(_pair_of(ms), 0.0))
 
 
 def objective_gap_at(model, t, state, ms, law=None):
@@ -104,9 +104,9 @@ def objective_gap_at(model, t, state, ms, law=None):
 
 def f_hat_at(model, t, fb, ms):
     """Lifted running cost <W~, S~> of the affine law fb at (t, ms): the
-    last entry of _moment_rhs on the one-row moment table at t, at the
-    moment pair S~ = _pair_of(ms)."""
-    return _moment_rhs(_moment_table(model, fb, [t]), 0, np.append(_pair_of(ms), 0.0))[-1]
+    last entry of L y, L the generator of the one-row moment table at t and
+    y the flat state of the moment pair S~ = _pair_of(ms)."""
+    return (_moment_table(model, fb, [t])[0] @ np.append(_pair_of(ms), 0.0))[-1]
 
 
 def population_moments(atoms, weights):
