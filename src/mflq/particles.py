@@ -12,12 +12,12 @@ Randomness
 The normal increment for (step k, particle i) is a pure function of
 (seed, k, i): a Philox counter-based generator keyed by the root seed is
 positioned at counter k << 128, its i-th 64-bit output word is mapped to
-(0, 1), and transformed by the inverse normal CDF. Exactly one normal is
-consumed per particle per step, so results are bit-reproducible and the
-noise does not depend on execution order or chunking (README says which
-chunks keep the rows bitwise too). Empirical means are numpy's pairwise
-sums over each component's contiguous particle row. The initial Gaussian
-draw comes from a separately keyed stream.
+(0, 1), and transformed by the inverse normal CDF (scipy's ndtri, imported at
+the first draw). Exactly one normal is consumed per particle per step, so
+results are bit-reproducible and the noise does not depend on execution order
+or chunking (README says which chunks keep the rows bitwise too). Empirical
+means are numpy's pairwise sums over each component's contiguous particle row.
+The initial Gaussian draw comes from a separately keyed stream.
 
 Running costs use the left-endpoint rule, order-matched to the weak
 order-1 scheme; the terminal cost is added against the final empirical
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Philox, SeedSequence
-from scipy.special import ndtri
 
 from .errors import SimulationDivergedError
 from .model import (AffineFeedback, LqModel, MomentState, _finite, _row_factors,
@@ -81,6 +80,7 @@ def _keys(seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def step_normals(path_key: np.ndarray, step: int, n: int) -> np.ndarray:
     """Standard normals for (step, particles 0..n-1); pure in (key, step, i)."""
+    from scipy.special import ndtri  # on first use: three quarters of `import mflq`
     raw = Philox(key=path_key, counter=(int(step) << 128)).random_raw(n)
     u = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
     return ndtri(u)

@@ -19,20 +19,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .model import AffineFeedback, LqModel, MomentState, _flow, _law_pairs, _pair_of
+from .model import AffineFeedback, LqModel, MomentState, _finite, _flow, _law_pairs, _pair_of
 from .riccati import RiccatiSolution, _pack, _solved_aux, terminal_state
 
 
 def value(sol: RiccatiSolution, t: float, ms: MomentState) -> float:
     """tr(Lam(t) Cov) + mean'Gam(t) mean + gam(t).mean + chi(t)."""
-    sol.model.check_law(ms)
-    return float(sol._rows([t])[0] @ _pair_of(ms).ravel())
+    return _contract(sol.model, sol._rows([t])[0], ms)
 
 
 def g_hat(model: LqModel, ms: MomentState) -> float:
     """Lifted terminal cost tr(P2 Cov) + mean'(P2+P2bar) mean + (p1+p1bar).mean."""
+    return _contract(model, _pack(terminal_state(model)), ms)
+
+
+def _contract(model: LqModel, P: np.ndarray, ms: MomentState) -> float:
+    """<P~, S~> over the nonzero P~, as m~m~' may overflow; a ValueError if not finite."""
     model.check_law(ms)
-    return float(_pack(terminal_state(model)) @ _pair_of(ms).ravel())
+    with np.errstate(over="ignore", invalid="ignore"):  # m~m~' overflows past |mean| 1.3e154
+        return float(_finite(P @ np.where(P == 0.0, 0.0, _pair_of(ms).ravel()), "the value"))
 
 
 def optimal_gains(model: LqModel, sol: RiccatiSolution, times):

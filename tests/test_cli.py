@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -149,10 +152,70 @@ def test_non_finite_preset_parameter_exits_2(capsys, preset, param):
     assert stderr == f"error: {name} has a non-finite value\n"
 
 
+@pytest.mark.parametrize("preset, mean, want", [("systemic-risk", "1e160", None),
+                                                ("systemic-risk", "-1e160", None),
+                                                ("mean-variance", "1e160", "-1e+160\n")])
+def test_value_at_a_huge_mean_is_finite(capsys, preset, mean, want):
+    """Gam = 0 on both presets, so the value is finite at any finite mean:
+    m~m~' overflows past |mean| 1.3e154, but only against zero coefficients.
+    On systemic-risk gam = 0 too, and the value is chi(0) at every mean."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "value", "--preset", preset, "--t", "0",
+                                   f"--mean={mean}")
+        if want is None:
+            want = run(capsys, "value", "--preset", preset, "--t", "0", "--mean", "1")[1]
+    assert (code, stdout, stderr) == (0, want, "")
+
+
+@pytest.mark.parametrize("preset, param", [("systemic-risk", "c=6"), ("mean-variance", "eta=6")])
+def test_value_that_overflows_exits_2(capsys, preset, param):
+    """tr(Lam(T) Cov) = 3 * 8e307 overflows: an error, not an inf or nan on stdout."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "value", "--preset", preset, "--param", param,
+                                   "--steps", "10", "--cov", "8e307")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: the value has a non-finite value\n"
+
+
 def test_value_rejects_unknown_param(capsys):
     code, _, stderr = run(capsys, "value", "--preset", "systemic-risk", "--param", "foo=1")
     assert code == 2
     assert stderr.startswith("error: unknown parameter 'foo'") and "kappa" in stderr
+
+
+# --- start-up -----------------------------------------------------------------
+
+_LAZY_SCIPY = """
+import json, sys
+import mflq
+from mflq import cli
+lazy = lambda: [m for m in ("scipy.special", "scipy.integrate") if m in sys.modules]
+loaded = [lazy()]
+for argv in (["riccati", "--preset", "systemic-risk", "--steps", "20"],
+             ["value", "--preset", "mean-variance", "--steps", "20"]):
+    cli.main(argv)
+    loaded.append(lazy())
+cli.main(["simulate", "--preset", "systemic-risk", "--steps", "20", "--particles", "8"])
+print(json.dumps(loaded + [lazy()]))
+"""
+
+
+def test_only_simulations_import_scipy_special():
+    """`import mflq`, `riccati` and `value` load neither scipy.special
+    (ndtri, about 0.3 s of start-up) nor scipy.integrate; a simulation's
+    first draw imports scipy.special. Run in a fresh interpreter, as
+    sys.modules here already holds what other tests imported."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *solves, after_simulate = json.loads(proc.stdout.splitlines()[-1])
+    assert solves == [[], [], []]
+    assert after_simulate == ["scipy.special"]
 
 
 # --- simulate ----------------------------------------------------------------

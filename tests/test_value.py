@@ -156,6 +156,33 @@ def test_g_hat():
     assert g_hat(one, MomentState([2.0], [[3.0]])) == pytest.approx(7.0)
 
 
+@pytest.mark.parametrize("preset", ["systemic-risk", "mean-variance"])
+def test_value_and_g_hat_at_a_huge_mean(preset):
+    """Gam = 0 on both presets: at |mean| = 1e160, where m~m~' overflows, the
+    value is still tr(Lam Cov) + gam.mean + chi, and g_hat its terminal row."""
+    model, _ = mflq.build_preset(preset)
+    sol = solve_riccati(model, 100)
+    for mean in (1e160, -1e160):
+        ms = MomentState([mean], [[0.5]])
+        for t in (0.0, 0.5, 1.0):
+            st = sol.at(t)
+            want = 0.5 * st.Lam[0, 0] + st.gam[0] * mean + st.chi
+            assert value(sol, t, ms) == pytest.approx(want, rel=1e-14, abs=1e-14)
+        assert g_hat(model, ms) == value(sol, 1.0, ms)
+
+
+def test_value_and_g_hat_that_overflow_raise():
+    """With Gam != 0, mean'Gam mean overflows at |mean| = 1e160: a ValueError,
+    never inf or nan."""
+    model = random_standard_model(np.random.default_rng(0), d=2, m=1)
+    sol = solve_riccati(model, 50)
+    assert min(sol.Gam[0, 0, 0], sol.Gam[-1, 0, 0]) > 1e-3  # at t = 0 and T
+    ms = MomentState([1e160, 0.0], np.zeros((2, 2)))
+    for evaluate in (lambda: value(sol, 0.0, ms), lambda: g_hat(model, ms)):
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate()
+
+
 # --- lifted running cost of an affine law ----------------------------------------
 
 def test_f_hat_zero_feedback():
