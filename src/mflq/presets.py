@@ -11,9 +11,12 @@ Two classical mean-field LQ problems from finance:
   first-order coefficients vanish and the quadratic one solves a scalar
   Riccati equation.
 
-The systemic quadratic coefficient is referenced by the exact solution of
-its constant-coefficient scalar Riccati equation, in a form with no
-cancellation next to T, even for a terminal penalty c of 4e8.
+The mean-variance integrals are exact sums over the pieces between the
+merged knots of r, rho and vol, on each of which the three are linear and
+vol > 0 (MeanVarianceParams._integrals). The systemic quadratic coefficient
+is referenced by the exact solution of its constant-coefficient scalar Riccati
+equation, in a form with no cancellation next to T, even for a terminal
+penalty c of 4e8.
 """
 
 from __future__ import annotations
@@ -28,26 +31,21 @@ from .model import LqModel, lq_model
 from .riccati import RiccatiSolution, RiccatiState
 from .schedules import Schedule, as_schedule
 
-QUAD_TOL = 1e-12
-
-
 def _at(s: Schedule, t: float) -> float:
     return float(s(t).reshape(-1)[0])
 
 
-def _integral(fn, a: float, b: float, knots=()) -> float:
-    """Integral of a scalar function on [a, b]; exact when fn is constant
-    (no knots means every underlying schedule is a constant)."""
-    if b <= a:
-        return 0.0
-    if not knots:
-        return fn(0.5 * (a + b)) * (b - a)
-    from scipy.integrate import quad  # on first use: a third of `import mflq`
-
-    pts = [float(k) for k in knots if a < float(k) < b]
-    val, _ = quad(fn, a, b, points=pts or None, epsabs=QUAD_TOL,
-                  epsrel=QUAD_TOL, limit=200)
-    return val
+def _sharpe_piece(h, rho0, rho1, vol0, vol1) -> float:
+    """int (rho/vol)^2 on one piece (MeanVarianceParams._integrals)."""
+    y = (vol1 - vol0) / (vol1 + vol0)
+    if abs(y) > 1.0 / 3.0:  # vol ratio outside [1/2, 2]: rho = alpha vol + beta
+        alpha = (rho1 - rho0) / (vol1 - vol0)
+        beta = rho0 - alpha * vol0
+        return h * (alpha * alpha + beta * beta / (vol0 * vol1)
+                    + 2.0 * alpha * beta * math.log(vol1 / vol0) / (vol1 - vol0))
+    g0, g1, R, z = rho0 / vol0, rho1 / vol1, vol1 / vol0, (vol1 - vol0) / vol0
+    chi = (1.0 - y) ** 3 * sum((j + 1) / (2 * j + 3) * y ** (2 * j) for j in range(18))
+    return h * (g0 * g1 + (g1 - g0) ** 2 * R * R * chi + g0 * (g1 - g0) * R * z * chi)
 
 
 def _check_params(params, positive, nonnegative=()) -> None:
@@ -87,20 +85,28 @@ class MeanVarianceParams:
 
     def _integrals(self, t: float, tail: bool = True):
         """(int r, int rho^2/vol^2) on [t, T] (on [0, t] if not ``tail``), t
-        checked in [0, T]; quadrature splits at the knots of r, rho, vol."""
+        checked in [0, T]; exact sums over the pieces between the merged knots
+        of r, rho and vol, linear on each. On a piece of length h, int r is
+        h (r0 + r1)/2 and, with g = rho/vol, R = vol1/vol0, z = R - 1 and
+        y = z/(2+z) at its ends,
+
+            int g^2 = h [g0 g1 + (g1 - g0)^2 R^2 chi + g0 (g1 - g0) R z chi],
+            chi = int_0^1 u^2/(1 + z u)^2 du = (1 - y)^3 sum_j (j+1) y^(2j)/(2j+3)
+
+        to 18 terms for R in [1/2, 2]; farther from 1, with rho = alpha vol +
+        beta, int g^2 = alpha^2 h + 2 alpha beta ln(R)/vol' + beta^2 h/(vol0 vol1).
+        Both hold as vol > 0 at every knot, so on every piece. A constant
+        schedule gives one piece with z = 0 and int g^2 = h g0^2.
+        """
         if not 0.0 <= t <= self.horizon:
             raise OutOfDomainError(f"t={t} outside [0, {self.horizon}]")
-        knots = sorted({float(u) for s in (self.r, self.rho, self.vol)
-                        for u in s.knot_times()})
         a, b = (t, self.horizon) if tail else (0.0, t)
-        return _integral(self.rate, a, b, knots), _integral(self.sharpe_sq, a, b, knots)
-
-    def rate(self, t: float) -> float:
-        return _at(self.r, t)
-
-    def sharpe_sq(self, t: float) -> float:
-        """rho(t)^2 / vol(t)^2."""
-        return (_at(self.rho, t) / _at(self.vol, t)) ** 2
+        u = sorted({a, b} | {float(k) for s in (self.r, self.rho, self.vol)
+                             for k in s.knot_times() if a < k < b})
+        r, rho, vol = (s.table(u).reshape(-1) for s in (self.r, self.rho, self.vol))
+        h = np.diff(u)
+        int_s = sum(map(_sharpe_piece, h, rho[:-1], rho[1:], vol[:-1], vol[1:]))
+        return float(h @ (r[:-1] + r[1:])) / 2.0, float(int_s)
 
 
 def mean_variance_model(p: MeanVarianceParams) -> LqModel:

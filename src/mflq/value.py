@@ -85,11 +85,12 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
 
     The second term, exact as H is quadratic in the gains, is the distance
     along e from K~* to the minimiser of H (inf if the curvature is not
-    positive). H sees K2 and k only through K2 m + k, so e moves k alone and
-    V > 0 keeps the curvature positive at every law. Time derivatives are
-    fourth-order centered differences (Fornberg 1988) over t +- h, t +- 2h,
-    h the grid step, so t lies at least 2h inside (0, T) and the residual is
-    bounded by the finite-difference plus integrator error. Within 2h of an
+    positive; a ValueError if H is not finite, as at a huge mean). H sees K2
+    and k only through K2 m + k, so e moves k alone and V > 0 keeps the
+    curvature positive at every law. Time derivatives are fourth-order
+    centered differences (Fornberg 1988) over t +- h, t +- 2h, h the grid
+    step, so t lies at least 2h inside (0, T) and the residual is bounded
+    by the finite-difference plus integrator error. Within 2h of an
     interior knot of the model's knot groups, where the second derivative
     jumps, the difference is the one-sided fourth-order one over t, t + sh,
     ..., t + 4sh on the side s that holds no knot (_knot_free_side).
@@ -115,13 +116,14 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     K = -_solved_aux(c, 0, P)[2]
     e = np.zeros_like(K)
     e[0, :, :-1] = e[1, :, -1] = 1.0
-    S = _pair_of(ms).ravel()
 
     def hamiltonian(gains):  # one generator at a time bounds the memory at large d
         L = _flow(*_law_pairs(c, 0, gains))
         return (P.ravel() * (L @ np.append(S, 0.0))[:-1] + (dP + L[-1, :-1]) * S).sum()
 
-    h0, hp, hm = map(hamiltonian, (K, K + e, K - e))
+    with np.errstate(over="ignore", invalid="ignore"):  # m~m~' overflows past |mean| 1.3e154
+        S = _pair_of(ms).ravel()
+        h0, hp, hm = _finite([hamiltonian(g) for g in (K, K + e, K - e)], "the Bellman residual")
     curvature = hp + hm - 2.0 * h0
     if not curvature > 0.0:
         return float("inf")

@@ -197,16 +197,24 @@ for argv in (["riccati", "--preset", "systemic-risk", "--steps", "20"],
              ["value", "--preset", "mean-variance", "--steps", "20"]):
     cli.main(argv)
     loaded.append(lazy())
+knots = lambda *vs: mflq.Schedule.tabulated([0.0, 0.5, 1.0], [[[v]] for v in vs])
+p = mflq.MeanVarianceParams(r=knots(0.0, 0.1, 0.05), rho=knots(0.5, 0.2, 0.4),
+                            vol=knots(0.4, 0.3, 0.9))
+mflq.mean_variance_closed_form(p, 0.3)
+mflq.mean_variance_optimal_control(p, 0.3, 1.0, 0.5)
+mflq.mean_variance_mean_trajectory(p, 0.3)
+loaded.append(lazy())
 cli.main(["simulate", "--preset", "systemic-risk", "--steps", "20", "--particles", "8"])
 print(json.dumps(loaded + [lazy()]))
 """
 
 
 def test_only_simulations_import_scipy_special():
-    """`import mflq`, `riccati` and `value` load neither scipy.special
-    (ndtri, about 0.3 s of start-up) nor scipy.integrate; a simulation's
-    first draw imports scipy.special. Run in a fresh interpreter, as
-    sys.modules here already holds what other tests imported."""
+    """`import mflq`, `riccati`, `value` and the mean-variance closed forms
+    on tabulated r, rho and vol load neither scipy.special (ndtri, about
+    0.3 s of start-up) nor scipy.integrate; a simulation's first draw
+    imports scipy.special. Run in a fresh interpreter, as sys.modules here
+    already holds what other tests imported."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -214,7 +222,7 @@ def test_only_simulations_import_scipy_special():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     *solves, after_simulate = json.loads(proc.stdout.splitlines()[-1])
-    assert solves == [[], [], []]
+    assert solves == [[], [], [], []]
     assert after_simulate == ["scipy.special"]
 
 

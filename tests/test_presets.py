@@ -90,17 +90,91 @@ def test_closed_form_matches_engine_grid_wide():
         assert abs(st.chi - cf.chi) <= 1e-8
 
 
+def _tabulated(times, values):
+    return Schedule.tabulated(times, [[[v]] for v in values])
+
+
 def test_closed_form_with_tabulated_rates():
-    # time-varying interest rate handled by adaptive quadrature
-    r = Schedule.tabulated([0.0, 1.0], [[[0.0]], [[0.1]]])
-    p = MeanVarianceParams(r=r, rho=0.5, vol=0.4, eta=1.0)
-    sol = solve_riccati(mean_variance_model(p), 1000)
-    for t in (0.0, 0.33, 0.8):
-        cf = mean_variance_closed_form(p, t)
-        st = sol.at(t)
-        assert abs(st.Lam[0, 0] - cf.Lam[0, 0]) <= 1e-8
-        assert abs(st.gam[0] - cf.gam[0]) <= 1e-8
-        assert abs(st.chi - cf.chi) <= 1e-8
+    """A tabulated rate alone, then r, rho and vol each tabulated on its own
+    knots at multiples of T/4, all on the solve's grid."""
+    quarters = np.linspace(0.0, 1.0, 5)
+    for p in (MeanVarianceParams(r=_tabulated([0.0, 1.0], [0.0, 0.1]), rho=0.5, vol=0.4, eta=1.0),
+              MeanVarianceParams(r=_tabulated(quarters, [0.02, 0.1, -0.03, 0.05, 0.0]),
+                                 rho=_tabulated([0.0, 0.5, 1.0], [0.5, -0.2, 0.3]),
+                                 vol=_tabulated([0.0, 0.25, 0.75, 1.0], [0.4, 0.9, 0.25, 0.5]),
+                                 eta=1.0)):
+        sol = solve_riccati(mean_variance_model(p), 1000)
+        for t in (0.0, 0.25, 0.33, 0.6, 0.8, 1.0):
+            cf = mean_variance_closed_form(p, t)
+            st = sol.at(t)
+            assert abs(st.Lam[0, 0] - cf.Lam[0, 0]) <= 1e-8
+            assert abs(st.gam[0] - cf.gam[0]) <= 1e-8
+            assert abs(st.chi - cf.chi) <= 1e-8
+
+
+def _random_knots(rng, horizon, values):
+    n = rng.integers(2, 7)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, horizon, n - 2)), [horizon]])
+    return _tabulated(times, values(n))
+
+
+def _random_vols(rng, n):
+    """vol at n knots: each ratio to the previous one is 10^U(-2, 2), or 1
+    plus or minus 10^U(-12, -1)."""
+    steps = [10.0 ** rng.uniform(-2.0, 2.0) if rng.random() < 0.5
+             else 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)
+             for _ in range(n - 1)]
+    return 10.0 ** rng.uniform(-1.0, 1.0) * np.cumprod([1.0] + steps)
+
+
+def test_integrals_match_quadrature_on_random_tabulated_schedules():
+    """The per-piece closed forms against scipy's adaptive quadrature (split
+    at every knot, the integrand interpolated by np.interp) on random
+    piecewise-linear r, rho and vol with 2 to 6 knots each, at knots and
+    between them, over [t, T] and [0, t]: within 1e-12 relative, int r
+    relative to int |r|."""
+    from scipy.integrate import quad
+
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        T = rng.uniform(0.5, 3.0)
+        r = _random_knots(rng, T, lambda n: rng.uniform(-0.2, 0.3, n))
+        rho = _random_knots(rng, T, lambda n: rng.uniform(-2.0, 2.0, n))
+        vol = _random_knots(rng, T, lambda n: _random_vols(rng, n))
+        p = MeanVarianceParams(r=r, rho=rho, vol=vol, horizon=T)
+        knots = np.unique(np.concatenate([s.times for s in (r, rho, vol)]))
+        at = lambda s, u: np.interp(u, s.times, s.values[:, 0, 0])
+        sharpe_sq = lambda u: (at(rho, u) / at(vol, u)) ** 2
+        for t in (*rng.choice(knots, 2), *rng.uniform(0.0, T, 2)):
+            for tail in (True, False):
+                a, b = (t, T) if tail else (0.0, t)
+                pts = knots[(knots > a) & (knots < b)]
+
+                def integral(f, epsabs=0.0):
+                    return quad(f, a, b, points=pts, epsabs=epsabs, epsrel=1e-13,
+                                limit=500)[0] if b > a else 0.0
+
+                scale, ref_s = integral(lambda u: abs(at(r, u))), integral(sharpe_sq)
+                ref_r = integral(lambda u: at(r, u), epsabs=1e-13 * scale)
+                int_r, int_s = p._integrals(t, tail)
+                assert abs(int_r - ref_r) <= 1e-12 * scale
+                assert abs(int_s - ref_s) <= 1e-12 * ref_s
+
+
+def test_constant_integrals_are_the_products():
+    """Constant r, rho and vol: int r = r h and int rho^2/vol^2 =
+    (rho/vol)^2 h over a length h, as the closed forms had them before
+    the integrals were summed by piece, to 4e-16 relative."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        r, rho, vol, T = (rng.uniform(-0.5, 0.5), rng.uniform(-2.0, 2.0),
+                          rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
+        p = MeanVarianceParams(r=r, rho=rho, vol=vol, horizon=T)
+        for t in (0.0, rng.uniform(0.0, T), T):
+            for tail in (True, False):
+                h = T - t if tail else t
+                assert p._integrals(t, tail) == pytest.approx(
+                    (r * h, (rho / vol) ** 2 * h), rel=4e-16, abs=0.0)
 
 
 def test_mean_variance_optimal_control_values():

@@ -183,6 +183,22 @@ def test_value_and_g_hat_that_overflow_raise():
             evaluate()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mean", [1e160, -1e160])
+def test_bellman_residual_that_overflows_raises(mean):
+    """At |mean| = 1e160 m~m~' overflows and the Hamiltonian is not finite,
+    though the value is: a ValueError naming the residual, never inf and no
+    RuntimeWarning. Below the overflow the residual is the one at a small mean."""
+    model, _ = mflq.build_preset("systemic-risk")
+    sol = solve_riccati(model, 100)
+    assert np.isfinite(value(sol, 0.5, MomentState([mean], [[0.5]])))
+    with pytest.raises(ValueError, match="^the Bellman residual has a non-finite value$"):
+        bellman_residual(model, sol, 0.5, MomentState([mean], [[0.5]]))
+    small = bellman_residual(model, sol, 0.5, MomentState([3.0], [[0.5]]))
+    assert bellman_residual(model, sol, 0.5, MomentState([mean * 1e-10], [[0.5]])) \
+        == pytest.approx(small, rel=1e-6)
+
+
 # --- lifted running cost of an affine law ----------------------------------------
 
 def test_f_hat_zero_feedback():
