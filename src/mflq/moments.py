@@ -113,19 +113,20 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     d = model.dims.d
     grid = np.linspace(t0, T, n_steps + 1)
     states = np.empty((n_steps + 1, 2 * (d + 1) ** 2 + 1))
-    states[0] = np.append(_pair_of(ms0), 0.0)
     clips = 0
     if T == t0:
         grid, states = grid[:1], states[:1]
-    for k0, k1, L in _stages(grid, model.block_steps, lambda ts: _moment_table(model, fb, ts)):
-        steps = _rk4_step(lambda L, j, Y: L[j] @ Y, L, np.s_[1::2], np.s_[2::2],
-                          np.eye(L.shape[-1]), L[:-1:2], (T - t0) / n_steps)
-        k = k0
-        while k < k1:
-            for P, y, out in zip(steps[k - k0:], states[k:k1], states[k + 1:k1 + 1]):
-                np.dot(P, y, out=out)
-            i, clipped = _settle(states[k + 1:k1 + 1], grid[k + 1:k1 + 1], d)
-            k, clips = k + 1 + i, clips + clipped
+    with np.errstate(over="ignore", invalid="ignore"):  # _settle raises on a non-finite state
+        states[0] = np.append(_pair_of(ms0), 0.0)
+        for k0, k1, L in _stages(grid, model.block_steps, lambda ts: _moment_table(model, fb, ts)):
+            steps = _rk4_step(lambda L, j, Y: L[j] @ Y, L, np.s_[1::2], np.s_[2::2],
+                              np.eye(L.shape[-1]), L[:-1:2], (T - t0) / n_steps)
+            k = k0
+            while k < k1:
+                for P, y, out in zip(steps[k - k0:], states[k:k1], states[k + 1:k1 + 1]):
+                    np.dot(P, y, out=out)
+                i, clipped = _settle(states[k + 1:k1 + 1], grid[k + 1:k1 + 1], d)
+                k, clips = k + 1 + i, clips + clipped
     S = states[:, :-1].reshape(-1, 2, d + 1, d + 1)
     return MomentTrajectory(grid=grid, means=S[:, 1, :d, d], covs=S[:, 0, :d, :d],
                             running=states[:, -1], clip_count=clips)

@@ -10,10 +10,10 @@ ensembles are particle-major, (N, d).
 Randomness
 ----------
 The normal increment for (step k, particle i) is a pure function of
-(seed, k, i): a Philox counter-based generator keyed by the root seed is
-positioned at counter k << 128, its i-th 64-bit output word is mapped to
-(0, 1), and transformed by the inverse normal CDF (scipy's ndtri, imported at
-the first draw). Exactly one normal is consumed per particle per step, so
+(seed, k, i): a run's one Philox counter-based generator, keyed by the root
+seed, is repositioned at counter k << 128, its i-th 64-bit output word is
+mapped to (0, 1), and transformed by the inverse normal CDF (scipy's ndtri,
+imported at the first draw). Exactly one normal is consumed per particle per step, so
 results are bit-reproducible and the noise does not depend on execution order
 or chunking (README says which chunks keep the rows bitwise too). Empirical
 means are numpy's pairwise sums over each component's contiguous particle row.
@@ -78,12 +78,19 @@ def _keys(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return words[:2], words[2:]
 
 
-def step_normals(path_key: np.ndarray, step: int, n: int) -> np.ndarray:
-    """Standard normals for (step, particles 0..n-1); pure in (key, step, i)."""
+def step_normals(gen: Philox, step: int, n: int) -> np.ndarray:
+    """Standard normals for (step, particles 0..n-1) from ``gen``, a Philox
+    keyed by the path key, repositioned at counter step << 128 whatever it
+    drew before: pure in (key, step, i)."""
     from scipy.special import ndtri  # on first use: three quarters of `import mflq`
-    raw = Philox(key=path_key, counter=(int(step) << 128)).random_raw(n)
-    u = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
-    return ndtri(u)
+    state = gen.state
+    state["state"]["counter"] = np.array([0, 0, step, 0], dtype=np.uint64)
+    gen.state = {**state, "buffer_pos": 4, "has_uint32": 0}
+    u = gen.random_raw(n)
+    u >>= np.uint64(11)
+    u = np.multiply(u, 2.0 ** -53, out=u.view(np.float64))  # 53-bit words: exact
+    u += 2.0 ** -54
+    return ndtri(u, out=u)
 
 
 def _initial_states(model: LqModel, initial: MomentState, n: int,
@@ -117,6 +124,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     sqdt = np.sqrt(dt)
     times = np.linspace(0.0, model.horizon, K + 1)
     path_key, init_key = _keys(cfg.seed)
+    gen = Philox(key=path_key)
     Z = np.empty((d + m, n))  # component-major ensemble: states X, then controls A
     X, A = Z[:d], Z[d:]
     X[...] = _initial_states(model, cfg.initial, n, init_key).T
@@ -151,7 +159,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
             run += dt * f
             b *= dt
             X += b
-            s *= sqdt * step_normals(path_key, j, n)
+            s *= sqdt * step_normals(gen, j, n)
             X += s
             if not np.isfinite(X).all():
                 raise SimulationDivergedError(

@@ -46,11 +46,13 @@ Integration is classical fixed-step RK4 backward in time. U and V must stay
 positive definite at every stage or the solve fails fast with a breakdown
 error; one eigh of the (U, V) pair per stage serves the inversions, the
 positivity floor and the condition cap (_solved_aux). The solution is the
-flat RK4 grid, per grid time a row (Lam~, Gam~) of 2(d+1)^2 entries and a
-row of its derivative; one cubic Hermite expression over the rows answers
-queries at 4th order. The coefficients are tabulated once per block of RK4
-stages (the model's ``block_steps``), and the stepper, which also drives
-the moment flow, addresses stages by table row. Tables, Hermite queries and
+flat RK4 grid, per grid time a row of the (d+1)^2 distinct entries of the
+symmetric pair (Lam~, Gam~) plus one zero for Lam~'s padding (_layout), and
+a row of its derivative; one cubic Hermite expression over the rows answers
+queries at 4th order, and one index map expands a row to the full pair. The
+coefficients are tabulated once per block of RK4 stages (the model's
+``block_steps``), and the stepper, which also drives the moment flow,
+addresses stages by table row. Tables, Hermite queries and
 the stacked check evaluate each row on its own, so a row is bitwise the
 same whichever other times share its batch.
 """
@@ -58,7 +60,8 @@ same whichever other times share its batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -176,6 +179,23 @@ def _unpack(y: np.ndarray, d: int):
     return P[..., 0, :d, :d], P[..., 1, :d, :d], 2.0 * P[..., 1, :d, d], P[..., 1, d, d]
 
 
+@cache
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(take, full) for d + 1 = n: ``take`` picks Lam's upper triangle, a zero
+    of its padding and Gam~'s upper triangle (n^2 + 1 slots) from a flat pair
+    (Lam~, Gam~); ``full`` maps each entry of the pair back to its slot."""
+    zero = n * (n - 1) // 2  # the slot after Lam's upper triangle
+    full = np.full((2, n, n), zero)
+    i, j = np.triu_indices(n - 1)
+    full[0, i, j] = full[0, j, i] = np.arange(zero)
+    i, j = np.triu_indices(n)
+    full[1, i, j] = full[1, j, i] = zero + 1 + np.arange(i.size)
+    maps = np.unique(full, return_index=True)[1], full.ravel()
+    for a in maps:
+        a.setflags(write=False)
+    return maps
+
+
 def _pack(st: RiccatiState) -> np.ndarray:
     """The flat augmented state (Lam~, Gam~) of ``st``."""
     g = 0.5 * st.gam[:, None]
@@ -198,13 +218,13 @@ def default_step_count(horizon: float) -> int:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """The backward solve as its flat RK4 grid: rows of ``y`` are the
-    augmented states (Lam~, Gam~) at ``grid``, flattened as in _unpack, rows
-    of ``dy`` their derivatives; both are frozen. Lam, Gam and chi are
-    read-only views of ``y``, gam a read-only 2x copy of Gam~'s last column.
-    Grid times return the stored row bitwise; elsewhere the cubic Hermite
-    interpolant of the rows is used, and Lam~, Gam~ are re-symmetrized after
-    interpolation.
+    """The backward solve as its flat RK4 grid: rows of ``y`` hold the
+    distinct entries of the augmented states (Lam~, Gam~) at ``grid`` in the
+    half layout of _layout, rows of ``dy`` those of their derivatives; both
+    are frozen. _full expands rows to flat pairs as in _unpack. Lam, Gam,
+    gam and chi are read-only full arrays, built on first access. Grid
+    times return the stored row bitwise; elsewhere the cubic Hermite
+    interpolant of the rows is used, symmetric as the rows are.
     """
 
     model: LqModel
@@ -212,18 +232,23 @@ class RiccatiSolution:
     step: float
     y: np.ndarray
     dy: np.ndarray
-    Lam: np.ndarray = field(init=False, repr=False)
-    Gam: np.ndarray = field(init=False, repr=False)
-    gam: np.ndarray = field(init=False, repr=False)
-    chi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for a in (self.grid, self.y, self.dy):
             a.setflags(write=False)
-        views = _unpack(self.y, self.model.dims.d)
+
+    @cached_property
+    def _views(self):
+        full = self._full(self.y)
+        full.setflags(write=False)
+        views = _unpack(full, self.model.dims.d)
         views[2].setflags(write=False)
-        for name, view in zip(("Lam", "Gam", "gam", "chi"), views):
-            object.__setattr__(self, name, view)
+        return views
+
+    Lam = property(lambda self: self._views[0])
+    Gam = property(lambda self: self._views[1])
+    gam = property(lambda self: self._views[2])
+    chi = property(lambda self: self._views[3])
 
     @property
     def n_steps(self) -> int:
@@ -234,15 +259,22 @@ class RiccatiSolution:
         return float(self.grid[-1])
 
     def state(self, k: int) -> RiccatiState:
-        return RiccatiState(Lam=self.Lam[k], Gam=self.Gam[k],
-                            gam=self.gam[k], chi=float(self.chi[k]))
+        return self._state(self._full(self.y[k]))
 
     def at(self, t: float) -> RiccatiState:
-        Lam, Gam, gam, chi = _unpack(self._rows([t])[0], self.model.dims.d)
+        return self._state(self._rows([t])[0])
+
+    def _state(self, row: np.ndarray) -> RiccatiState:
+        Lam, Gam, gam, chi = _unpack(row, self.model.dims.d)
         return RiccatiState(Lam=Lam, Gam=Gam, gam=gam, chi=float(chi))
 
+    def _full(self, rows: np.ndarray) -> np.ndarray:
+        """The flat pairs (Lam~, Gam~) of half rows, C-contiguous (a last-axis
+        fancy index is not, and moves the gains' matmuls by an ulp)."""
+        return np.take(rows, _layout(self.model.dims.d + 1)[1], axis=-1)
+
     def _rows(self, times) -> np.ndarray:
-        """The flat states at every time in ``times``, as rows of ``y``."""
+        """The flat pairs (Lam~, Gam~) at every time in ``times`` (_full)."""
         t = np.asarray(times, dtype=float)
         i, hit = _bracket(self.grid, t)
         s = ((t - self.grid[i]) / self.step)[..., None]
@@ -252,12 +284,9 @@ class RiccatiSolution:
         h11 = s * s * (s - 1.0)
         out = (h00 * self.y[i] + h01 * self.y[i + 1]
                + self.step * (h10 * self.dy[i] + h11 * self.dy[i + 1]))
-        n = self.model.dims.d + 1
-        P = out.reshape(out.shape[:-1] + (2, n, n))
-        P[...] = sym(P)
         on_grid = hit >= 0
         out[on_grid] = self.y[hit[on_grid]]
-        return out
+        return self._full(out)
 
 
 def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution:
@@ -276,7 +305,8 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
     n = model.dims.d + 1
     grid = np.linspace(0.0, T, K + 1)
     times = grid[::-1]
-    states = np.empty((K + 1, 2 * n * n))
+    take = _layout(n)[0]
+    states = np.empty((K + 1, take.size))
     derivs = np.empty_like(states)
 
     def settle(k, y):
@@ -289,7 +319,7 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
 
     for k, y, f in _rk4(times, -(T / K), _pack(terminal_state(model)),
                         model.table, _rhs, settle, model.block_steps):
-        states[K - k], derivs[K - k] = y, f
+        states[K - k], derivs[K - k] = y[take], f[take]
     return RiccatiSolution(model=model, grid=grid, step=T / K, y=states, dy=derivs)
 
 
@@ -298,7 +328,9 @@ def with_scaled_lambda(sol: RiccatiSolution, factor: float) -> RiccatiSolution:
     finite factor — a fault-injection hook for battery self-tests."""
     if not math.isfinite(factor):
         raise ValueError(f"Lambda scale factor must be finite, got {factor}")
-    scale = np.where(np.arange(sol.y.shape[1]) < (sol.model.dims.d + 1) ** 2, factor, 1.0)
+    n = sol.model.dims.d + 1
+    scale = np.ones(sol.y.shape[1])
+    scale[_layout(n)[1][:n * n]] = factor  # every slot Lam~ reads
     return replace(sol, y=scale * sol.y, dy=scale * sol.dy)
 
 

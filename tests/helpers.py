@@ -93,10 +93,11 @@ def random_standard_model(rng, d=2, m=2, barred=True, cross=0.0):
     return lq_model(d=d, m=m, horizon=1.0, **kw)
 
 
-def tabulated_model():
-    """Random d=2, m=2 model whose drift and cost schedules are tabulated."""
-    rng = np.random.default_rng(8)
-    base = random_standard_model(rng, d=2, m=2)
+def tabulated_model(rng=None, d=2, m=2, cross=0.0):
+    """Random model (by default the one of seed 8 at d=2, m=2) whose drift and
+    cost schedules are tabulated."""
+    rng = np.random.default_rng(8) if rng is None else rng
+    base = random_standard_model(rng, d=d, m=m, cross=cross)
     knots = np.array([0.0, 0.5, 1.0])
     B = Schedule.tabulated(knots, [base.dynamics.B(0.0) * f for f in (1.0, 0.5, 1.5)])
     Q2 = Schedule.tabulated(knots, [base.cost.Q2(0.0) * f for f in (1.0, 2.0, 1.0)])

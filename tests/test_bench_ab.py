@@ -2,6 +2,7 @@
 tools/bench_ab.py."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +56,27 @@ def test_unknown_base_revision_exits_with_gits_message():
     assert proc.returncode != 0
     assert proc.stderr.startswith("git archive no-such-revision failed: ")
     assert "fatal:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_failed_run_prints_the_completed_pairs_then_exits(monkeypatch, capsys):
+    """A run that fails in the third pair: the summary and the digest lines
+    cover the two completed pairs, then the exit carries the run's stderr."""
+    calls = []
+
+    def bench(checkout, args, seconds):
+        calls.append(checkout)
+        if len(calls) == 5:
+            raise bench_ab.RunFailed(f"run.py in {checkout} exited 1:\nboom\n")
+        return {"wall_s": 2.0, "setup_s": 0.5, "peak_rss_mb": 60.0, "ok_ratio": 1.0}, "d1"
+
+    monkeypatch.setattr(bench_ab, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench_ab, "bench", bench)
+    with pytest.raises(SystemExit) as info:
+        bench_ab.main(["--workload", "sweep", "--seed", "11", "--base", "HEAD", "--pairs", "4"])
+    assert info.value.code.endswith("exited 1:\nboom\n")
+    out = capsys.readouterr().out
+    assert "sweep seed 11, 2 pairs, base HEAD" in out
+    for name in ("wall_s", "setup_s", "peak_rss_mb", "ok_ratio"):
+        assert re.search(rf"^{name} .* change better in 0/2  within bound$", out, re.M)
+    assert out.endswith("output_digest base: d1\noutput_digest change: d1\n"
+                        "output_digest identical\n")

@@ -179,6 +179,17 @@ def test_value_that_overflows_exits_2(capsys, preset, param):
     assert stderr == "error: the value has a non-finite value\n"
 
 
+def test_verify_moment_overflow_exits_2_without_warnings(capsys):
+    """At x0 = 1e160 the initial moment pair m~m~' overflows and the moment
+    flow's first step is not finite: exit 2 with the flow's error line and
+    no numpy warning before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, stderr = run(capsys, "verify", "--preset", "systemic-risk", "--param",
+                              "x0=1e160", "--particles", "16", "--steps", "50")
+    assert (code, stderr) == (2, "error: non-finite moment state at t=0.02\n")
+
+
 def test_value_rejects_unknown_param(capsys):
     code, _, stderr = run(capsys, "value", "--preset", "systemic-risk", "--param", "foo=1")
     assert code == 2

@@ -48,19 +48,32 @@ def test_results_are_read_only():
 # --- noise stream contract ----------------------------------------------------
 
 def test_noise_pure_function_of_seed_step_particle():
-    key, _ = _keys(123)
-    a = step_normals(key, 7, 100)
-    b = step_normals(key, 7, 40)
+    gen = Philox(key=_keys(123)[0])
+    a = step_normals(gen, 7, 100)
+    c = step_normals(gen, 8, 100)
+    b = step_normals(gen, 7, 40)
     assert np.array_equal(a[:40], b)  # particle index, not call order, decides
-    c = step_normals(key, 8, 100)
     assert not np.array_equal(a, c)
-    key2, _ = _keys(124)
-    assert not np.array_equal(step_normals(key2, 7, 100), a)
+    gen.random_raw(3)  # a draw between calls moves nothing
+    assert np.array_equal(step_normals(gen, 7, 100), a)
+    assert not np.array_equal(step_normals(Philox(key=_keys(124)[0]), 7, 100), a)
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000])
+def test_noise_is_the_per_step_generators_words(n):
+    """Repositioning one generator gives bitwise the normals of a Philox built
+    per step at counter step << 128."""
+    key = _keys(31)[0]
+    gen = Philox(key=key)
+    for step in (0, 1, 7, 999, 2 ** 40):
+        raw = Philox(key=key, counter=step << 128).random_raw(n)
+        want = ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
+        assert step_normals(gen, step, n).tobytes() == want.tobytes()
 
 
 def test_noise_is_standard_normal():
-    key, _ = _keys(5)
-    draws = np.concatenate([step_normals(key, k, 20000) for k in range(5)])
+    gen = Philox(key=_keys(5)[0])
+    draws = np.concatenate([step_normals(gen, k, 20000) for k in range(5)])
     n = draws.size
     assert abs(draws.mean()) <= 4.0 / np.sqrt(n)
     assert abs(draws.var() - 1.0) <= 4.0 * np.sqrt(2.0 / n)
@@ -83,7 +96,7 @@ def test_chunk_reproduces_full_ensemble_rows(d, m):
     Z = rng.standard_normal((d + m, n))
     zbar = Z.mean(axis=1)
     full = _row_terms(c, H, 0, Z, zbar)
-    full_normals = step_normals(path_key, step, n)
+    full_normals = step_normals(Philox(key=path_key), step, n)
     for i0, i1 in ((4 * 1237, 4 * 1237 + 3001), (0, 2), (8, 15), (4 * 4999, n)):
         raw = Philox(key=path_key, counter=(step << 128) + i0 // 4).random_raw(i1 - i0)
         normals = ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
@@ -115,7 +128,7 @@ def test_step_is_the_pointwise_state_equation():
         mx = X.mean(axis=0)
         A = np.array([fb(t, x, mx) for x in X])
         ma = A.mean(axis=0)
-        xi = step_normals(_keys(seed)[0], k, n)
+        xi = step_normals(Philox(key=_keys(seed)[0]), k, n)
         rows = [row_at(model, t, x, a, mx, ma) for x, a in zip(X, A)]
         X1 = np.array([x + dt * b + np.sqrt(dt) * s * z
                        for x, (b, s, _, _), z in zip(X, rows, xi)])

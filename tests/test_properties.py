@@ -1,5 +1,6 @@
-"""Property tests over random standard models with d, m <= 3: the model
-document boundary, and identities of the solved value function."""
+"""Property tests over random standard models with d, m <= 3 (d <= 4 for
+the solution's storage): the model document boundary, the half layout of a
+Riccati solution, and identities of the solved value function."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from mflq import (LqModel, MomentState, check_standard_conditions,
                   cost_from_moments, dpp_check, model_from_document,
                   model_to_document, optimal_feedback, solve_riccati, value)
 from mflq.errors import ModelDocumentError
-from mflq.riccati import PSD_TOL
+from mflq.riccati import PSD_TOL, _layout, with_scaled_lambda
 
-from helpers import random_standard_model
+from helpers import random_standard_model, tabulated_model
 
 K = 200  # RK4 steps: the identities below hold to round-off or O(K^-4)
 
@@ -144,3 +145,35 @@ def test_dpp_split(seed, d, m, barred):
     ms = MomentState(rng.standard_normal(d), a @ a.T / d)
     sol = solve_riccati(model, K)
     assert dpp_check(model, sol, t, theta, ms, K) <= 1e-6 * max(1.0, abs(value(sol, t, ms)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds, st.integers(1, 4), sizes, st.sampled_from([0.0, 0.3]))
+def test_half_layout_expands_to_the_symmetric_pair(seed, d, m, cross):
+    """A solution stores at most (d+1)^2 + 1 entries per row; its expanded
+    rows are C-contiguous, exactly symmetric with an exactly zero Lam~
+    padding, the stored rows at grid times, and the same bits through
+    state, at and the full arrays; with_scaled_lambda scales Lam alone."""
+    rng = np.random.default_rng(seed)
+    sol = solve_riccati(tabulated_model(rng, d, m, cross), 40)
+    n = d + 1
+    assert sol.y.shape[1] == sol.dy.shape[1] <= n * n + 1
+    times = np.concatenate([sol.grid, rng.uniform(0.0, sol.horizon, 20)])
+    rows = sol._rows(times)
+    assert rows.flags.c_contiguous
+    P = rows.reshape(-1, 2, n, n)
+    assert np.array_equal(P, np.swapaxes(P, -1, -2))
+    assert not P[:, 0, d].any() and not P[:, 0, :, d].any()
+    assert rows[:sol.grid.size, _layout(n)[0]].tobytes() == sol.y.tobytes()
+    for k in rng.integers(0, sol.grid.size, 5):
+        full = [sol.Lam[k], sol.Gam[k], sol.gam[k], sol.chi[k]]
+        for st_ in (sol.state(k), sol.at(float(sol.grid[k]))):
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in
+                       zip((st_.Lam, st_.Gam, st_.gam, st_.chi), full))
+    for arr in (sol.Lam, sol.Gam, sol.gam, sol.chi):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    scaled = with_scaled_lambda(sol, 1.01)
+    assert scaled.Lam.tobytes() == (1.01 * sol.Lam).tobytes()
+    for name in ("Gam", "gam", "chi"):
+        assert getattr(scaled, name).tobytes() == getattr(sol, name).tobytes()

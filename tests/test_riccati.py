@@ -121,10 +121,13 @@ def test_rhs_is_the_written_system(d, m):
 
 def test_lambda_padding_stays_zero():
     """Lam~'s padding row and column are exactly zero in every stored state
-    and derivative of a solve."""
+    and derivative of a solve, expanded to flat pairs, and in the derivative
+    _rhs takes at each of those states."""
     d = 3
-    sol = solve_riccati(random_standard_model(np.random.default_rng(2), d, 2, cross=0.3), 100)
-    for rows in (sol.y, sol.dy):
+    model = random_standard_model(np.random.default_rng(2), d, 2, cross=0.3)
+    sol = solve_riccati(model, 100)
+    rhs = [_rhs(model.table([t]), 0, y) for t, y in zip(sol.grid, sol._full(sol.y))]
+    for rows in (sol._full(sol.y), sol._full(sol.dy), np.array(rhs)):
         lam = rows.reshape(-1, 2, d + 1, d + 1)[:, 0]
         assert not lam[:, d].any() and not lam[:, :, d].any()
 
@@ -273,9 +276,9 @@ def test_ode_residual_via_finite_differences():
     worst = 0.0
     for k in range(10, K - 10, 17):
         fd = (sol.Lam[k + 1] - sol.Lam[k - 1]) / (2 * dt)
-        rhs = _rhs(model.table([sol.grid[k]]), 0, sol.y[k])
-        np.testing.assert_array_equal(sol.dy[k], rhs)
-        dL = _unpack(sol.dy[k], model.dims.d)[0]
+        rhs = _rhs(model.table([sol.grid[k]]), 0, sol._full(sol.y[k]))
+        np.testing.assert_array_equal(sol._full(sol.dy[k]), rhs)
+        dL = _unpack(rhs, model.dims.d)[0]
         worst = max(worst, np.linalg.norm(fd - dL))
     assert worst <= 10.0 * dt ** 2
 

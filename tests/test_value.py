@@ -12,7 +12,7 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
 from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
 from mflq.model import _flow, _law_pairs, _pair_of, _sample_moments
 from mflq.moments import _moment_table, cost_from_moments, dpp_check
-from mflq.riccati import RiccatiState, _solved_aux
+from mflq.riccati import RiccatiState, _layout, _solved_aux
 from mflq.schedules import Schedule
 
 from helpers import (aux_at, flow_without_mean_noise, pair_of, random_standard_model, row_at,
@@ -388,8 +388,9 @@ def test_chi_shift_moves_value_not_feedback():
     model = systemic_model(SystemicParams())
     sol = solve_riccati(model, 300)
     y = sol.y.copy()
-    y[:, -1] += 2.5  # the chi column of the flat states
+    y[:, _layout(2)[1][-1]] += 2.5  # the slot of chi, the last entry of a flat pair
     shifted = dataclasses.replace(sol, y=y)
+    assert np.array_equal(shifted.chi, sol.chi + 2.5)
     ms = MomentState([0.4], [[1.1]])
     assert value(shifted, 0.3, ms) == pytest.approx(value(sol, 0.3, ms) + 2.5)
     f0, f1 = optimal_feedback(model, sol), optimal_feedback(model, shifted)

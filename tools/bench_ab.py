@@ -10,8 +10,9 @@ Prints each pair's end-to-end metrics; then per metric each side's median
 and quartiles, the median ratio change/base, the number of pairs the
 change won (ties count for neither) and a verdict against the metric's
 ``bound`` in BENCHMARK.json; the output digests of both sides, and one
-line saying whether they are identical. The verdicts, in the order they
-are tested:
+line saying whether they are identical. If a run fails, prints that
+summary for the pairs completed before it, then exits non-zero with the
+failing run's stderr. The verdicts, in the order they are tested:
 
 - gain: the change won at least nine tenths of the pairs and its median is
   better than the base median by more than the base quartile spread;
@@ -52,15 +53,20 @@ def extract(rev: str, dest: str) -> None:
         fh.extractall(dest, **safe)
 
 
+class RunFailed(Exception):
+    """A benchmark run exited non-zero or printed no result line."""
+
+
 def bench(checkout: str, args, seconds: float) -> tuple[dict, str]:
-    """(end-to-end metric values, output digest) of one benchmark run."""
+    """(end-to-end metric values, output digest) of one benchmark run;
+    raises RunFailed with its exit code and stderr if it fails."""
     proc = subprocess.run(
         [sys.executable, os.path.join("benchmarks", "run.py"), "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        sys.exit(f"run.py in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+        raise RunFailed(f"run.py in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     record, result = json.loads(lines[-2]), json.loads(lines[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
     return values, record["output_digest"]
@@ -101,37 +107,9 @@ def digest_line(digests: dict) -> str:
     return line + "".join(f"; {side} runs gave {len(digests[side])} digests" for side in mixed)
 
 
-def main() -> int:
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--workload", required=True,
-                    choices=[w["name"] for w in spec["workloads"]])
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--base", required=True, help="git revision to compare against")
-    args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-
-    runs = {"base": [], "change": []}
-    digests = {"base": set(), "change": set()}
-    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        extract(args.base, tmp)
-        checkouts = {"base": tmp, "change": ROOT}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                values, digest = bench(checkouts[side], args, spec["run_seconds"])
-                runs[side].append(values)
-                digests[side].add(digest)
-            print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
-                f"{name} {runs['base'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
-                for name in better), flush=True)
-
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, base {args.base}; "
+def report(args, runs: dict, digests: dict, better: dict, bounds: dict) -> None:
+    """The per-metric summary and the digest lines of the completed pairs."""
+    print(f"\n{args.workload} seed {args.seed}, {len(runs['base'])} pairs, base {args.base}; "
           "each side: median [first quartile, third quartile]")
     for name, direction in better.items():
         pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"])]
@@ -145,6 +123,47 @@ def main() -> int:
     for side in ("base", "change"):
         print(f"output_digest {side}: {', '.join(sorted(digests[side]))}")
     print(digest_line(digests))
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--workload", required=True,
+                    choices=[w["name"] for w in spec["workloads"]])
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+    runs = {"base": [], "change": []}
+    digests = {"base": set(), "change": set()}
+    failure = None
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
+        extract(args.base, tmp)
+        checkouts = {"base": tmp, "change": ROOT}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            try:
+                pair = [bench(checkouts[side], args, spec["run_seconds"]) for side in order]
+            except RunFailed as exc:
+                failure = str(exc)
+                break
+            for side, (values, digest) in zip(order, pair):
+                runs[side].append(values)
+                digests[side].add(digest)
+            print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
+                f"{name} {runs['base'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
+                for name in better), flush=True)
+
+    if runs["base"]:
+        report(args, runs, digests, better, bounds)
+    if failure is not None:
+        sys.exit(failure)
     return 0
 
 
