@@ -103,15 +103,18 @@ _COST_SCHEDULE_FIELDS = (
 _COST_CONSTANT_FIELDS = (("P2", "dd"), ("P2bar", "dd"), ("p1", "d"), ("p1bar", "d"))
 _COST_FIELDS = _COST_SCHEDULE_FIELDS + _COST_CONSTANT_FIELDS
 _SYMMETRIC_COST = ("Q2", "Q2bar", "R2", "R2bar", "P2", "P2bar")
-# (coefficient, barred term, shape key of a member): the (Lam~, Gam~) pairs
-# of the augmented Riccati state (LqModel.table)
-_PAIRS = (("B", "Bbar", "DD"), ("C", "Cbar", "Dm"), ("D", "Dbar", "DD"), ("F", "Fbar", "Dm"),
-          ("Q2", "Q2bar", "DD"), ("M2", "M2bar", "Dm"), ("R2", "R2bar", "mm"))
+# (coefficient, barred term, block, shape key of a member): the (Lam~, Gam~) pairs of
+# the augmented Riccati state, views of LqModel.table's blocks; a D axis is their first d + 1
+_PAIRS = (("B", "Bbar", "J", "DD"), ("C", "Cbar", "J", "Dm"), ("D", "Dbar", "E", "DD"),
+          ("F", "Fbar", "E", "Dm"), ("Q2", "Q2bar", "T", "DD"), ("M2", "M2bar", "T", "Dm"),
+          ("R2", "R2bar", "T", "mm"))
+_BLOCKS = (("J", "DN"), ("E", "DN"), ("T", "NN"))
 
 
 def _shape_of(key: str, dims: Dimensions) -> tuple:
-    """The shape a key spells, one size per letter: d, m, or D = d + 1."""
-    return tuple({"d": dims.d, "m": dims.m, "D": dims.d + 1}[k] for k in key)
+    """The shape a key spells, one size per letter: d, m, D = d + 1 or N = d + 1 + m."""
+    sizes = {"d": dims.d, "m": dims.m, "D": dims.d + 1, "N": dims.d + 1 + dims.m}
+    return tuple(sizes[k] for k in key)
 
 
 def _asymmetry(mats: np.ndarray) -> float:
@@ -190,19 +193,20 @@ class LqModel:
     def table(self, times) -> dict:
         """Every dynamics and running-cost coefficient at ``times``: name ->
         values stacked on a leading time axis, vectors as columns, the times
-        under "t", and for each X of B, C, D, F, Q2, M2, R2 the (Lam~, Gam~)
-        pair of the augmented Riccati state (riccati module docstring)
-        stacked on a leading axis under X + "p" ("Bp", ...): X and X+Xbar
-        padded with zeros to the _PAIRS shapes, the padding of the Gam~
-        member holding b0 in B~ = [[B+Bbar, b0], [0, 0]], sigma0 in D~,
-        q/2 = (q1+q1bar)/2 in the last row and column of Q~ and
-        r'/2 = (r1+r1bar)'/2 in the last row of M~.
+        under "t", and the (Lam~, Gam~) pairs of the augmented Riccati state
+        (riccati module docstring) stacked on a leading axis in three blocks,
+        "J": [B~ C~], "E": [D~ F~] and "T": [[Q~ M~], [M~' R~]], d + 1 rows or
+        columns first. For each X of B, C, D, F, Q2, M2, R2, X + "p" ("Bp",
+        ...) is the view of its pair in its block (_PAIRS): X and X+Xbar
+        padded with zeros, the padding of the Gam~ member holding b0 in
+        B~ = [[B+Bbar, b0], [0, 0]], sigma0 in D~, q/2 = (q1+q1bar)/2 in the
+        last row and column of Q~ and r'/2 = (r1+r1bar)'/2 in the last row of M~.
 
         Each of ``knot_groups`` is interpolated once (Schedule.table) and its
         fields are views of that table, so a constant is a read-only
         broadcast and a knot time returns the stored knot values; outside a
         knot vector's span Schedule.table raises OutOfDomainError. Row j
-        (c[name][j], c[name + "p"][:, j]) depends on times[j] alone.
+        (c[name][j], c[block][:, j]) depends on times[j] alone.
         """
         times = np.asarray(times, dtype=float)
         c = {"t": times}
@@ -211,17 +215,21 @@ class LqModel:
             for name, i0, i1, shape in layout:
                 view = values[..., i0:i1].reshape(times.shape + shape)
                 c[name] = view[..., None] if len(shape) == 1 else view
-        for name, bar, key in _PAIRS:
-            pair = c[name + "p"] = np.zeros((2,) + times.shape + _shape_of(key, self.dims))
-            block = (..., slice(c[name].shape[-2]), slice(c[name].shape[-1]))
-            pair[0][block] = c[name]
-            np.add(c[name], c[bar], out=pair[1][block])
+        for name, key in _BLOCKS:
+            c[name] = np.zeros((2,) + times.shape + _shape_of(key, self.dims))
         d = self.dims.d
+        for name, bar, block, key in _PAIRS:
+            at = tuple(slice(d + 1) if k == "D" else slice(d + 1, None) for k in key)
+            pair = c[name + "p"] = c[block][(...,) + at]
+            member = (..., slice(c[name].shape[-2]), slice(c[name].shape[-1]))
+            pair[0][member] = c[name]
+            np.add(c[name], c[bar], out=pair[1][member])
         c["Bp"][1, ..., :d, d] = c["b0"][..., 0]
         c["Dp"][1, ..., :d, d] = c["sigma0"][..., 0]
         Q = c["Q2p"][1]
         Q[..., :d, d] = Q[..., d, :d] = 0.5 * (c["q1"] + c["q1bar"])[..., 0]
         c["M2p"][1, ..., d, :] = 0.5 * (c["r1"] + c["r1bar"])[..., 0]
+        c["T"][..., d + 1:, :d + 1] = _tr(c["M2p"])
         return c
 
     @property
@@ -230,7 +238,7 @@ class LqModel:
         (a grid point and a midpoint), fits TABLE_BUDGET floats, and at least
         MIN_BLOCK_STEPS."""
         row = sum(i1 - i0 for _, layout in self.knot_groups for _, i0, i1, _ in layout)
-        row += 2 * sum(math.prod(_shape_of(key, self.dims)) for *_, key in _PAIRS)
+        row += 2 * sum(math.prod(_shape_of(key, self.dims)) for _, key in _BLOCKS)
         return max(MIN_BLOCK_STEPS, TABLE_BUDGET // (2 * row))
 
 

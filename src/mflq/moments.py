@@ -97,7 +97,7 @@ def propagate_moments(model: LqModel, fb: AffineFeedback, t0: float,
     accumulating the running cost as an augmented state component.
 
     The gains and the step matrices are built once per block of
-    model.block_steps steps (282 at d = 1); no result depends on the block
+    model.block_steps steps (264 at d = 1); no result depends on the block
     length. A covariance with a negative eigenvalue is symmetrized and
     clipped, counted as a clip below -1e-9; clipping beyond -1e-6, or a
     non-finite state, raises CovarianceInstabilityError at that step's time

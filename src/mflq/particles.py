@@ -110,7 +110,7 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     """Simulate the interacting particle system under the feedback law.
 
     Coefficients, gains and row factors are tabulated once per block of
-    model.block_steps steps (282 at d = 1); no result depends on the block
+    model.block_steps steps (264 at d = 1); no result depends on the block
     length. Deterministic for fixed (seed, N, K, model, fb). Raises
     SimulationDivergedError (with the step index) if any state goes
     non-finite; a RiccatiBreakdownError of the gains anywhere in a block is

@@ -30,17 +30,18 @@ mean' Gam mean + gam.mean + chi = m~' Gam~ m~ for Gam~ = [[Gam, gam/2],
 [gam'/2, chi]] (the augmented mean state of Yong, SIAM J. Control Optim.
 51(4), 2013). The state is the pair P~ = (Lam~, Gam~) of (d+1) x (d+1)
 matrices, Lam~ being Lam padded with zeros; its terminal value is
-(P2 padded, [[P2+P2bar, p/2], [p'/2, 0]]), p = p1+p1bar. With the
-coefficient pairs B~, C~, D~, F~, Q~, M~ and R of ``LqModel.table`` (its
-docstring gives them), the system is one pair expression
+(P2 padded, [[P2+P2bar, p/2], [p'/2, 0]]), p = p1+p1bar. The right-hand
+side is the minimum over the control of a quadratic form in (x, a), a Schur
+complement: with the stacked coefficient blocks J~ = [B~ C~], E~ = [D~ F~]
+and T~ = [[Q~ M~], [M~' R~]] of ``LqModel.table`` (its docstring gives them),
 
-    (U, V)   = sym(F~' Lam~ F~ + R)
-    (S~, Z~) = D~' Lam~ F~ + P~ C~ + M~
-    W        = (U, V)^{-1} (S~, Z~)'
-    P~'      = -sym(Q~ + D~' Lam~ D~ + P~ B~ + B~' P~ - (S~, Z~) W)
+    N   = sym(E~' Lam~ E~ + T~ + 2 [P~ J~; 0]) = [[N_xx, (S~, Z~)], [., (U, V)]]
+    P~' = -(N / (U, V)) = -(N_xx - (S~, Z~) W),   W = (U, V)^{-1} (S~, Z~)'
 
-in which S~ = [S; 0], Z~ = [Z; Y'/2], W = (U^{-1}S', V^{-1}[Z', Y/2]), the
-last column of Gam~' is [gam'/2; chi'] and Lam~' keeps the zero padding.
+with N_xx = Q~ + D~' Lam~ D~ + P~ B~ + B~' P~, (S~, Z~) = D~' Lam~ F~ +
+P~ C~ + M~ and (U, V) = F~' Lam~ F~ + R~, in which S~ = [S; 0], Z~ =
+[Z; Y'/2], W = (U^{-1}S', V^{-1}[Z', Y/2]), the last column of Gam~' is
+[gam'/2; chi'] and Lam~' keeps the zero padding.
 
 Integration is classical fixed-step RK4 backward in time. U and V must stay
 positive definite at every stage or the solve fails fast with a breakdown
@@ -147,20 +148,20 @@ def _spectrum_error(w: np.ndarray, t: float, name: str):
 
 
 def _solved_aux(c: dict, j, P: np.ndarray):
-    """The pairs (U, V), (S~, Z~) and W = (U^{-1}S~', V^{-1}Z~') from one
-    eigh of (U, V), each stacked on a leading axis, at stage-table row j
-    (an int), or at every row (j = Ellipsis) with P = (Lam~, Gam~) stacked
-    to match. If U or V fails the positivity floor or the condition cap,
-    raises RiccatiBreakdownError at the earliest failing time, for U before
-    V there, as pointwise checks in time order would."""
-    L = P[:1]  # Lam~, for both members of a pair
-    Cp, Dp, Fp = c["Cp"][:, j], c["Dp"][:, j], c["Fp"][:, j]
-    UV = sym(_tr(Fp) @ L @ Fp + c["R2p"][:, j])
-    SZ = _tr(Dp) @ L @ Fp + P @ Cp + c["M2p"][:, j]
-    w, q = np.linalg.eigh(UV)
-    lo = w[..., 0]
-    if not (np.isfinite(w).all() and (lo >= POSITIVITY_FLOOR).all()
-            and (w[..., -1] / lo <= CONDITION_LIMIT).all()):
+    """The pairs N and W = (U^{-1}S~', V^{-1}Z~') (module docstring), W from
+    one eigh of (U, V), each stacked on a leading axis, at stage-table row j
+    (an int), or at every row (j = Ellipsis) with P = (Lam~, Gam~) stacked to
+    match. If U or V fails the positivity floor or the condition cap, raises
+    RiccatiBreakdownError at the earliest failing time, for U before V
+    there, as pointwise checks in time order would."""
+    n, E = P.shape[-1], c["E"][:, j]
+    N = _tr(E) @ P[:1] @ E + c["T"][:, j]  # Lam~ for both members of a pair
+    N[..., :n, :] += 2.0 * (P @ c["J"][:, j])
+    N = sym(N)
+    w, q = np.linalg.eigh(N[..., n:, n:])
+    lo = w[..., 0]  # one predicate for floor and cap, False at nan or inf
+    if not np.minimum(lo - POSITIVITY_FLOOR, CONDITION_LIMIT * lo - w[..., -1]).min(
+            initial=np.inf) >= 0.0:
         t = np.atleast_1d(c["t"][j])
         pairs = w.reshape(2, t.size, -1)
         for i in np.argsort(t, kind="stable"):
@@ -168,7 +169,7 @@ def _solved_aux(c: dict, j, P: np.ndarray):
                 err = _spectrum_error(spectrum, float(t[i]), name)
                 if err is not None:
                     raise err
-    return UV, SZ, q @ ((_tr(q) @ _tr(SZ)) / w[..., None])
+    return N, q @ ((_tr(q) @ _tr(N[..., :n, n:])) / w[..., None])
 
 
 def _unpack(y: np.ndarray, d: int):
@@ -204,12 +205,11 @@ def _pack(st: RiccatiState) -> np.ndarray:
 
 def _rhs(c: dict, j: int, y: np.ndarray) -> np.ndarray:
     """Forward-time derivative of the flat state (Lam~, Gam~) at stage-table
-    row j: one expression over the pair."""
-    n = c["Bp"].shape[-1]
-    P = y.reshape(2, n, n)
-    L, Bp, Dp = P[0], c["Bp"][:, j], c["Dp"][:, j]
-    _, SZ, W = _solved_aux(c, j, P)
-    return -sym(c["Q2p"][:, j] + _tr(Dp) @ L @ Dp + P @ Bp + _tr(Bp) @ P - SZ @ W).ravel()
+    row j: minus the Schur complement N / (U, V) of _solved_aux, exactly
+    symmetric."""
+    n = c["J"].shape[-2]
+    N, W = _solved_aux(c, j, y.reshape(2, n, n))
+    return sym(N[:, :n, n:] @ W - N[:, :n, :n]).ravel()
 
 
 def default_step_count(horizon: float) -> int:
@@ -293,11 +293,12 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
     """Integrate the terminal-value system backward with fixed-step RK4.
 
     Every coefficient is tabulated once per block of model.block_steps
-    steps (no result depends on the block length); Lam and Gam are
-    re-symmetrized after every step; U and V are checked positive definite
-    at every stage evaluation. Raises RiccatiBreakdownError
-    carrying the failure time on positivity loss, ill-conditioning, or a
-    non-finite state.
+    steps (no result depends on the block length); Lam and Gam stay exactly
+    symmetric, as the right-hand side is and RK4 combines states entrywise;
+    U and V are checked positive definite at every stage evaluation.
+    Raises RiccatiBreakdownError carrying the failure time on positivity
+    loss, ill-conditioning, or a non-finite state, with no numpy warning
+    before it.
     """
     K = default_step_count(model.horizon) if n_steps is None else n_steps
     check_count("n_steps", K, 1)
@@ -310,16 +311,15 @@ def solve_riccati(model: LqModel, n_steps: int | None = None) -> RiccatiSolution
     derivs = np.empty_like(states)
 
     def settle(k, y):
-        P = y.reshape(2, n, n)
-        P[...] = sym(P)
         if not np.isfinite(y).all():
             raise RiccatiBreakdownError(
                 f"non-finite Riccati state at t={times[k]:.6g}", time=float(times[k]))
         return y
 
-    for k, y, f in _rk4(times, -(T / K), _pack(terminal_state(model)),
-                        model.table, _rhs, settle, model.block_steps):
-        states[K - k], derivs[K - k] = y[take], f[take]
+    with np.errstate(over="ignore", invalid="ignore"):  # settle and the U, V check raise
+        for k, y, f in _rk4(times, -(T / K), _pack(terminal_state(model)),
+                            model.table, _rhs, settle, model.block_steps):
+            states[K - k], derivs[K - k] = y[take], f[take]
     return RiccatiSolution(model=model, grid=grid, step=T / K, y=states, dy=derivs)
 
 

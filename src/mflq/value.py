@@ -56,7 +56,7 @@ def optimal_gains(model: LqModel, sol: RiccatiSolution, times):
     d = model.dims.d
     rows = sol._rows(times)
     P = np.moveaxis(rows.reshape(rows.shape[:-1] + (2, d + 1, d + 1)), -3, 0)
-    return -_solved_aux(model.table(times), ..., P)[2]
+    return -_solved_aux(model.table(times), ..., P)[1]
 
 
 def optimal_feedback(model: LqModel, sol: RiccatiSolution) -> AffineFeedback:
@@ -113,7 +113,7 @@ def bellman_residual(model: LqModel, sol: RiccatiSolution, t: float,
     n = model.dims.d + 1
     P, dP = rows[0].reshape(2, n, n), derivative(rows)
     c = model.table([t])
-    K = -_solved_aux(c, 0, P)[2]
+    K = -_solved_aux(c, 0, P)[1]
     e = np.zeros_like(K)
     e[0, :, :-1] = e[1, :, -1] = 1.0
 

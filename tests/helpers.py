@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 
 from mflq import lq_model
-from mflq.model import _flow, _row_factors, _row_terms, _terminal_rows
+from mflq.model import _flow, _row_factors, _row_terms, _terminal_rows, _tr, sym
 from mflq.riccati import _pack, _solved_aux
 from mflq.schedules import Schedule
 
@@ -24,11 +24,36 @@ def variance_stderr(samples) -> float:
 
 def aux_at(model, t, state):
     """U, V, S, Z and Y (a vector) at (t, state), from _solved_aux on the
-    one-row model table at t: S~ = [S; 0] and Z~ = [Z; Y'/2]."""
+    one-row model table at t: the control block (U, V) and the off-diagonal
+    block (S~, Z~) of its N, S~ = [S; 0] and Z~ = [Z; Y'/2]."""
     d = model.dims.d
-    (U, V), (S, Z), _ = _solved_aux(model.table([t]), 0, pair_of(state))
+    N = _solved_aux(model.table([t]), 0, pair_of(state))[0]
+    (U, V), (S, Z) = N[:, d + 1:, d + 1:], N[:, :d + 1, d + 1:]
     assert not S[d].any()
     return U, V, S[:d], Z[:d], 2.0 * Z[d]
+
+
+def reference_aux(c, j, P):
+    """(S~, Z~) and W = (U^{-1}S~', V^{-1}Z~') spelled term by term over the
+    seven coefficient pairs of an LqModel.table c, with no breakdown check:
+    the pair expression that the Schur complement of riccati._solved_aux
+    replaced, kept as a reference for it."""
+    L = P[:1]
+    Cp, Dp, Fp = c["Cp"][:, j], c["Dp"][:, j], c["Fp"][:, j]
+    UV = sym(_tr(Fp) @ L @ Fp + c["R2p"][:, j])
+    SZ = _tr(Dp) @ L @ Fp + P @ Cp + c["M2p"][:, j]
+    w, q = np.linalg.eigh(UV)
+    return SZ, q @ ((_tr(q) @ _tr(SZ)) / w[..., None])
+
+
+def reference_rhs(c, j, y):
+    """The Riccati right-hand side at row j of c as the pair expression
+    -sym(Q~ + D~'Lam~D~ + P~B~ + B~'P~ - (S~, Z~) W) (reference_aux)."""
+    n = c["Bp"].shape[-1]
+    P = y.reshape(2, n, n)
+    L, Bp, Dp = P[0], c["Bp"][:, j], c["Dp"][:, j]
+    SZ, W = reference_aux(c, j, P)
+    return -sym(c["Q2p"][:, j] + _tr(Dp) @ L @ Dp + P @ Bp + _tr(Bp) @ P - SZ @ W).ravel()
 
 
 def pair_of(state):

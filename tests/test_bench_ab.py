@@ -2,6 +2,7 @@
 tools/bench_ab.py."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -80,3 +81,33 @@ def test_failed_run_prints_the_completed_pairs_then_exits(monkeypatch, capsys):
         assert re.search(rf"^{name} .* change better in 0/2  within bound$", out, re.M)
     assert out.endswith("output_digest base: d1\noutput_digest change: d1\n"
                         "output_digest identical\n")
+
+
+def test_trace_summarises_every_per_layer_metric_without_a_verdict(monkeypatch, capsys):
+    """--trace runs both sides traced and reports, per per-layer metric of
+    BENCHMARK.json, medians, quartiles, the median ratio and the wins, and
+    no verdict."""
+    spec = json.loads((_path.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    traced = []
+
+    def bench(checkout, args, seconds):
+        traced.append(args.trace)
+        value = 2.0 if checkout == bench_ab.ROOT else 4.0
+        return {m["name"]: 0.0 if m["name"] == "moments.clip_count" else value
+                for m in spec["per_layer"]}, "d1"
+
+    monkeypatch.setattr(bench_ab, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench_ab, "bench", bench)
+    assert bench_ab.main(["--workload", "sweep", "--seed", "11", "--base", "HEAD",
+                          "--pairs", "3", "--trace"]) == 0
+    assert traced == [True] * 6
+    out = capsys.readouterr().out
+    assert re.findall(r"^pair \d \((\w+) first\)$", out, re.M) == ["base", "change", "base"]
+    for m in spec["per_layer"]:
+        line = re.search(rf"^{re.escape(m['name'])} +base (.*)$", out, re.M).group(1)
+        if m["name"] == "moments.clip_count":
+            want = "0 [0, 0]  change 0 [0, 0]  median ratio n/a  change better in 0/3"
+        else:
+            wins = 3 if m["better"] == "lower" else 0
+            want = f"4 [4, 4]  change 2 [2, 2]  median ratio 0.500  change better in {wins}/3"
+        assert line == want

@@ -190,6 +190,34 @@ def test_verify_moment_overflow_exits_2_without_warnings(capsys):
     assert (code, stderr) == (2, "error: non-finite moment state at t=0.02\n")
 
 
+# case -> (model document or None for the preset, argv, breakdown message,
+# its time): a state that overflows (sigma = 1e200) and a U that does first (B = 400)
+_OVERFLOWING_SOLVES = {
+    "state": (None, ["--preset", "systemic-risk", "--param", "sigma=1e200", "--steps", "50"],
+              "non-finite Riccati state at t=0.98", 0.98),
+    "U": ({"dims": {"d": 1, "m": 1}, "horizon": 1.0,
+           "dynamics": {"B": 400.0, "C": 1.0, "D": 1.0, "F": 1.0},
+           "cost": {"R2": 1.0, "P2": 1.0}},
+          ["--steps", "200"], "U non-finite at t=0.0025", 0.0025),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_SOLVES))
+def test_riccati_overflow_exits_3_without_warnings(tmp_path, capsys, case):
+    """An overflowing solve ends in its breakdown, exit 3, with that one
+    line on stderr and no numpy warning before it."""
+    doc, argv, message, t = _OVERFLOWING_SOLVES[case]
+    if doc is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--config", str(path), *argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "riccati", *argv)
+    assert (code, stdout) == (3, "")
+    assert stderr == f"riccati breakdown at t={t:g}: {message}\n"
+
+
 def test_value_rejects_unknown_param(capsys):
     code, _, stderr = run(capsys, "value", "--preset", "systemic-risk", "--param", "foo=1")
     assert code == 2

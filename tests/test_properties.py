@@ -1,18 +1,20 @@
 """Property tests over random standard models with d, m <= 3 (d <= 4 for
 the solution's storage): the model document boundary, the half layout of a
-Riccati solution, and identities of the solved value function."""
+Riccati solution, the Schur form of its right-hand side, and identities of
+the solved value function."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mflq import (LqModel, MomentState, check_standard_conditions,
                   cost_from_moments, dpp_check, model_from_document,
                   model_to_document, optimal_feedback, solve_riccati, value)
-from mflq.errors import ModelDocumentError
-from mflq.riccati import PSD_TOL, _layout, with_scaled_lambda
+from mflq.errors import ModelDocumentError, RiccatiBreakdownError
+from mflq.riccati import PSD_TOL, _layout, _rhs, with_scaled_lambda
+from mflq.value import optimal_gains
 
-from helpers import random_standard_model, tabulated_model
+from helpers import random_standard_model, reference_aux, reference_rhs, tabulated_model
 
 K = 200  # RK4 steps: the identities below hold to round-off or O(K^-4)
 
@@ -177,3 +179,32 @@ def test_half_layout_expands_to_the_symmetric_pair(seed, d, m, cross):
     assert scaled.Lam.tobytes() == (1.01 * sol.Lam).tobytes()
     for name in ("Gam", "gam", "chi"):
         assert getattr(scaled, name).tobytes() == getattr(sol, name).tobytes()
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, sizes, sizes, st.booleans(), st.booleans(), st.sampled_from([0.0, 0.3]))
+def test_schur_form_is_the_pair_expression(seed, d, m, barred, tabulated, cross):
+    """The right-hand side -(N / (U, V)) and the gains -W of the Schur form
+    agree with the term-by-term pair expression to 1e-13 relative, at grid
+    states and on the stage tables, with barred terms, M2 and tabulated B
+    and Q2 on and off."""
+    rng = np.random.default_rng(seed)
+    model = (tabulated_model(rng, d, m, cross) if tabulated
+             else random_standard_model(rng, d, m, barred=barred, cross=cross))
+    try:
+        sol = solve_riccati(model, K)
+    except RiccatiBreakdownError:  # an M2 can break the positivity of U or V
+        assume(False)
+    ks = np.array([0, 37, 100, 163, K])
+    c = model.table(sol.grid[ks])
+    for j, k in enumerate(ks):
+        y = sol._full(sol.y[k])
+        assert _relative_gap(_rhs(c, j, y), reference_rhs(c, j, y)) <= 1e-13
+    times = np.sort(rng.uniform(0.0, 1.0, 9))
+    rows = sol._rows(times).reshape(times.size, 2, d + 1, d + 1)
+    want = -reference_aux(model.table(times), ..., np.moveaxis(rows, 1, 0))[1]
+    assert _relative_gap(optimal_gains(model, sol, times), want) <= 1e-13

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -381,9 +383,8 @@ def test_standard_conditions_first_violation(coeffs, report):
 def test_breakdown_on_blowup():
     # Lam' = 5 + Lam^2 backward from 0: finite-time escape near t ~ 0.3
     model = lq_model(d=1, m=1, horizon=1.0, C=1.0, R2=1.0, Q2=-5.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RiccatiBreakdownError) as info:
-            solve_riccati(model, 1000)
+    with pytest.raises(RiccatiBreakdownError) as info:
+        solve_riccati(model, 1000)
     assert info.value.time < 0.5
 
 
@@ -394,6 +395,21 @@ def test_breakdown_on_positivity_loss():
         solve_riccati(model, 1000)
     assert 0.8 <= info.value.time <= 0.87
     assert info.value.eigenvalue is not None
+
+
+@pytest.mark.parametrize("model, steps, message, t", [
+    (systemic_model(SystemicParams(sigma=1e200)), 50, "non-finite Riccati state", 0.98),
+    (lq_model(d=1, m=1, horizon=1.0, B=400.0, C=1.0, D=1.0, F=1.0, R2=1.0, P2=1.0), 200,
+     "U non-finite", 0.0025),
+], ids=["state", "U"])
+def test_overflowing_solve_raises_without_warnings(model, steps, message, t):
+    """The solve steps with numpy's overflow and invalid-value warnings off:
+    the breakdown, with its time, is all an overflowing solve reports."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RiccatiBreakdownError) as info:
+            solve_riccati(model, steps)
+    assert str(info.value) == f"{message} at t={t:g}" and info.value.time == pytest.approx(t)
 
 
 def test_csv_dump(tmp_path):

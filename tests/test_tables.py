@@ -286,7 +286,7 @@ def test_table_is_the_per_field_schedule_tables(monkeypatch, name, model, n_grou
             values = getattr(block, field).table(times)
             expected[field] = values[..., None] if len(key) == 1 else values
     d = model.dims.d  # 3, with m = 2: only the d-row coefficients are padded
-    for field, bar, _ in _PAIRS:
+    for field, bar, _, _ in _PAIRS:
         rows, cols = expected[field].shape[-2:]
         pair = np.zeros((2, times.size, rows + (rows == d), cols + (rows == cols == d)))
         pair[0, :, :rows, :cols] = expected[field]
@@ -296,6 +296,10 @@ def test_table_is_the_per_field_schedule_tables(monkeypatch, name, model, n_grou
     B[:, :d, d], D[:, :d, d] = expected["b0"][..., 0], expected["sigma0"][..., 0]
     Q[:, :d, d] = Q[:, d, :d] = 0.5 * (expected["q1"] + expected["q1bar"])[..., 0]
     M[:, d] = 0.5 * (expected["r1"] + expected["r1bar"])[..., 0]
+    Bp, Cp, Dp, Fp, Qp, Mp, Rp = (expected[field + "p"] for field, *_ in _PAIRS)
+    expected["J"] = np.concatenate((Bp, Cp), axis=-1)
+    expected["E"] = np.concatenate((Dp, Fp), axis=-1)
+    expected["T"] = np.block([[Qp, Mp], [Mp.swapaxes(-1, -2), Rp]])
     calls = []
     schedule_table = Schedule.table
 
@@ -309,6 +313,8 @@ def test_table_is_the_per_field_schedule_tables(monkeypatch, name, model, n_grou
     assert table.keys() == expected.keys()
     for key, values in expected.items():
         assert table[key].shape == values.shape and table[key].tobytes() == values.tobytes(), key
+    for field, _, block, _ in _PAIRS:  # each pair is a view of its block
+        assert np.shares_memory(table[field + "p"], table[block])
     if name != "constant":
         for outside in ([-0.1], [0.5, 1.1], [np.nan]):
             with pytest.raises(OutOfDomainError):
@@ -319,8 +325,8 @@ def test_block_length_from_row_size():
     """A block is as many steps as fit TABLE_BUDGET floats, two table rows
     per step, and never fewer than 16."""
     rng = np.random.default_rng(0)
-    assert systemic_model(SystemicParams()).block_steps == 282
-    assert random_standard_model(rng, 3, 2).block_steps == 61
+    assert systemic_model(SystemicParams()).block_steps == 264
+    assert random_standard_model(rng, 3, 2).block_steps == 58
     assert random_standard_model(rng, 16, 8).block_steps == MIN_BLOCK_STEPS == 16
 
 

@@ -10,7 +10,7 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
                   mean_variance_model, optimal_feedback, solve_riccati,
                   systemic_model, value)
 from mflq.cli import BELLMAN_TOL, DPP_TOL, IDENTITY_TOL
-from mflq.model import _flow, _law_pairs, _pair_of, _sample_moments
+from mflq.model import _flow, _law_pairs, _pair_of, _sample_moments, _tr
 from mflq.moments import _moment_table, cost_from_moments, dpp_check
 from mflq.riccati import RiccatiState, _layout, _solved_aux
 from mflq.schedules import Schedule
@@ -89,7 +89,7 @@ def hamiltonian_at(model, t, state, ms, law=None):
     one-row model table at t and y the flat state of S~ = _pair_of(ms); by
     default under the gains _solved_aux synthesises at (t, state)."""
     c, P = model.table([t]), pair_of(state)
-    K = -_solved_aux(c, 0, P)[2] if law is None else law.table([t])[:, 0]
+    K = -_solved_aux(c, 0, P)[1] if law is None else law.table([t])[:, 0]
     L = _flow(*_law_pairs(c, 0, K))
     return float(np.append(P, 1.0) @ L @ np.append(_pair_of(ms), 0.0))
 
@@ -474,25 +474,41 @@ def test_bellman_residual_across_a_knot():
 
 
 # --- mutants of the solve's factorization --------------------------------------
+# Each edits, in place, copies of the coefficient blocks J~, E~, T~ that
+# _solved_aux reads (LqModel.table); n = d + 1 rows or columns come first.
+
+def _block(c, name):
+    c[name] = c[name].copy()
+    return c[name]
+
 
 def _drop_m2bar(c, d):
-    c["M2p"] = c["M2p"].copy()
-    c["M2p"][1, ..., :d, :] = c["M2"]
+    T = _block(c, "T")
+    T[1, ..., :d, d + 1:] = c["M2"]
+    T[1, ..., d + 1:, :d] = _tr(c["M2"])
 
 
 def _drop_cbar(c, d):
-    c["Cp"] = c["Cp"].copy()
-    c["Cp"][1, ..., :d, :] = c["C"]
+    _block(c, "J")[1, ..., :d, d + 1:] = c["C"]
 
 
 def _drop_r2bar(c, d):
-    c["R2p"] = c["R2p"].copy()
-    c["R2p"][1] = c["R2"]
+    _block(c, "T")[1, ..., d + 1:, d + 1:] = c["R2"]
 
 
 def _zero_r1_row(c, d):
-    c["M2p"] = c["M2p"].copy()
-    c["M2p"][1, ..., d, :] = 0.0
+    T = _block(c, "T")
+    T[1, ..., d, d + 1:] = T[1, ..., d + 1:, d] = 0.0
+
+
+def _single_drift(c, d):
+    """N with P~J~ in place of 2 P~J~."""
+    c["J"] = 0.5 * c["J"]
+
+
+def _drop_m_transpose(c, d):
+    """T~ without its M~' block."""
+    _block(c, "T")[..., d + 1:, :d + 1] = 0.0
 
 
 def _aux_mutant(edit):
@@ -502,8 +518,8 @@ def _aux_mutant(edit):
 
     def mutant(c, j, P):
         if edit is None:
-            UV, SZ, W = _solved_aux(c, j, P)
-            return UV, SZ, np.zeros_like(W)
+            N, W = _solved_aux(c, j, P)
+            return N, np.zeros_like(W)
         c = dict(c)
         edit(c, c["b0"].shape[1])
         return _solved_aux(c, j, P)
@@ -526,6 +542,8 @@ MUTANTS = {"M2bar-from-Z": ("_solved_aux", _aux_mutant(_drop_m2bar)),
            "R2bar-from-V": ("_solved_aux", _aux_mutant(_drop_r2bar)),
            "r1-row-of-M": ("_solved_aux", _aux_mutant(_zero_r1_row)),
            "W-zero": ("_solved_aux", _aux_mutant(None)),
+           "single-drift-in-N": ("_solved_aux", _aux_mutant(_single_drift)),
+           "T-without-M-transpose": ("_solved_aux", _aux_mutant(_drop_m_transpose)),
            "flow-without-mean-noise": ("_flow", flow_without_mean_noise)}
 
 
@@ -540,7 +558,7 @@ def test_bellman_residual_sees_solved_aux_mutants(monkeypatch, name):
     attr, mutant = MUTANTS[name]
     model = random_standard_model(np.random.default_rng(3), 3, 2, cross=0.3)
     models = [model, _without_noise_gains(model)]
-    if name in ("M2bar-from-Z", "W-zero", "flow-without-mean-noise"):
+    if name in ("M2bar-from-Z", "W-zero", "single-drift-in-N", "flow-without-mean-noise"):
         models.append(systemic_model(SystemicParams()))
     rng = np.random.default_rng(1)
     laws = _random_laws(rng, 3, 3)
@@ -556,5 +574,6 @@ def test_bellman_residual_sees_solved_aux_mutants(monkeypatch, name):
                 if hasattr(module, attr):
                     patch.setattr(module, attr, mutant)
             sol = solve_riccati(model, 1000)
-            assert min(bellman_residual(model, sol, t, ms)
-                       for t in (0.3, 0.7) for ms in states) > BELLMAN_TOL
+            residual = min(bellman_residual(model, sol, t, ms)
+                           for t in (0.3, 0.7) for ms in states)
+        assert residual > BELLMAN_TOL, (name, d, residual)

@@ -1,6 +1,6 @@
 """Alternating benchmark pairs: a base revision against the working tree.
 
-    python3 tools/bench_ab.py --workload simulate --seed 11 --base HEAD~1 [--pairs 10]
+    python3 tools/bench_ab.py --workload simulate --seed 11 --base HEAD~1 [--pairs 10] [--trace]
 
 The base revision is extracted with ``git archive`` into a temporary
 directory. Each pair runs ``benchmarks/run.py --trace 0`` once there and
@@ -10,9 +10,11 @@ Prints each pair's end-to-end metrics; then per metric each side's median
 and quartiles, the median ratio change/base, the number of pairs the
 change won (ties count for neither) and a verdict against the metric's
 ``bound`` in BENCHMARK.json; the output digests of both sides, and one
-line saying whether they are identical. If a run fails, prints that
-summary for the pairs completed before it, then exits non-zero with the
-failing run's stderr. The verdicts, in the order they are tested:
+line saying whether they are identical. With ``--trace`` both sides run
+with ``--trace 1`` and the summary covers BENCHMARK.json's ``per_layer``
+metrics, with no verdict, as they have no bound. If a run fails, prints
+that summary for the pairs completed before it, then exits non-zero with
+the failing run's stderr. The verdicts, in the order they are tested:
 
 - gain: the change won at least nine tenths of the pairs and its median is
   better than the base median by more than the base quartile spread;
@@ -62,7 +64,7 @@ def bench(checkout: str, args, seconds: float) -> tuple[dict, str]:
     raises RunFailed with its exit code and stderr if it fails."""
     proc = subprocess.run(
         [sys.executable, os.path.join("benchmarks", "run.py"), "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(args.seed), "--seconds", str(seconds), "--trace", str(int(args.trace))],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -107,19 +109,21 @@ def digest_line(digests: dict) -> str:
     return line + "".join(f"; {side} runs gave {len(digests[side])} digests" for side in mixed)
 
 
-def report(args, runs: dict, digests: dict, better: dict, bounds: dict) -> None:
-    """The per-metric summary and the digest lines of the completed pairs."""
+def report(args, runs: dict, digests: dict, better: dict, bounds: dict | None) -> None:
+    """The per-metric summary and the digest lines of the completed pairs;
+    a verdict per metric only if ``bounds`` are given."""
     print(f"\n{args.workload} seed {args.seed}, {len(runs['base'])} pairs, base {args.base}; "
           "each side: median [first quartile, third quartile]")
+    width = max(12, *map(len, better))
     for name, direction in better.items():
         pairs = [(b[name], c[name]) for b, c in zip(runs["base"], runs["change"])]
         ratios = [c / b for b, c in pairs if b]
         wins = sum(c < b if direction == "lower" else c > b for b, c in pairs)
         median = f"{statistics.median(ratios):.3f}" if ratios else "n/a"
-        print(f"{name:12s} base {summary([b for b, _ in pairs])}  "
+        tail = "" if bounds is None else f"  {verdict(pairs, direction, bounds[name])}"
+        print(f"{name:{width}s} base {summary([b for b, _ in pairs])}  "
               f"change {summary([c for _, c in pairs])}  median ratio {median}  "
-              f"change better in {wins}/{len(pairs)}  "
-              f"{verdict(pairs, direction, bounds[name])}")
+              f"change better in {wins}/{len(pairs)}{tail}")
     for side in ("base", "change"):
         print(f"output_digest {side}: {', '.join(sorted(digests[side]))}")
     print(digest_line(digests))
@@ -134,11 +138,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--trace", action="store_true",
+                    help="run traced and summarise the per-layer metrics, with no verdict")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = None if args.trace else {m["name"]: m["bound"] for m in metrics}
 
     runs = {"base": [], "change": []}
     digests = {"base": set(), "change": set()}
@@ -156,9 +163,12 @@ def main(argv=None) -> int:
             for side, (values, digest) in zip(order, pair):
                 runs[side].append(values)
                 digests[side].add(digest)
-            print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
-                f"{name} {runs['base'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
-                for name in better), flush=True)
+            line = f"pair {i + 1} ({order[0]} first)"
+            if not args.trace:  # the per-layer list is too long for one line
+                line += ": " + "  ".join(
+                    f"{name} {runs['base'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
+                    for name in better)
+            print(line, flush=True)
 
     if runs["base"]:
         report(args, runs, digests, better, bounds)
