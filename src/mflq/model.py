@@ -12,12 +12,12 @@ Running and terminal costs are the full quadratic forms
         + 2 mx'M2bar ma + q1.x + q1bar.mx + r1.a + r1bar.ma
     g = x'P2 x + mx'P2bar mx + p1.x + p1bar.mx
 
-where mx, ma denote the state/control means. ``_row_terms`` and
+where mx, ma denote the state/control means. ``_step_map`` and
 ``_terminal_rows``, the implementation of these formulas, act on the
-columns z = [x; a] of the particle simulator's component-major (d+m, n)
-ensemble: one product with H = [B C; D F; Q2 M2; M2' R2; q1' r1'] gives
-B x + C a, D x + F a and the cost rows Y, with z'Y[:-1] + Y[-1] the running
-cost's part in z; its barred twin does the same at the means.
+columns x~ = [x; 1] of the particle simulator's (d+1, n) ensemble: under an
+affine law the controls z = [x; a] are M x~, so H = [B C; D F; Q2 M2; M2' R2;
+q1' r1'] times M gives the drift, the diffusion and the running cost's
+quadratic form in x~, and its barred twin the terms of the means.
 ``_law_pairs`` writes them for an affine law's moments, and ``_flow`` the
 generator of the flow of its moment pair ``_pair_of``. Models are immutable.
 
@@ -317,17 +317,24 @@ def _form(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...->...", Y[:-1], Z) + Y[-1]
 
 
-def _row_terms(c: dict, H: np.ndarray, r: int, Z: np.ndarray, zbar: np.ndarray,
-               Y: np.ndarray | None = None):
-    """(drift, diffusion, running cost) of the columns of Z with means zbar
-    at row r of a table c and its _row_factors H; column i of each depends
-    on column i of Z alone. H Z goes into ``Y`` when given; drift and diffusion view it."""
-    d = c["b0"].shape[1]
-    Y, ybar = np.matmul(H[0, r], Z, out=Y), H[1, r] @ zbar
-    b, s = Y[:d], Y[d:2 * d]
-    b += c["b0"][r] + ybar[:d, None]
-    s += c["sigma0"][r] + ybar[d:2 * d, None]
-    return b, s, _form(Y[2 * d:], Z) + _form(ybar[2 * d:], zbar)
+def _step_map(c: dict, H: np.ndarray, r: int, K: np.ndarray, mhat: np.ndarray,
+              dt: float) -> np.ndarray:
+    """The step S (3d+1, d+1) of the law with gain pair row K at the state mean
+    mhat, row r of a table c and its _row_factors H. A column x~ = [x; 1] has
+    controls z = [x; a] = M x~, M = [[I, 0], [K1, abar - K1 mhat]], abar = K2
+    mhat + k, and S x~ stacks dt b, sqrt(dt) s and dt Phi x~, x~'Phi x~ the running
+    cost: Phi = M'(Q M), its last row plus the linear and the barred cost."""
+    d = mhat.size
+    K1, abar = K[0, :, :d], K[1, :, :d] @ mhat + K[1, :, d]
+    M = np.eye(H.shape[-1], d + 1)
+    M[d:, :d], M[d:, d] = K1, abar - K1 @ mhat
+    zbar = np.concatenate([mhat, abar])
+    Y, ybar = H[0, r] @ M, H[1, r] @ zbar
+    Y[:2 * d, d] += np.append(c["b0"][r], c["sigma0"][r]) + ybar[:2 * d]
+    Phi = M.T @ Y[2 * d:-1]
+    Phi[d] += Y[-1]
+    Phi[d, d] += zbar @ ybar[2 * d:-1] + ybar[-1]
+    return np.vstack([dt * Y[:d], math.sqrt(dt) * Y[d:2 * d], dt * Phi])
 
 
 def _law_pairs(c: dict, j, K: np.ndarray):
@@ -344,8 +351,10 @@ def _law_pairs(c: dict, j, K: np.ndarray):
 def _pair_of(ms: "MomentState") -> np.ndarray:
     """A law's moment pair S~ = (Cov padded with zeros, m~m~'), m~ = [mean; 1]:
     its value and lifted costs are contractions <P~, S~> = sum P~ * S~."""
-    m = np.append(ms.mean, 1.0)
-    return np.stack((np.pad(ms.cov, (0, 1)), np.outer(m, m)))
+    m, S = np.append(ms.mean, 1.0), np.zeros((2, ms.d + 1, ms.d + 1))
+    S[0, :-1, :-1] = ms.cov
+    np.multiply.outer(m, m, out=S[1])
+    return S
 
 
 def _flow(A: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -445,7 +454,7 @@ class MomentState:
 def _sample_moments(X: np.ndarray, centred: np.ndarray | None = None):
     """Mean (pairwise over each row) and unbiased covariance of the columns
     of X (d, N); the centred columns go to ``centred`` when given."""
-    mean = X.mean(axis=1)
+    mean = np.add.reduce(X, axis=1) / X.shape[1]  # X.mean(axis=1), bit for bit
     centred = np.subtract(X, mean[:, None], out=centred)
     return mean, sym(centred @ centred.T / (X.shape[1] - 1))
 

@@ -2,10 +2,12 @@
 estimation.
 
 The law coupling of the controlled dynamics is replaced by empirical
-means over the ensemble: each step computes the state mean, every
-particle's control against it, the control mean, then one Euler-Maruyama
-update, on the component-major ensemble of ``model._row_terms``. Stored
-ensembles are particle-major, (N, d).
+means over the ensemble, the component-major (d+1, N) buffer [x; 1] (one
+column per particle; controls are not stored). Each step applies the law's
+step map S at the state mean m (``model._step_map``, whose control mean
+K2 m + k is the controls' empirical mean up to rounding) in one product,
+whose rows give the drift and diffusion increments and the running cost,
+then one Euler-Maruyama update. Stored ensembles are particle-major, (N, d).
 
 Randomness
 ----------
@@ -15,8 +17,11 @@ seed, is repositioned at counter k << 128, its i-th 64-bit output word is
 mapped to (0, 1), and transformed by the inverse normal CDF (scipy's ndtri,
 imported at the first draw). Exactly one normal is consumed per particle per step, so
 results are bit-reproducible and the noise does not depend on execution order
-or chunking (README says which chunks keep the rows bitwise too). Empirical
-means are numpy's pairwise sums over each component's contiguous particle row.
+or chunking. A chunk [i0, i1) of at least two particles, i0 % 4 == 0, draws
+its normals at counter (k << 128) + i0 // 4 and gets the full run's columns
+bitwise if the BLAS product S [x; 1] gives a column the same bits whichever
+columns share it (not promised; the tests check it). Empirical means are
+numpy's pairwise sums over each component's particle row, divided by N.
 The initial Gaussian draw comes from a separately keyed stream.
 
 Running costs use the left-endpoint rule, order-matched to the weak
@@ -33,7 +38,7 @@ from numpy.random import Philox, SeedSequence
 
 from .errors import SimulationDivergedError
 from .model import (AffineFeedback, LqModel, MomentState, _finite, _row_factors,
-                    _row_terms, _sample_moments, _terminal_rows, _write_csv, check_count)
+                    _sample_moments, _step_map, _terminal_rows, _write_csv, check_count)
 from .riccati import RiccatiSolution
 from .value import optimal_feedback
 
@@ -118,18 +123,17 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     earlier step of the same block.
     """
     cfg.validate()
-    d, m = model.dims.d, model.dims.m
+    d = model.dims.d
     n, K = cfg.n_particles, cfg.n_steps
     dt = model.horizon / K
-    sqdt = np.sqrt(dt)
     times = np.linspace(0.0, model.horizon, K + 1)
     path_key, init_key = _keys(cfg.seed)
     gen = Philox(key=path_key)
-    Z = np.empty((d + m, n))  # component-major ensemble: states X, then controls A
-    X, A = Z[:d], Z[d:]
+    Xt = np.ones((d + 1, n))  # component-major ensemble [x; 1]; controls are not stored
+    X = Xt[:d]
     X[...] = _initial_states(model, cfg.initial, n, init_key).T
-    W = np.zeros((d + 1, n))  # centred states over a zero row: K~[0] W stays on BLAS at d=1
-    Y = np.empty((3 * d + m + 1, n))
+    W = np.empty((d, n))  # centred states
+    Y = np.empty((3 * d + 1, n))
 
     mean_path = np.empty((K + 1, d))
     cov_path = np.empty((K + 1, d, d))
@@ -138,8 +142,8 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     run = np.zeros(n)
 
     def record(j: int) -> np.ndarray:
-        mean_path[j], cov_path[j] = _sample_moments(X, W[:d])
-        running_mean[j] = run.mean()
+        mean_path[j], cov_path[j] = _sample_moments(X, W)
+        running_mean[j] = np.add.reduce(run) / n
         if cfg.store_every and j % cfg.store_every == 0:
             ensembles[j] = X.T.copy()
         return mean_path[j]
@@ -153,14 +157,11 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
         G = np.ascontiguousarray(fb.table(block))  # no product depends on the table's layout
         model.check_gains(G)
         for r, j in enumerate(range(j0, j0 + block.size)):
-            np.matmul(G[0, r], W, out=A)
-            A += (G[1, r, :, :d] @ mhat + G[1, r, :, d])[:, None]
-            b, s, f = _row_terms(c, H, r, Z, np.concatenate([mhat, A.mean(axis=1)]), Y)
-            run += dt * f
-            b *= dt
-            X += b
-            s *= sqdt * step_normals(gen, j, n)
-            X += s
+            np.matmul(_step_map(c, H, r, G[:, r], mhat, dt), Xt, out=Y)
+            run += np.einsum("ij,ij->j", Y[2 * d:], Xt)
+            Y[d:2 * d] *= step_normals(gen, j, n)
+            X += Y[:d]
+            X += Y[d:2 * d]
             if not np.isfinite(X).all():
                 raise SimulationDivergedError(
                     f"non-finite particle state after step {j}", step=j)

@@ -4,8 +4,8 @@ import dataclasses
 
 import numpy as np
 
-from mflq import lq_model
-from mflq.model import _flow, _row_factors, _row_terms, _terminal_rows, _tr, sym
+from mflq import AffineFeedback, lq_model
+from mflq.model import _flow, _row_factors, _step_map, _terminal_rows, _tr, sym
 from mflq.riccati import _pack, _solved_aux
 from mflq.schedules import Schedule
 
@@ -68,22 +68,48 @@ def flow_without_mean_noise(A, G, W):
     return _flow(A, np.stack((G[0], np.zeros_like(G[1]))), W)
 
 
+def state_rows(model, t, X, mhat, K):
+    """Drift, diffusion and running cost of the columns of X (d, n) under
+    the law with gain pair row K (2, m, d+1) against the state mean mhat at
+    time t: the rows of the step map _step_map at dt = 1 on the one-row
+    model table at t, applied to X~ = [X; 1]."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = X.shape[0]
+    c = model.table([t])
+    Xt = np.vstack([X, np.ones(X.shape[1])])
+    Y = _step_map(c, _row_factors(c), 0, K, np.atleast_1d(np.asarray(mhat, dtype=float)),
+                  1.0) @ Xt
+    return Y[:d], Y[d:2 * d], np.einsum("ij,ij->j", Y[2 * d:], Xt)
+
+
+def gain_row(k1, k2, k0):
+    """The gain pair row ([K1, 0], [K2, k]) of the constant law (k1, k2, k0)."""
+    return AffineFeedback.constant(k1, k2, k0).table([0.0])[:, 0]
+
+
 def row_at(model, t, x, a, mx, ma):
     """Drift, diffusion and running cost of one particle (x, a) against the
-    means (mx, ma) at time t, from _row_terms on the one-row model table at
-    t, and the terminal cost of x against mx from _terminal_rows."""
+    means (mx, ma) at time t, from state_rows under the law K1 = (a - ma)
+    (x - mx)' / |x - mx|^2, K2 = 0, k = ma, which gives the particle the
+    control a and the law the mean control ma (so x = mx needs a = ma), and
+    the terminal cost of x against mx from _terminal_rows."""
     x, a, mx, ma = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, a, mx, ma))
-    c = model.table([t])
-    b, s, f = _row_terms(c, _row_factors(c), 0, np.concatenate([x, a])[:, None],
-                         np.concatenate([mx, ma]))
+    dx = x - mx
+    assert dx.any() or np.array_equal(a, ma), "no affine law gives x = mx the control a != ma"
+    K1 = np.outer(a - ma, dx) / (dx @ dx or 1.0)
+    b, s, f = state_rows(model, t, x[:, None], mx, gain_row(K1, np.zeros_like(K1), ma))
     return b[:, 0], s[:, 0], float(f[0]), float(_terminal_rows(model.cost, x[:, None], mx)[0])
 
 
 def random_standard_model(rng, d=2, m=2, barred=True, cross=0.0):
-    """Random smooth LQ model satisfying the positivity condition (M2 = 0):
-    Q2, P2 (and their barred sums) PSD, R2 (and R2+R2bar) >= 0.5 I. A
-    nonzero ``cross`` draws M2 and M2bar at that scale instead, after every
-    other coefficient, so the rest of the model is the same."""
+    """Random smooth LQ model satisfying the positivity condition: Q2, P2
+    (and their barred sums) PSD, R2 (and R2+R2bar) >= 0.5 I, and M2 = M2bar
+    = 0 unless ``cross``. A ``cross`` in (0, 1) draws M2 = cross Q2^(1/2) G
+    R2^(1/2), G of spectral norm 1, and M2 + M2bar likewise from the barred
+    sums, after every other coefficient, so the rest of the model is the
+    same: [[Q2, M2], [M2', R2]] and its barred sum stay PSD (Q2 - M2 R2^-1
+    M2' >= (1 - cross^2) Q2), so Lam and Gam stay PSD and U, V positive
+    definite (Yong, SICON 2013)."""
 
     def psd(n, scale=1.0):
         a = rng.standard_normal((n, n)) * scale
@@ -91,6 +117,14 @@ def random_standard_model(rng, d=2, m=2, barred=True, cross=0.0):
 
     def mat(rows, cols, scale=0.6):
         return rng.standard_normal((rows, cols)) * scale
+
+    def root(a):
+        w, q = np.linalg.eigh(a)
+        return (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+
+    def coupling(Q, R):
+        g = mat(d, m, 1.0)
+        return cross * root(Q) @ (g / np.linalg.norm(g, 2)) @ root(R)
 
     Q2 = psd(d)
     R2 = psd(m) + 0.5 * np.eye(m)
@@ -114,7 +148,9 @@ def random_standard_model(rng, d=2, m=2, barred=True, cross=0.0):
             p1bar=rng.standard_normal(d) * 0.3,
         )
     if cross:
-        kw.update(M2=mat(d, m, cross), M2bar=mat(d, m, cross))
+        M2 = coupling(Q2, R2)
+        M2bar = coupling(Q2 + kw.get("Q2bar", 0.0), R2 + kw.get("R2bar", 0.0)) - M2
+        kw.update(M2=M2, M2bar=M2bar)
     return lq_model(d=d, m=m, horizon=1.0, **kw)
 
 

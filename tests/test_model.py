@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 import mflq
 from mflq import MomentState, lq_model, model_from_document, model_to_document
 from mflq.errors import ModelDocumentError, ShapeError
-from mflq.model import _sample_moments
+from mflq.model import _sample_moments, _terminal_rows
 from mflq.schedules import Schedule
 
-from helpers import row_at, tabulated_model
+from helpers import gain_row, row_at, state_rows, tabulated_model
 
 
 def zero_model(d=1, m=1, T=1.0):
@@ -248,10 +248,13 @@ def test_constant_law_rejects_gains_that_are_not_m_x_d(k1, k2, k0):
 
 
 def test_pointwise_functions_are_the_documented_formulas():
-    """Drift, diffusion, running cost and terminal cost of one column of
-    _row_terms and _terminal_rows at d=3, m=2 with every coefficient nonzero
-    and non-symmetric where allowed, against the formulas of the model
-    module's docstring written out term by term."""
+    """Drift, diffusion and running cost of the columns of _step_map, and
+    the terminal cost of _terminal_rows, at d=3, m=2 with every coefficient
+    nonzero and non-symmetric where allowed, against the formulas of the
+    model module's docstring written out term by term, for particles x_i
+    with the controls a_i = K1(x_i - mhat) + K2 mhat + k of a law, whose
+    mean is abar = K2 mhat + k; with C = [I; 0] and no other dynamics the
+    drift is [a_i; 0]."""
     rng = np.random.default_rng(31)
     d, m = 3, 2
 
@@ -266,49 +269,64 @@ def test_pointwise_functions_are_the_documented_formulas():
         ("r1bar", m), ("p1", d), ("p1bar", d))}
     k.update(Q2=psd(d), Q2bar=psd(d), R2=psd(m), R2bar=psd(m), P2=psd(d), P2bar=psd(d))
     model = lq_model(d=d, m=m, horizon=1.0, **k)
-    x, mx = rng.standard_normal(d), rng.standard_normal(d)
-    a, ma = rng.standard_normal(m), rng.standard_normal(m)
-    b = k["b0"] + k["B"] @ x + k["Bbar"] @ mx + k["C"] @ a + k["Cbar"] @ ma
-    s = k["sigma0"] + k["D"] @ x + k["Dbar"] @ mx + k["F"] @ a + k["Fbar"] @ ma
-    f = (x @ k["Q2"] @ x + mx @ k["Q2bar"] @ mx + a @ k["R2"] @ a + ma @ k["R2bar"] @ ma
-         + 2 * x @ k["M2"] @ a + 2 * mx @ k["M2bar"] @ ma + k["q1"] @ x
-         + k["q1bar"] @ mx + k["r1"] @ a + k["r1bar"] @ ma)
-    g = x @ k["P2"] @ x + mx @ k["P2bar"] @ mx + k["p1"] @ x + k["p1bar"] @ mx
-    got_b, got_s, got_f, got_g = row_at(model, 0.4, x, a, mx, ma)
-    np.testing.assert_allclose(got_b, b, rtol=1e-12)
-    np.testing.assert_allclose(got_s, s, rtol=1e-12)
-    assert got_f == pytest.approx(f, rel=1e-12)
-    assert got_g == pytest.approx(g, rel=1e-12)
+    X, mx = rng.standard_normal((d, 5)), rng.standard_normal(d)
+    K1, K2, k0 = rng.standard_normal((m, d)), rng.standard_normal((m, d)), rng.standard_normal(m)
+    ma = K2 @ mx + k0
+    A = K1 @ (X - mx[:, None]) + ma[:, None]
+    got_b, got_s, got_f = state_rows(model, 0.4, X, mx, gain_row(K1, K2, k0))
+    got_g = _terminal_rows(model.cost, X, mx)
+    for i, (x, a) in enumerate(zip(X.T, A.T)):
+        b = k["b0"] + k["B"] @ x + k["Bbar"] @ mx + k["C"] @ a + k["Cbar"] @ ma
+        s = k["sigma0"] + k["D"] @ x + k["Dbar"] @ mx + k["F"] @ a + k["Fbar"] @ ma
+        f = (x @ k["Q2"] @ x + mx @ k["Q2bar"] @ mx + a @ k["R2"] @ a + ma @ k["R2bar"] @ ma
+             + 2 * x @ k["M2"] @ a + 2 * mx @ k["M2bar"] @ ma + k["q1"] @ x
+             + k["q1bar"] @ mx + k["r1"] @ a + k["r1bar"] @ ma)
+        g = x @ k["P2"] @ x + mx @ k["P2bar"] @ mx + k["p1"] @ x + k["p1bar"] @ mx
+        np.testing.assert_allclose(got_b[:, i], b, rtol=1e-13)
+        np.testing.assert_allclose(got_s[:, i], s, rtol=1e-13)
+        assert got_f[i] == pytest.approx(f, rel=1e-13)
+        assert got_g[i] == pytest.approx(g, rel=1e-13)
+    picked = state_rows(lq_model(d=d, m=m, horizon=1.0, C=np.eye(d, m)), 0.4, X, mx,
+                        gain_row(K1, K2, k0))[0]
+    np.testing.assert_allclose(picked[:m], A, rtol=1e-13)
+    assert not picked[m:].any()
 
 
 # --- affinity / homogeneity properties -------------------------------------
 
+def law(k1, k):
+    """The gain pair row of a = k1 (x - mx) + k: scaling x, mx and k scales a
+    and its mean k."""
+    return gain_row([[k1]], [[0.0]], [k])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3),
        st.floats(-2, 2))
-def test_drift_affine(x, a, mx, ma, s):
+def test_drift_affine(x, mx, k1, k, s):
     model = lq_model(d=1, m=1, horizon=1.0, b0=np.array([0.7]), B=1.1, Bbar=-0.4,
                      C=0.3, Cbar=0.2)
-    f0 = row_at(model, 0.5, 0.0, 0.0, 0.0, 0.0)[0]
-    f1 = row_at(model, 0.5, x, a, mx, ma)[0]
-    fs = row_at(model, 0.5, s * x, s * a, s * mx, s * ma)[0]
-    assert fs - f0 == pytest.approx(s * (f1 - f0), abs=1e-9)
+
+    def drift(u):
+        return state_rows(model, 0.5, [[u * x]], [u * mx], law(k1, u * k))[0]
+
+    assert drift(s) - drift(0.0) == pytest.approx(s * (drift(1.0) - drift(0.0)), abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2),
        st.floats(0.1, 3))
-def test_running_cost_quadratic_part_homogeneous(x, a, mx, ma, s):
+def test_running_cost_quadratic_part_homogeneous(x, mx, k1, k, s):
     model = lq_model(d=1, m=1, horizon=1.0, Q2=1.5, Q2bar=-0.5, R2=2.0,
                      R2bar=0.3, M2=0.4, M2bar=-0.2,
                      q1=np.array([1.0]), r1bar=np.array([-2.0]))
 
+    def cost(u):
+        return state_rows(model, 0.5, [[u * x]], [u * mx], law(k1, u * k))[2][0]
+
     def quad(u):
         # even part minus constant isolates the degree-2 term exactly
-        f = row_at(model, 0.5, u * x, u * a, u * mx, u * ma)[2]
-        g = row_at(model, 0.5, -u * x, -u * a, -u * mx, -u * ma)[2]
-        f0 = row_at(model, 0.5, 0.0, 0.0, 0.0, 0.0)[2]
-        return 0.5 * (f + g) - f0
+        return 0.5 * (cost(u) + cost(-u)) - cost(0.0)
 
     assert quad(s) == pytest.approx(s * s * quad(1.0), abs=1e-9 * (1 + abs(quad(1.0))))
 

@@ -9,11 +9,11 @@ from mflq import (AffineFeedback, MeanVarianceParams, MomentState,
 import mflq.moments
 import mflq.model as model_module
 from mflq.errors import CovarianceInstabilityError, OutOfDomainError
-from mflq.model import LqModel, _pair_of, _row_factors, _row_terms, clip_psd
+from mflq.model import LqModel, _pair_of, clip_psd
 from mflq.moments import CLIP_FLOOR, INSTABILITY_FLOOR, _moment_table
 from mflq.riccati import _rk4, _rk4_step
 
-from helpers import flow_without_mean_noise, random_standard_model
+from helpers import flow_without_mean_noise, random_standard_model, state_rows
 
 
 def zero_fb(d=1, m=1):
@@ -53,18 +53,13 @@ def rhs_gap_to_particles(model, fb, t, atoms, weights):
     """Largest gap, relative to the largest expected entry or 1, between
     the rate L y, L the generator, at the moment pair S~ of the discrete
     measure (atoms (d, n), weights) and the weighted sums of the particle
-    state equation _row_terms, which reads the raw coefficients:
+    state equation state_rows, which reads the raw coefficients:
     m' = sum w b, Cov' = sum w [(x - m) b' + b (x - m)' + s s'],
     (m~m~')' = m~'m~' + m~m~'' with m~' = [m'; 0], and f = sum w f_i; S~'s
     padding and last entry must have rate 0."""
     mean = atoms @ weights
     dev = atoms - mean[:, None]
-    K1, K2, k = fb.gains(t)
-    abar = K2 @ mean + k
-    controls = K1 @ dev + abar[:, None]
-    c = model.table([t])
-    b, s, f = _row_terms(c, _row_factors(c), 0, np.vstack([atoms, controls]),
-                         np.concatenate([mean, abar]))
+    b, s, f = state_rows(model, t, atoms, mean, fb.table([t])[:, 0])
     wdev = dev * weights
     m, dm = np.append(mean, 1.0), np.append(b @ weights, 0.0)
     dcov = wdev @ b.T + b @ wdev.T + (s * weights) @ s.T

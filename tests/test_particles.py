@@ -11,10 +11,10 @@ from mflq import (AffineFeedback, FeedbackPerturbation, MomentState, SimConfig,
                   optimality_gap, propagate_moments, simulate, solve_riccati,
                   systemic_model, value)
 from mflq.errors import ShapeError, SimulationDivergedError
-from mflq.model import _row_factors, _row_terms, _sample_moments
+from mflq.model import _row_factors, _sample_moments, _step_map
 from mflq.particles import _keys, step_normals
 
-from helpers import random_standard_model, row_at, tabulated_model
+from helpers import random_standard_model, row_at, state_rows, tabulated_model
 
 AT_ONE = MomentState.dirac([1.0])  # every particle starts at x = 1
 
@@ -83,27 +83,30 @@ def test_noise_is_standard_normal():
 def test_chunk_reproduces_full_ensemble_rows(d, m):
     """A worker holding particles [i0, i1), i0 a multiple of 4 and i1 - i0
     >= 2, draws its normals by moving the Philox counter i0 // 4 blocks of
-    four words, and gets the full ensemble's columns from the row evaluator
-    given the full ensemble's means: chunked execution is bitwise the
-    single-lane one, whether the chunk is a view of the component-major
-    ensemble or a copy. (A single column is a matrix-vector product, which
-    BLAS may sum in another order.)"""
+    four words, and gets the full ensemble's columns of the step S X~ and of
+    the running cost from the step map given the full ensemble's mean:
+    chunked execution is bitwise the single-lane one, whether the chunk is
+    a view of the component-major ensemble [X; 1] or a copy. (A single
+    column is a matrix-vector product, which BLAS may sum in another order.)"""
     n, step = 20_000, 5
     path_key, _ = _keys(17)
     rng = np.random.default_rng(d)
     c = random_standard_model(rng, d, m).table([0.4])
-    H = _row_factors(c)
-    Z = rng.standard_normal((d + m, n))
-    zbar = Z.mean(axis=1)
-    full = _row_terms(c, H, 0, Z, zbar)
+    Xt = np.vstack([rng.standard_normal((d, n)), np.ones(n)])
+    S = _step_map(c, _row_factors(c), 0, rng.standard_normal((2, m, d + 1)),
+                  _sample_moments(Xt[:d])[0], 1e-3)
+    full = S @ Xt
+    full_cost = np.einsum("ij,ij->j", full[2 * d:], Xt)
     full_normals = step_normals(Philox(key=path_key), step, n)
     for i0, i1 in ((4 * 1237, 4 * 1237 + 3001), (0, 2), (8, 15), (4 * 4999, n)):
         raw = Philox(key=path_key, counter=(step << 128) + i0 // 4).random_raw(i1 - i0)
         normals = ndtri((raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54)
         assert normals.tobytes() == full_normals[i0:i1].tobytes()
-        for chunk in (Z[:, i0:i1], Z[:, i0:i1].copy()):
-            for f, part in zip(full, _row_terms(c, H, 0, chunk, zbar)):
-                assert part.tobytes() == f[..., i0:i1].tobytes()
+        for chunk in (Xt[:, i0:i1], Xt[:, i0:i1].copy()):
+            part = S @ chunk
+            assert part.tobytes() == full[:, i0:i1].tobytes()
+            cost = np.einsum("ij,ij->j", part[2 * d:], chunk)
+            assert cost.tobytes() == full_cost[i0:i1].tobytes()
 
 
 # --- simulate -------------------------------------------------------------------
@@ -111,9 +114,9 @@ def test_chunk_reproduces_full_ensemble_rows(d, m):
 def test_step_is_the_pointwise_state_equation():
     """Each of three simulate steps, at t = 0, 1/3 and 2/3, moves each
     particle by dt drift + sqrt(dt) diffusion xi, and the run charges dt
-    running cost per step plus the terminal cost, from one particle's column
-    of the table-row functions at the ensemble's means; the steps cross the
-    knot of the tabulated schedules at 0.5."""
+    running cost per step plus the terminal cost, from the state equation
+    of the law at the ensemble's mean (state_rows); the steps cross the knot
+    of the tabulated schedules at 0.5."""
     model = tabulated_model()
     fb = AffineFeedback.constant([[0.3, -0.2], [0.1, 0.4]], [[0.5, 0.0], [-0.1, 0.2]],
                                  [0.2, -0.3])
@@ -125,15 +128,11 @@ def test_step_is_the_pointwise_state_equation():
     cost = np.zeros(n)
     for k in range(K):
         t, X = res.times[k], res.ensembles[k]
-        mx = X.mean(axis=0)
-        A = np.array([fb(t, x, mx) for x in X])
-        ma = A.mean(axis=0)
+        b, s, f = state_rows(model, t, X.T, X.mean(axis=0), fb.table([t])[:, 0])
         xi = step_normals(Philox(key=_keys(seed)[0]), k, n)
-        rows = [row_at(model, t, x, a, mx, ma) for x, a in zip(X, A)]
-        X1 = np.array([x + dt * b + np.sqrt(dt) * s * z
-                       for x, (b, s, _, _), z in zip(X, rows, xi)])
+        X1 = X + dt * b.T + np.sqrt(dt) * s.T * xi[:, None]
         np.testing.assert_allclose(res.ensembles[k + 1], X1, rtol=1e-12, atol=0.0)
-        cost += [dt * f for _, _, f, _ in rows]
+        cost += dt * f
     XK = res.ensembles[K]
     cost += [row_at(model, 1.0, x, np.zeros(2), XK.mean(axis=0), np.zeros(2))[3] for x in XK]
     np.testing.assert_allclose(res.per_particle_cost, cost, rtol=1e-12, atol=0.0)

@@ -5,12 +5,12 @@ the solved value function."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mflq import (LqModel, MomentState, check_standard_conditions,
                   cost_from_moments, dpp_check, model_from_document,
                   model_to_document, optimal_feedback, solve_riccati, value)
-from mflq.errors import ModelDocumentError, RiccatiBreakdownError
+from mflq.errors import ModelDocumentError
 from mflq.riccati import PSD_TOL, _layout, _rhs, with_scaled_lambda
 from mflq.value import optimal_gains
 
@@ -151,6 +151,7 @@ def test_dpp_split(seed, d, m, barred):
 
 @settings(max_examples=15, deadline=None)
 @given(seeds, st.integers(1, 4), sizes, st.sampled_from([0.0, 0.3]))
+@example(seed=134, d=2, m=3, cross=0.3)  # broke down when M2 was drawn unconstrained
 def test_half_layout_expands_to_the_symmetric_pair(seed, d, m, cross):
     """A solution stores at most (d+1)^2 + 1 entries per row; its expanded
     rows are C-contiguous, exactly symmetric with an exactly zero Lam~
@@ -195,10 +196,7 @@ def test_schur_form_is_the_pair_expression(seed, d, m, barred, tabulated, cross)
     rng = np.random.default_rng(seed)
     model = (tabulated_model(rng, d, m, cross) if tabulated
              else random_standard_model(rng, d, m, barred=barred, cross=cross))
-    try:
-        sol = solve_riccati(model, K)
-    except RiccatiBreakdownError:  # an M2 can break the positivity of U or V
-        assume(False)
+    sol = solve_riccati(model, K)
     ks = np.array([0, 37, 100, 163, K])
     c = model.table(sol.grid[ks])
     for j, k in enumerate(ks):
