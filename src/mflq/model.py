@@ -312,11 +312,6 @@ def _row_factors(c: dict) -> np.ndarray:
                                [_tr(c["q1" + s]), _tr(c["r1" + s])]]) for s in ("", "bar")])
 
 
-def _form(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """z'W z + w'z for each column z of Z, given Y = [W; w'] Z."""
-    return np.einsum("i...,i...->...", Y[:-1], Z) + Y[-1]
-
-
 def _step_map(c: dict, H: np.ndarray, r: int, K: np.ndarray, mhat: np.ndarray,
               dt: float) -> np.ndarray:
     """The step S (3d+1, d+1) of the law with gain pair row K at the state mean
@@ -376,8 +371,8 @@ def _flow(A: np.ndarray, G: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _terminal_rows(cost: LqCost, X: np.ndarray, mx: np.ndarray) -> np.ndarray:
     """Terminal cost of the columns of X (d, n) against the mean mx."""
-    return (_form(np.vstack([cost.P2, cost.p1]) @ X, X)
-            + _form(np.vstack([cost.P2bar, cost.p1bar]) @ mx, mx))
+    return (np.einsum("ij,ij->j", cost.P2 @ X, X) + cost.p1 @ X
+            + (mx @ (cost.P2bar @ mx) + cost.p1bar @ mx))
 
 
 def _finite(value, name: str) -> np.ndarray:
@@ -433,9 +428,11 @@ class MomentState:
         d = mean.shape[0]
         if mean.ndim != 1 or cov.shape != (d, d):
             raise ShapeError(f"mean/cov shapes {mean.shape}/{cov.shape} inconsistent")
-        if np.max(np.abs(cov - cov.T)) > 1e-8:
-            raise ValueError("covariance not symmetric")
-        cov, lo = clip_psd(cov)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+            if np.max(np.abs(cov - cov.T)) > 1e-8:
+                raise ValueError("covariance not symmetric")
+            cov, lo = clip_psd(cov)
+        cov = _finite(cov, "cov")
         if lo < COV_EIG_FLOOR:
             raise ValueError(f"covariance has eigenvalue {lo} < {COV_EIG_FLOOR}")
         object.__setattr__(self, "mean", _frozen(mean))
@@ -463,12 +460,6 @@ def _sample_moments(X: np.ndarray, centred: np.ndarray | None = None):
 # affine feedback laws
 
 
-def _gains_at(table, t: float):
-    """(K1, K2, k) at t: views of a law's one-row gain pair table."""
-    K = table(np.array([t], dtype=float))[:, 0]
-    return K[0, :, :-1], K[1, :, :-1], K[1, :, -1]
-
-
 @dataclass(frozen=True)
 class AffineFeedback:
     """Control law a = K1(t)(x - mean_x) + K2(t) mean_x + k(t).
@@ -490,7 +481,7 @@ class AffineFeedback:
     def __post_init__(self):
         for i, name in enumerate(("k1", "k2", "k0")):
             if getattr(self, name) is None:
-                object.__setattr__(self, name, lambda t, i=i: _gains_at(self.table, t)[i])
+                object.__setattr__(self, name, lambda t, i=i: self.gains(t)[i])
 
     @classmethod
     def constant(cls, k1, k2, k0) -> "AffineFeedback":
@@ -504,8 +495,9 @@ class AffineFeedback:
         return cls(table=lambda times: np.broadcast_to(K, (2,) + np.shape(times) + K.shape[2:]))
 
     def gains(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(K1, K2, k) at t: the one-row table, so one evaluation."""
-        return _gains_at(self.table, t)
+        """(K1, K2, k) at t: views of the one-row table, so one evaluation."""
+        K = self.table(np.array([t], dtype=float))[:, 0]
+        return K[0, :, :-1], K[1, :, :-1], K[1, :, -1]
 
     def __call__(self, t: float, x, mean_x) -> np.ndarray:
         g1, g2, g0 = self.gains(t)

@@ -111,6 +111,13 @@ def _initial_states(model: LqModel, initial: MomentState, n: int,
     return initial.mean + rng.standard_normal((n, initial.d)) @ root.T
 
 
+def _estimate(samples: np.ndarray, name: str) -> tuple[float, float]:
+    """Mean and stderr of the mean of ``samples``; a ValueError names ``name`` if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stderr = _finite([samples.mean(), samples.std(ddof=1) / np.sqrt(samples.size)], name)
+    return float(mean), float(stderr)
+
+
 def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
     """Simulate the interacting particle system under the feedback law.
 
@@ -148,33 +155,32 @@ def simulate(model: LqModel, fb: AffineFeedback, cfg: SimConfig) -> SimResult:
             ensembles[j] = X.T.copy()
         return mean_path[j]
 
-    mhat = record(0)
     steps = model.block_steps
-    for j0 in range(0, K, steps):
-        block = times[j0:min(j0 + steps, K)]
-        c = model.table(block)
-        H = _row_factors(c)
-        G = np.ascontiguousarray(fb.table(block))  # no product depends on the table's layout
-        model.check_gains(G)
-        for r, j in enumerate(range(j0, j0 + block.size)):
-            np.matmul(_step_map(c, H, r, G[:, r], mhat, dt), Xt, out=Y)
-            run += np.einsum("ij,ij->j", Y[2 * d:], Xt)
-            Y[d:2 * d] *= step_normals(gen, j, n)
-            X += Y[:d]
-            X += Y[d:2 * d]
-            if not np.isfinite(X).all():
-                raise SimulationDivergedError(
-                    f"non-finite particle state after step {j}", step=j)
-            mhat = record(j + 1)
-
-    per_cost = run + _terminal_rows(model.cost, X, mean_path[K])
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergence raises below
+        mhat = record(0)
+        for j0 in range(0, K, steps):
+            block = times[j0:min(j0 + steps, K)]
+            c = model.table(block)
+            H = _row_factors(c)
+            G = np.ascontiguousarray(fb.table(block))  # no product depends on the table's layout
+            model.check_gains(G)
+            for r, j in enumerate(range(j0, j0 + block.size)):
+                np.matmul(_step_map(c, H, r, G[:, r], mhat, dt), Xt, out=Y)
+                run += np.einsum("ij,ij->j", Y[2 * d:], Xt)
+                Y[d:2 * d] *= step_normals(gen, j, n)
+                X += Y[:d]
+                X += Y[d:2 * d]
+                if not np.isfinite(X).all():
+                    raise SimulationDivergedError(
+                        f"non-finite particle state after step {j}", step=j)
+                mhat = record(j + 1)
+        per_cost = run + _terminal_rows(model.cost, X, mean_path[K])
     ensembles[K] = X.T.copy()
+    cost_mean, cost_stderr = _estimate(per_cost, "the Monte Carlo cost")
     return SimResult(
         times=times, mean_path=mean_path, cov_path=cov_path,
         running_mean=running_mean, ensembles=ensembles,
-        per_particle_cost=per_cost,
-        cost_mean=float(per_cost.mean()),
-        cost_stderr=float(per_cost.std(ddof=1) / np.sqrt(n)),
+        per_particle_cost=per_cost, cost_mean=cost_mean, cost_stderr=cost_stderr,
     )
 
 
@@ -270,9 +276,8 @@ def optimality_gap(model: LqModel, sol: RiccatiSolution, cfg: SimConfig,
     results = []
     for pert in perturbations:
         cand = simulate(model, pert.apply(base), cfg)
-        diff = cand.per_particle_cost - ref.per_particle_cost
-        gap = float(diff.mean())
-        gap_se = float(diff.std(ddof=1) / np.sqrt(cfg.n_particles))
+        gap, gap_se = _estimate(cand.per_particle_cost - ref.per_particle_cost,
+                                f"the Monte Carlo gap of {pert.label!r}")
         results.append(CandidateResult(
             label=pert.label, cost_mean=cand.cost_mean,
             cost_stderr=cand.cost_stderr, gap=gap, gap_stderr=gap_se,

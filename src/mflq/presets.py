@@ -31,9 +31,6 @@ from .model import LqModel, lq_model
 from .riccati import RiccatiSolution, RiccatiState
 from .schedules import Schedule, as_schedule
 
-def _at(s: Schedule, t: float) -> float:
-    return float(s(t).reshape(-1)[0])
-
 
 def _sharpe_piece(h, rho0, rho1, vol0, vol1) -> float:
     """int (rho/vol)^2 on one piece (MeanVarianceParams._integrals)."""
@@ -139,7 +136,7 @@ def mean_variance_optimal_control(p: MeanVarianceParams, t: float,
                                   x: float, mean_x: float) -> float:
     """-(rho/vol^2)(x - mean) + (rho/(eta vol^2)) exp(int_t^T rho^2/vol^2 - r)."""
     int_r, int_s = p._integrals(t)
-    rho, v2 = _at(p.rho, t), _at(p.vol, t) ** 2
+    rho, v2 = p.rho(t).item(), p.vol(t).item() ** 2
     expo = math.exp(int_s - int_r)
     return -(rho / v2) * (x - mean_x) + rho / (p.eta * v2) * expo
 

@@ -8,10 +8,11 @@ The Bellman residual is the verification theorem in moment form: the law
 Hamiltonian H = d/dt <P~, S~> + f = <dP~, S~> + [vec P~, 1] L y, a
 contraction of the generator L of an affine law's moment flow y' = L y
 (model._flow), must vanish at the synthesised gains, which must be
-stationary for it: policy evaluation plus stationarity. It does not use the
-solve's right-hand side or minimum, but it reads the solve's LqModel.table
-pairs, so an error in those is invisible to it; the moment flow's test
-against the particle state equation and the Riccati test catch one.
+stationary for it: policy evaluation plus stationarity. It never evaluates
+riccati._rhs or the Hamiltonian's minimum, but reads the solve through its
+Hermite rows (sol._rows reads the stored right-hand side sol.dy) and the
+LqModel.table pairs, so an error in the pairs is invisible to it; the moment
+flow's test against the particle state equation and the Riccati test catch one.
 """
 
 from __future__ import annotations

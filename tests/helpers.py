@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 
-from mflq import AffineFeedback, lq_model
-from mflq.model import _flow, _row_factors, _step_map, _terminal_rows, _tr, sym
+from mflq import AffineFeedback, MomentState, lq_model
+from mflq.model import _flow, _pair_of, _row_factors, _step_map, _terminal_rows, _tr, sym
+from mflq.moments import _moment_table
 from mflq.riccati import _pack, _solved_aux
 from mflq.schedules import Schedule
 
@@ -80,6 +81,26 @@ def state_rows(model, t, X, mhat, K):
     Y = _step_map(c, _row_factors(c), 0, K, np.atleast_1d(np.asarray(mhat, dtype=float)),
                   1.0) @ Xt
     return Y[:d], Y[d:2 * d], np.einsum("ij,ij->j", Y[2 * d:], Xt)
+
+
+def rhs_gap_to_particles(model, fb, t, atoms, weights):
+    """Largest gap, relative to the largest expected entry or 1, between
+    the rate L y, L the generator, at the moment pair S~ of the discrete
+    measure (atoms (d, n), weights) and the weighted sums of the particle
+    state equation state_rows, which reads the raw coefficients:
+    m' = sum w b, Cov' = sum w [(x - m) b' + b (x - m)' + s s'],
+    (m~m~')' = m~'m~' + m~m~'' with m~' = [m'; 0], and f = sum w f_i; S~'s
+    padding and last entry must have rate 0."""
+    mean = atoms @ weights
+    dev = atoms - mean[:, None]
+    b, s, f = state_rows(model, t, atoms, mean, fb.table([t])[:, 0])
+    wdev = dev * weights
+    m, dm = np.append(mean, 1.0), np.append(b @ weights, 0.0)
+    dcov = wdev @ b.T + b @ wdev.T + (s * weights) @ s.T
+    expect = np.append([np.pad(dcov, (0, 1)), np.outer(dm, m) + np.outer(m, dm)], f @ weights)
+    y = np.append(_pair_of(MomentState(mean, wdev @ dev.T)), 0.0)
+    got = _moment_table(model, fb, [t])[0] @ y
+    return np.abs(got - expect).max() / max(1.0, np.abs(expect).max())
 
 
 def gain_row(k1, k2, k0):

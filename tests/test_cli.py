@@ -190,6 +190,23 @@ def test_verify_moment_overflow_exits_2_without_warnings(capsys):
     assert (code, stderr) == (2, "error: non-finite moment state at t=0.02\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["value", "--cov", "1e308"], "cov has a non-finite value"),
+    (["simulate", "--steps", "200", "--cov", "1e160", "--particles", "16", "--seed", "3"],
+     "the Monte Carlo cost has a non-finite value"),
+    (["verify", "--cov", "1e160", "--particles", "16", "--seed", "1"],
+     "the Monte Carlo cost has a non-finite value"),
+])
+def test_non_finite_law_or_estimate_exits_2_without_warnings(capsys, argv, message):
+    """A covariance whose repair overflows, and a Monte Carlo cost whose
+    standard error overflows, are errors: never a value of 0, nor a PASS
+    against an infinite tolerance."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, argv[0], "--preset", "systemic-risk", *argv[1:])
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+
 # case -> (model document or None for the preset, argv, breakdown message,
 # its time): a state that overflows (sigma = 1e200) and a U that does first (B = 400)
 _OVERFLOWING_SOLVES = {

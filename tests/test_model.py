@@ -373,7 +373,8 @@ def test_moment_state_validation():
 
 @pytest.mark.parametrize("mean, cov", [("2", 0.0), ([True], [[False]]), ([1.0], [["1"]]),
                                        (np.array([True]), 0.0), ([np.nan], [[1.0]]),
-                                       ([1.0], [[np.inf]]), ([-np.inf], 0.0)])
+                                       ([1.0], [[np.inf]]), ([-np.inf], 0.0),
+                                       ([0.0], [[1e308]])])  # symmetrizing overflows
 def test_moment_state_rejects_non_numbers(mean, cov):
     with pytest.raises(ValueError, match="not numeric|non-finite"):
         MomentState(mean, cov)

@@ -13,7 +13,7 @@ from mflq.model import LqModel, _pair_of, clip_psd
 from mflq.moments import CLIP_FLOOR, INSTABILITY_FLOOR, _moment_table
 from mflq.riccati import _rk4, _rk4_step
 
-from helpers import flow_without_mean_noise, random_standard_model, state_rows
+from helpers import flow_without_mean_noise, random_standard_model, rhs_gap_to_particles
 
 
 def zero_fb(d=1, m=1):
@@ -47,26 +47,6 @@ def test_rhs_systemic_mean_frozen():
                   (0.8, MomentState([-1.0], [[3.0]]))):
         dm, _ = moment_rhs_at(model, fb, t, ms)
         assert abs(dm[0]) <= 1e-12
-
-
-def rhs_gap_to_particles(model, fb, t, atoms, weights):
-    """Largest gap, relative to the largest expected entry or 1, between
-    the rate L y, L the generator, at the moment pair S~ of the discrete
-    measure (atoms (d, n), weights) and the weighted sums of the particle
-    state equation state_rows, which reads the raw coefficients:
-    m' = sum w b, Cov' = sum w [(x - m) b' + b (x - m)' + s s'],
-    (m~m~')' = m~'m~' + m~m~'' with m~' = [m'; 0], and f = sum w f_i; S~'s
-    padding and last entry must have rate 0."""
-    mean = atoms @ weights
-    dev = atoms - mean[:, None]
-    b, s, f = state_rows(model, t, atoms, mean, fb.table([t])[:, 0])
-    wdev = dev * weights
-    m, dm = np.append(mean, 1.0), np.append(b @ weights, 0.0)
-    dcov = wdev @ b.T + b @ wdev.T + (s * weights) @ s.T
-    expect = np.append([np.pad(dcov, (0, 1)), np.outer(dm, m) + np.outer(m, dm)], f @ weights)
-    y = np.append(_pair_of(MomentState(mean, wdev @ dev.T)), 0.0)
-    got = _moment_table(model, fb, [t])[0] @ y
-    return np.abs(got - expect).max() / max(1.0, np.abs(expect).max())
 
 
 def test_rhs_is_the_particle_state_equation_on_a_discrete_measure(monkeypatch):

@@ -6,13 +6,14 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 import mflq
-from mflq import (AffineFeedback, FeedbackPerturbation, MomentState, SimConfig,
-                  SystemicParams, canonical_perturbations, lq_model, optimal_feedback,
+from mflq import (AffineFeedback, FeedbackPerturbation, MeanVarianceParams, MomentState,
+                  SimConfig, SystemicParams, canonical_perturbations, lq_model,
+                  mean_variance_model, optimal_feedback,
                   optimality_gap, propagate_moments, simulate, solve_riccati,
                   systemic_model, value)
 from mflq.errors import ShapeError, SimulationDivergedError
 from mflq.model import _row_factors, _sample_moments, _step_map
-from mflq.particles import _keys, step_normals
+from mflq.particles import _estimate, _keys, step_normals
 
 from helpers import random_standard_model, row_at, state_rows, tabulated_model
 
@@ -269,10 +270,29 @@ def test_divergence_reported_with_step():
     model = systemic_model(SystemicParams())
     runaway = AffineFeedback.constant([[1e12]], [[0.0]], [0.0])
     cfg = SimConfig(n_particles=8, n_steps=60, seed=0, initial=AT_ONE)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SimulationDivergedError) as info:
-            simulate(model, runaway, cfg)
+    with pytest.raises(SimulationDivergedError) as info:  # and no numpy warning
+        simulate(model, runaway, cfg)
     assert 0 <= info.value.step < 60
+
+
+@pytest.mark.parametrize("model", [mean_variance_model(MeanVarianceParams()),
+                                   systemic_model(SystemicParams())], ids=["mv", "systemic"])
+@pytest.mark.parametrize("x", [-1e300, 1e200])
+def test_non_finite_cost_is_an_error(model, x):
+    """From a Dirac law at a huge state the cost overflows while the states
+    stay finite: a ValueError, with no numpy warning, never a nan or inf cost."""
+    fb = optimal_feedback(model, solve_riccati(model, 50))
+    cfg = SimConfig(n_particles=16, n_steps=50, seed=1, initial=MomentState.dirac([x]))
+    with pytest.raises(ValueError, match="the Monte Carlo cost has a non-finite value"):
+        simulate(model, fb, cfg)
+
+
+def test_estimate_is_the_mean_and_its_stderr():
+    x = np.random.default_rng(3).standard_normal(101)
+    assert _estimate(x, "x") == (float(x.mean()), float(x.std(ddof=1) / np.sqrt(101)))
+    for bad in ([1.0, np.inf], [1.0, np.nan], [1e200, -1e200]):  # the last: stderr overflows
+        with pytest.raises(ValueError, match="the gap of 'k' has a non-finite value"):
+            _estimate(np.array(bad), "the gap of 'k'")
 
 
 def test_stderr_sqrt_n_scaling():

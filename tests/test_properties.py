@@ -1,20 +1,23 @@
 """Property tests over random standard models with d, m <= 3 (d <= 4 for
 the solution's storage): the model document boundary, the half layout of a
-Riccati solution, the Schur form of its right-hand side, and identities of
-the solved value function."""
+Riccati solution, the Schur form of its right-hand side, identities of
+the solved value function, and the particle forms of the state equation
+and the terminal cost against their moment (pair) forms."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mflq import (LqModel, MomentState, check_standard_conditions,
-                  cost_from_moments, dpp_check, model_from_document,
+from mflq import (AffineFeedback, LqModel, MomentState, check_standard_conditions,
+                  cost_from_moments, dpp_check, g_hat, model_from_document,
                   model_to_document, optimal_feedback, solve_riccati, value)
 from mflq.errors import ModelDocumentError
+from mflq.model import _terminal_rows
 from mflq.riccati import PSD_TOL, _layout, _rhs, with_scaled_lambda
 from mflq.value import optimal_gains
 
-from helpers import random_standard_model, reference_aux, reference_rhs, tabulated_model
+from helpers import (random_standard_model, reference_aux, reference_rhs, rhs_gap_to_particles,
+                     tabulated_model)
 
 K = 200  # RK4 steps: the identities below hold to round-off or O(K^-4)
 
@@ -206,3 +209,35 @@ def test_schur_form_is_the_pair_expression(seed, d, m, barred, tabulated, cross)
     rows = sol._rows(times).reshape(times.size, 2, d + 1, d + 1)
     want = -reference_aux(model.table(times), ..., np.moveaxis(rows, 1, 0))[1]
     assert _relative_gap(optimal_gains(model, sol, times), want) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, sizes, sizes, st.booleans(), st.booleans(), st.sampled_from([0.0, 0.3]))
+def test_moment_rate_is_the_particle_state_equation(seed, d, m, barred, tabulated, cross):
+    """The moment flow's rate at the pair of a discrete measure is the
+    weighted particle state equation (rhs_gap_to_particles) to 1e-12, for a
+    random constant law and 1 to 6 weighted atoms, with barred terms, M2 and
+    tabulated B and Q2 on and off."""
+    rng = np.random.default_rng(seed)
+    model = (tabulated_model(rng, d, m, cross) if tabulated
+             else random_standard_model(rng, d, m, barred=barred, cross=cross))
+    fb = AffineFeedback.constant(rng.standard_normal((m, d)), rng.standard_normal((m, d)),
+                                 rng.standard_normal(m))
+    n = int(rng.integers(1, 7))
+    atoms, weights = rng.standard_normal((d, n)) * 2.0, rng.dirichlet(np.ones(n))
+    assert rhs_gap_to_particles(model, fb, rng.uniform(0.0, 1.0), atoms, weights) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, sizes, sizes, st.booleans(), st.sampled_from([0.0, 0.3]))
+def test_terminal_rows_average_to_the_lifted_terminal_cost(seed, d, m, barred, cross):
+    """The column mean of _terminal_rows against the columns' own mean is
+    g_hat at that mean and the population covariance, to 1e-12 relative to
+    g_hat or 1."""
+    rng = np.random.default_rng(seed)
+    model = random_standard_model(rng, d, m, barred=barred, cross=cross)
+    X = rng.standard_normal((d, int(rng.integers(1, 9)))) * 2.0
+    mx = X.mean(axis=1)
+    dev = X - mx[:, None]
+    want = g_hat(model, MomentState(mx, dev @ dev.T / X.shape[1]))
+    assert abs(_terminal_rows(model.cost, X, mx).mean() - want) <= 1e-12 * max(1.0, abs(want))

@@ -218,8 +218,8 @@ def test_solvers_make_no_pointwise_calls(monkeypatch):
                                    initial=MomentState.dirac([0.5, -0.2])))
     assert counts == {"schedule": 0, "gain": 0}
     law.gains(0.5)  # the counters do see pointwise use
-    law.k1(0.5)
-    assert counts == {"schedule": 0, "gain": 2}
+    law.k1(0.5)  # counted twice: the view, then the gains it reads
+    assert counts == {"schedule": 0, "gain": 3}
 
 
 def test_pointwise_gains_are_one_synthesis(monkeypatch):
